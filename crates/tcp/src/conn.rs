@@ -8,12 +8,12 @@
 //!
 //! ## State layout
 //!
-//! A sender's state is split for the million-flow engine:
+//! A sender's state is one [`FlowSlab`](crate::slab::FlowSlab) slot in
+//! two halves:
 //!
 //! - [`HotFlow`](crate::slab::HotFlow) — the per-ACK working set (window,
-//!   RTO estimator, sequence cursors, recovery flags), a `Copy` record
-//!   gathered from / scattered to the [`FlowSlab`](crate::slab::FlowSlab)
-//!   struct-of-arrays columns;
+//!   RTO estimator, sequence cursors, recovery flags), one row of the
+//!   slab's hot vector, mutated in place;
 //! - [`ColdConn`] — everything touched rarely or only at the ends of a
 //!   run (config, controller box, SACK scoreboard, train queue, stats),
 //!   boxed per flow.
@@ -194,12 +194,12 @@ pub(crate) fn new_conn(
     (hot, cold)
 }
 
-/// Read-only view of one sending connection, assembled from the slab's
-/// hot columns and the boxed cold half. `Copy`, so reference-returning
-/// accessors consume `self` and borrow from the host instead.
+/// Read-only view of one sending connection: a borrow of its slab row
+/// and its boxed cold half. `Copy`, so reference-returning accessors
+/// consume `self` and borrow from the host instead.
 #[derive(Clone, Copy, Debug)]
 pub struct ConnRef<'a> {
-    pub(crate) hot: HotFlow,
+    pub(crate) hot: &'a HotFlow,
     pub(crate) cold: &'a ColdConn,
 }
 
@@ -257,9 +257,8 @@ impl<'a> ConnRef<'a> {
 }
 
 /// Mutable working view over one connection's split state: the whole
-/// sender state machine lives here. The host gathers `hot` from the
-/// slab, drives one or more events through this view, and scatters the
-/// result back.
+/// sender state machine lives here. Both halves are borrowed in place
+/// from the connection's slab slot for the duration of one event.
 pub(crate) struct ConnCore<'a> {
     pub(crate) hot: &'a mut HotFlow,
     pub(crate) cold: &'a mut ColdConn,

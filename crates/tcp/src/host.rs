@@ -2,13 +2,9 @@
 //! connections and receivers living on one simulated host, and injects
 //! scheduled application trains.
 //!
-//! Sender state lives in a [`FlowSlab`]: the per-ACK working set in
-//! struct-of-arrays columns, the rest boxed per flow. Each event
-//! gathers a [`HotFlow`] record, drives the state machine through
-//! [`ConnCore`], and scatters the result back. A one-row cache keeps
-//! the hot record checked out across consecutive events for the same
-//! flow — during an incast tick the engine delivers ACK bursts
-//! back-to-back, so same-tick ACK runs skip the gather/scatter entirely.
+//! Sender state lives in a [`FlowSlab`], one row per flow. Each event
+//! borrows its flow's row in place and drives the state machine through
+//! [`ConnCore`]; [`TcpHost::connection`] borrows the same row read-only.
 
 use netsim::hash::FastHashMap;
 use netsim::prelude::*;
@@ -21,31 +17,29 @@ use crate::conn::{
 };
 use crate::receiver::Receiver;
 use crate::segment::{SegKind, Segment};
-use crate::slab::{FlowSlab, HotFlow, SlabAudit};
+use crate::slab::{FlowSlab, SlabAudit};
 
+/// A scheduled application action on one sender. `generation` is the
+/// sender's slot generation at schedule time: an event that fires after
+/// its sender was torn down (or its id reused) no longer matches and is
+/// dropped, like a late ACK.
 #[derive(Clone, Copy, Debug)]
-enum AppEvent {
-    /// Hand `bytes` to the sender at `at`.
-    Train {
-        at: SimTime,
-        sender_idx: usize,
-        bytes: u64,
-    },
-    /// Discard the sender's unsent data at `at`.
-    Stop { at: SimTime, sender_idx: usize },
-    /// Tear the sender down at `at`: cancel its timers and free its
-    /// slab slot for reuse.
-    Teardown { at: SimTime, sender_idx: usize },
+struct AppEvent {
+    at: SimTime,
+    sender_idx: usize,
+    generation: u32,
+    action: AppAction,
 }
 
-impl AppEvent {
-    fn at(&self) -> SimTime {
-        match *self {
-            AppEvent::Train { at, .. }
-            | AppEvent::Stop { at, .. }
-            | AppEvent::Teardown { at, .. } => at,
-        }
-    }
+#[derive(Clone, Copy, Debug)]
+enum AppAction {
+    /// Hand `bytes` to the sender.
+    Train { bytes: u64 },
+    /// Discard the sender's unsent data.
+    Stop,
+    /// Tear the sender down: cancel its timers and free its slab slot
+    /// for reuse.
+    Teardown,
 }
 
 /// A request/response exchange sequence on one connection: each response
@@ -54,6 +48,8 @@ impl AppEvent {
 #[derive(Clone, Debug)]
 struct ResponseSequence {
     sender_idx: usize,
+    /// The sender's slot generation at schedule time (see [`AppEvent`]).
+    generation: u32,
     start: SimTime,
     sizes: Vec<u64>,
     think: netsim::time::Dur,
@@ -67,16 +63,6 @@ struct ResponseSequence {
     /// prove the session-conservation monitor fires; never set in
     /// healthy runs.
     fault_early_end: bool,
-}
-
-/// The one-row hot cache: the last-touched flow's [`HotFlow`] record,
-/// kept checked out between events. The slab columns for this id are
-/// stale until [`TcpHost::flush_hot`] scatters the record back; every
-/// read path consults the cache first, so the staleness is invisible.
-#[derive(Clone, Copy, Debug)]
-struct HotCache {
-    idx: usize,
-    hot: HotFlow,
 }
 
 /// A host running any number of sending connections and receivers.
@@ -115,7 +101,6 @@ struct HotCache {
 #[derive(Debug, Default)]
 pub struct TcpHost {
     flows: FlowSlab,
-    cache: Option<HotCache>,
     receivers: Vec<Receiver>,
     // Flow demux maps are on the per-packet hot path; FastHashMap keeps
     // the lookups cheap and deterministic. Neither map is ever iterated.
@@ -149,7 +134,6 @@ impl TcpHost {
     /// Panics if the flow already has a sender on this host or `cfg` is
     /// invalid.
     pub fn add_sender(&mut self, flow: FlowId, dst: NodeId, cfg: TcpConfig, cc: &CcKind) -> usize {
-        self.flush_hot();
         let (hot, cold) = new_conn(flow, dst, cfg, cc.build());
         let idx = self.flows.insert(hot, cold);
         assert!(
@@ -181,12 +165,7 @@ impl TcpHost {
     ///
     /// Panics if `sender_idx` is not a live sender.
     pub fn schedule_train(&mut self, sender_idx: usize, at: SimTime, bytes: u64) {
-        assert!(self.flows.contains(sender_idx), "no such sender");
-        self.schedule.push(AppEvent::Train {
-            at,
-            sender_idx,
-            bytes,
-        });
+        self.schedule_app(sender_idx, at, AppAction::Train { bytes });
     }
 
     /// Schedules the application to stop sender `sender_idx` at `at`:
@@ -196,8 +175,7 @@ impl TcpHost {
     ///
     /// Panics if `sender_idx` is not a live sender.
     pub fn schedule_stop(&mut self, sender_idx: usize, at: SimTime) {
-        assert!(self.flows.contains(sender_idx), "no such sender");
-        self.schedule.push(AppEvent::Stop { at, sender_idx });
+        self.schedule_app(sender_idx, at, AppAction::Stop);
     }
 
     /// Schedules sender `sender_idx` to be torn down at `at`: its timers
@@ -210,8 +188,7 @@ impl TcpHost {
     ///
     /// Panics if `sender_idx` is not a live sender.
     pub fn schedule_teardown(&mut self, sender_idx: usize, at: SimTime) {
-        assert!(self.flows.contains(sender_idx), "no such sender");
-        self.schedule.push(AppEvent::Teardown { at, sender_idx });
+        self.schedule_app(sender_idx, at, AppAction::Teardown);
     }
 
     /// Schedules a sequential request/response exchange: the first
@@ -239,6 +216,7 @@ impl TcpHost {
         );
         self.sequences.push(ResponseSequence {
             sender_idx,
+            generation: self.flows.generation(sender_idx),
             start,
             sizes,
             think,
@@ -272,21 +250,15 @@ impl TcpHost {
         self.flows.inject_slot_leak();
     }
 
-    /// Borrows a sending connection by dense flow id. The view reflects
-    /// the hot cache, so it is current even mid-run.
+    /// Borrows a sending connection by dense flow id: the same row the
+    /// next event for this flow will act on, so it is current mid-run.
     ///
     /// # Panics
     ///
     /// Panics if `idx` is not a live sender.
     pub fn connection(&self, idx: usize) -> ConnRef<'_> {
-        let hot = match &self.cache {
-            Some(c) if c.idx == idx => c.hot,
-            _ => self.flows.checkout(idx),
-        };
-        ConnRef {
-            hot,
-            cold: self.flows.cold(idx),
-        }
+        let (hot, cold) = self.flows.row(idx);
+        ConnRef { hot, cold }
     }
 
     /// Mutably adjusts a sending connection by dense flow id (e.g. to
@@ -373,51 +345,30 @@ impl ConnMut<'_> {
 }
 
 impl TcpHost {
-    /// Scatters the cached hot record back into the slab columns.
-    fn flush_hot(&mut self) {
-        if let Some(c) = self.cache.take() {
-            self.flows.writeback(c.idx, &c.hot);
-        }
+    fn schedule_app(&mut self, sender_idx: usize, at: SimTime, action: AppAction) {
+        assert!(self.flows.contains(sender_idx), "no such sender");
+        self.schedule.push(AppEvent {
+            at,
+            sender_idx,
+            generation: self.flows.generation(sender_idx),
+            action,
+        });
     }
 
-    /// Gathers the hot record for `idx`, preferring the cache (and
-    /// flushing it first when it holds a different flow).
-    fn checkout_hot(&mut self, idx: usize) -> HotFlow {
-        match self.cache {
-            Some(c) if c.idx == idx => c.hot,
-            _ => {
-                self.flush_hot();
-                self.flows.checkout(idx)
-            }
-        }
-    }
-
-    /// Runs `f` over the assembled [`ConnCore`] view of sender `idx`,
-    /// leaving the updated hot record in the cache.
+    /// Runs `f` over the [`ConnCore`] view of sender `idx`.
     fn with_core<R>(&mut self, idx: usize, f: impl FnOnce(&mut ConnCore<'_>) -> R) -> R {
-        let mut hot = self.checkout_hot(idx);
-        let r = {
-            let mut core = ConnCore {
-                hot: &mut hot,
-                cold: self.flows.cold_mut(idx),
-            };
-            f(&mut core)
-        };
-        self.cache = Some(HotCache { idx, hot });
-        r
+        let (hot, cold) = self.flows.row_mut(idx);
+        f(&mut ConnCore { hot, cold })
     }
 
     /// Tears a sender down now: cancels its timers, unmaps its flow, and
     /// frees its slab slot.
     fn teardown_sender(&mut self, ctx: &mut Ctx<'_, Segment>, idx: usize) {
-        // The cached row must not resurrect the slot after removal;
-        // write it back (cheap) and drop the cache either way.
-        self.flush_hot();
-        let mut hot = self.flows.checkout(idx);
-        self.flows.cold_mut(idx).cancel_timers(ctx, &mut hot);
-        self.flows.writeback(idx, &hot);
+        let (hot, cold) = self.flows.row_mut(idx);
+        cold.cancel_timers(ctx, hot);
         let cold = self.flows.remove(idx);
         self.send_by_flow.remove(&cold.flow.0);
+        self.seq_by_sender.remove(&idx);
     }
 
     /// Trains completed on sender `sender_idx`: record the finished
@@ -459,7 +410,7 @@ impl TcpHost {
 impl Agent<Segment> for TcpHost {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Segment>) {
         for (i, s) in self.schedule.iter().enumerate() {
-            let delay = s.at().saturating_since(SimTime::ZERO);
+            let delay = s.at.saturating_since(SimTime::ZERO);
             ctx.set_timer(delay, ((i as u64) << KIND_BITS) | KIND_APP);
         }
         for (i, seq) in self.sequences.iter().enumerate() {
@@ -505,18 +456,25 @@ impl Agent<Segment> for TcpHost {
         match kind {
             KIND_RTO => self.with_core(idx, |core| core.on_rto_fire(ctx)),
             KIND_PROBE => self.with_core(idx, |core| core.on_probe_deadline_fire(ctx)),
-            KIND_APP => match self.schedule[idx] {
-                AppEvent::Train {
-                    sender_idx, bytes, ..
-                } => self.with_core(sender_idx, |core| core.enqueue_train(ctx, bytes)),
-                AppEvent::Stop { sender_idx, .. } => {
-                    self.with_core(sender_idx, |core| core.truncate_unsent())
+            KIND_APP => {
+                let ev = self.schedule[idx];
+                if self.flows.generation(ev.sender_idx) != ev.generation {
+                    return; // the sender was torn down first: drop
                 }
-                AppEvent::Teardown { sender_idx, .. } => self.teardown_sender(ctx, sender_idx),
-            },
+                match ev.action {
+                    AppAction::Train { bytes } => {
+                        self.with_core(ev.sender_idx, |core| core.enqueue_train(ctx, bytes))
+                    }
+                    AppAction::Stop => self.with_core(ev.sender_idx, |core| core.truncate_unsent()),
+                    AppAction::Teardown => self.teardown_sender(ctx, ev.sender_idx),
+                }
+            }
             KIND_DELACK => self.receivers[idx].on_delack_timer(ctx),
             KIND_SEQ => {
                 let seq = &mut self.sequences[idx];
+                if self.flows.generation(seq.sender_idx) != seq.generation {
+                    return; // the sender was torn down first: drop
+                }
                 if seq.next < seq.sizes.len() {
                     let bytes = seq.sizes[seq.next];
                     let index = seq.next as u32;

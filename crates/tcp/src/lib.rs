@@ -6,9 +6,8 @@
 //!   duplicate-ACK fast retransmit, NewReno partial-ACK recovery, and
 //!   go-back-N RTO recovery ([`conn`]);
 //! - per-packet-ACK receivers with ECN echo ([`receiver`]);
-//! - a host agent multiplexing many connections ([`host`]), their hot
-//!   state packed in a struct-of-arrays flow slab ([`slab`]) for
-//!   million-flow runs;
+//! - a host agent multiplexing many connections ([`host`]), their state
+//!   held one row per flow in a recycling flow slab ([`slab`]);
 //! - pluggable congestion control ([`cc`]): Reno, CUBIC, DCTCP, L2DCT, the
 //!   GIP-style restart baseline, and **TCP-TRIM** (embedding
 //!   [`trim_core::Trim`]).

@@ -63,25 +63,6 @@ impl RtoEstimator {
     pub fn srtt(&self) -> Option<Dur> {
         self.srtt.map(|s| Dur::from_nanos(s.round() as u64))
     }
-
-    /// Decomposes the estimator into its raw `(srtt, rttvar)` state for
-    /// struct-of-arrays storage. The values are the exact f64 internals,
-    /// so `from_parts(min, max, parts)` is a bit-identical roundtrip.
-    pub fn parts(&self) -> (Option<f64>, f64) {
-        (self.srtt, self.rttvar)
-    }
-
-    /// Rebuilds an estimator from [`Self::parts`] output plus the clamp
-    /// bounds it was created with.
-    pub fn from_parts(min: Dur, max: Dur, srtt: Option<f64>, rttvar: f64) -> Self {
-        debug_assert!(min > Dur::ZERO && max >= min);
-        RtoEstimator {
-            srtt,
-            rttvar,
-            min,
-            max,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -139,23 +120,6 @@ mod tests {
     #[should_panic]
     fn zero_floor_rejected() {
         let _ = RtoEstimator::new(Dur::ZERO, Dur::from_secs(1));
-    }
-
-    /// The slab stores estimators decomposed into parallel `srtt` and
-    /// `rttvar` vectors; a checkout/writeback roundtrip must be
-    /// bit-exact or RTO arithmetic would drift from the goldens.
-    #[test]
-    fn parts_roundtrip_is_bit_exact() {
-        let mut e = est();
-        for i in 1..50u64 {
-            e.observe(Dur::from_micros(100 + 37 * i));
-        }
-        let (srtt, rttvar) = e.parts();
-        let r = RtoEstimator::from_parts(Dur::from_millis(1), Dur::from_secs(60), srtt, rttvar);
-        assert_eq!(r.rto(), e.rto());
-        assert_eq!(r.srtt(), e.srtt());
-        assert_eq!(r.parts().0.map(f64::to_bits), srtt.map(f64::to_bits));
-        assert_eq!(r.parts().1.to_bits(), rttvar.to_bits());
     }
 
     /// The RFC 6298 recurrence, hand-computed: first sample sets

@@ -1,37 +1,29 @@
-//! The flat flow slab: struct-of-arrays storage for the hot half of
-//! every sending connection on a host, keyed by dense flow id.
+//! The flow slab: one row of sender state per connection on a host,
+//! keyed by dense flow id.
 //!
-//! At million-flow scale the old `Vec<Connection>` layout paid a cache
-//! miss per field: one ACK walks the window, the RTO estimator, and the
-//! sequence cursors, each buried in a ~300-byte struct next to cold
-//! train queues and controller boxes. The slab stores those per-ACK
-//! fields in parallel vectors (`cwnd`, `ssthresh`, `srtt`, `rttvar`,
-//! sequence cursors — inflight is `next_seq - high_ack`), so an event
-//! touches a handful of dense columns; everything else stays behind one
-//! `Box<ColdConn>` per flow.
-//!
-//! [`checkout`](FlowSlab::checkout) gathers a [`HotFlow`] record from
-//! the columns and [`writeback`](FlowSlab::writeback) scatters it back —
-//! both are exact copies (f64 values move verbatim, the RTO estimator
-//! roundtrips via [`RtoEstimator::parts`]), so the split is
-//! observationally identical to the old layout and committed goldens
-//! stay byte-identical.
+//! Each slot holds a [`HotFlow`] — the fields every ACK and timer reads
+//! and writes (window, RTO estimator, sequence cursors; inflight is
+//! `next_seq - high_ack`) — in one `Vec`, and a `Box<ColdConn>` with
+//! everything else (config, controller, SACK scoreboard, train queue,
+//! stats). An event borrows both halves of its flow's slot in place via
+//! [`row_mut`](FlowSlab::row_mut); there is no second copy of a row
+//! anywhere, so a reader between events sees exactly the state the next
+//! event will act on.
 //!
 //! Slots are recycled through a freelist with generation counters and
 //! allocated/freed accounting, so teardown at scale reuses ids instead
-//! of growing the columns, and [`leak_check`](FlowSlab::leak_check)
+//! of growing the table, and [`leak_check`](FlowSlab::leak_check)
 //! catches any slot that is neither live nor free.
 
 use netsim::sim::TimerId;
-use netsim::time::Dur;
 
 use crate::cc::WindowState;
 use crate::conn::ColdConn;
 use crate::rto::RtoEstimator;
 
-/// The per-event working set of one sending connection, gathered from
-/// the slab's columns. Plain `Copy` data: gather, mutate, scatter.
-#[derive(Clone, Copy, Debug)]
+/// The per-event working set of one sending connection: the slab row
+/// every ACK and timer mutates in place.
+#[derive(Debug)]
 pub struct HotFlow {
     /// Congestion window state (cwnd/ssthresh/bounds/suspended).
     pub win: WindowState,
@@ -70,32 +62,13 @@ pub struct SlabAudit {
     pub high_water: u64,
 }
 
-/// Struct-of-arrays slab of sender state, keyed by dense flow id.
+/// Slab of sender state, keyed by dense flow id.
 #[derive(Debug, Default)]
 pub struct FlowSlab {
-    // Hot columns, one entry per slot, parallel by construction.
-    cwnd: Vec<f64>,
-    ssthresh: Vec<f64>,
-    min_cwnd: Vec<f64>,
-    max_cwnd: Vec<f64>,
-    suspended: Vec<bool>,
-    srtt: Vec<f64>,
-    has_srtt: Vec<bool>,
-    rttvar: Vec<f64>,
-    next_seq: Vec<u64>,
-    high_ack: Vec<u64>,
-    max_seq_sent: Vec<u64>,
-    total_pkts: Vec<u64>,
-    recover: Vec<u64>,
-    dup_acks: Vec<u32>,
-    backoff: Vec<u32>,
-    in_recovery: Vec<bool>,
-    rto_timer: Vec<Option<TimerId>>,
-    // RTO clamp bounds, duplicated from the cold config so checkout
-    // never touches the cold box.
-    min_rto: Vec<Dur>,
-    max_rto: Vec<Dur>,
-
+    /// The hot row of every slot. A vacant slot keeps its last
+    /// occupant's row until `insert` overwrites it; `cold` decides
+    /// liveness.
+    hot: Vec<HotFlow>,
     /// The cold half; `None` marks a vacant (or leaked) slot.
     cold: Vec<Option<Box<ColdConn>>>,
     /// Slot birth count: bumped on every removal, so tests can observe
@@ -118,31 +91,14 @@ impl FlowSlab {
         FlowSlab::default()
     }
 
-    /// Creates an empty slab with column capacity for `n` flows.
+    /// Creates an empty slab with capacity for `n` flows.
     pub fn with_capacity(n: usize) -> Self {
-        let mut s = FlowSlab::default();
-        s.cwnd.reserve(n);
-        s.ssthresh.reserve(n);
-        s.min_cwnd.reserve(n);
-        s.max_cwnd.reserve(n);
-        s.suspended.reserve(n);
-        s.srtt.reserve(n);
-        s.has_srtt.reserve(n);
-        s.rttvar.reserve(n);
-        s.next_seq.reserve(n);
-        s.high_ack.reserve(n);
-        s.max_seq_sent.reserve(n);
-        s.total_pkts.reserve(n);
-        s.recover.reserve(n);
-        s.dup_acks.reserve(n);
-        s.backoff.reserve(n);
-        s.in_recovery.reserve(n);
-        s.rto_timer.reserve(n);
-        s.min_rto.reserve(n);
-        s.max_rto.reserve(n);
-        s.cold.reserve(n);
-        s.generation.reserve(n);
-        s
+        FlowSlab {
+            hot: Vec::with_capacity(n),
+            cold: Vec::with_capacity(n),
+            generation: Vec::with_capacity(n),
+            ..FlowSlab::default()
+        }
     }
 
     /// Live flows.
@@ -186,38 +142,19 @@ impl FlowSlab {
 
     /// Inserts a connection's split state; returns its dense flow id and
     /// stamps it into the cold half's `local_idx` (timer tokens embed
-    /// it). Vacated ids are reused before the columns grow.
+    /// it). Vacated ids are reused before the table grows.
     pub(crate) fn insert(&mut self, hot: HotFlow, mut cold: Box<ColdConn>) -> usize {
         self.allocated += 1;
         self.high_water = self.high_water.max(self.allocated - self.freed);
         if let Some(id) = self.freelist.pop() {
             cold.local_idx = id as u64;
+            self.hot[id] = hot;
             self.cold[id] = Some(cold);
-            self.writeback(id, &hot);
             id
         } else {
             let id = self.cold.len();
             cold.local_idx = id as u64;
-            self.cwnd.push(hot.win.cwnd);
-            self.ssthresh.push(hot.win.ssthresh);
-            self.min_cwnd.push(hot.win.min_cwnd);
-            self.max_cwnd.push(hot.win.max_cwnd);
-            self.suspended.push(hot.win.suspended);
-            let (srtt, rttvar) = hot.rto_est.parts();
-            self.srtt.push(srtt.unwrap_or(0.0));
-            self.has_srtt.push(srtt.is_some());
-            self.rttvar.push(rttvar);
-            self.next_seq.push(hot.next_seq);
-            self.high_ack.push(hot.high_ack);
-            self.max_seq_sent.push(hot.max_seq_sent);
-            self.total_pkts.push(hot.total_pkts);
-            self.recover.push(hot.recover);
-            self.dup_acks.push(hot.dup_acks);
-            self.backoff.push(hot.backoff);
-            self.in_recovery.push(hot.in_recovery);
-            self.rto_timer.push(hot.rto_timer);
-            self.min_rto.push(cold.cfg.min_rto);
-            self.max_rto.push(cold.cfg.max_rto);
+            self.hot.push(hot);
             self.cold.push(Some(cold));
             self.generation.push(0);
             id
@@ -286,64 +223,6 @@ impl FlowSlab {
         Ok(())
     }
 
-    /// Gathers the hot record for flow `id` from the columns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was never allocated.
-    pub fn checkout(&self, id: usize) -> HotFlow {
-        HotFlow {
-            win: WindowState {
-                cwnd: self.cwnd[id],
-                ssthresh: self.ssthresh[id],
-                min_cwnd: self.min_cwnd[id],
-                max_cwnd: self.max_cwnd[id],
-                suspended: self.suspended[id],
-            },
-            rto_est: RtoEstimator::from_parts(
-                self.min_rto[id],
-                self.max_rto[id],
-                self.has_srtt[id].then(|| self.srtt[id]),
-                self.rttvar[id],
-            ),
-            next_seq: self.next_seq[id],
-            high_ack: self.high_ack[id],
-            max_seq_sent: self.max_seq_sent[id],
-            total_pkts: self.total_pkts[id],
-            recover: self.recover[id],
-            dup_acks: self.dup_acks[id],
-            backoff: self.backoff[id],
-            in_recovery: self.in_recovery[id],
-            rto_timer: self.rto_timer[id],
-        }
-    }
-
-    /// Scatters a hot record back into the columns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was never allocated.
-    pub fn writeback(&mut self, id: usize, hot: &HotFlow) {
-        self.cwnd[id] = hot.win.cwnd;
-        self.ssthresh[id] = hot.win.ssthresh;
-        self.min_cwnd[id] = hot.win.min_cwnd;
-        self.max_cwnd[id] = hot.win.max_cwnd;
-        self.suspended[id] = hot.win.suspended;
-        let (srtt, rttvar) = hot.rto_est.parts();
-        self.srtt[id] = srtt.unwrap_or(0.0);
-        self.has_srtt[id] = srtt.is_some();
-        self.rttvar[id] = rttvar;
-        self.next_seq[id] = hot.next_seq;
-        self.high_ack[id] = hot.high_ack;
-        self.max_seq_sent[id] = hot.max_seq_sent;
-        self.total_pkts[id] = hot.total_pkts;
-        self.recover[id] = hot.recover;
-        self.dup_acks[id] = hot.dup_acks;
-        self.backoff[id] = hot.backoff;
-        self.in_recovery[id] = hot.in_recovery;
-        self.rto_timer[id] = hot.rto_timer;
-    }
-
     /// Borrows the cold half of flow `id`.
     ///
     /// # Panics
@@ -353,13 +232,23 @@ impl FlowSlab {
         self.cold[id].as_deref().expect("vacant flow slot") // trim-lint: allow(no-panic-in-library, reason = "reading a freed flow id is a host bug")
     }
 
-    /// Mutably borrows the cold half of flow `id`.
+    /// Borrows both halves of live flow `id`.
     ///
     /// # Panics
     ///
     /// Panics if `id` is not live.
-    pub(crate) fn cold_mut(&mut self, id: usize) -> &mut ColdConn {
-        self.cold[id].as_deref_mut().expect("vacant flow slot") // trim-lint: allow(no-panic-in-library, reason = "reading a freed flow id is a host bug")
+    pub(crate) fn row(&self, id: usize) -> (&HotFlow, &ColdConn) {
+        (&self.hot[id], self.cold(id))
+    }
+
+    /// Mutably borrows both halves of live flow `id`, in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not live.
+    pub(crate) fn row_mut(&mut self, id: usize) -> (&mut HotFlow, &mut ColdConn) {
+        let cold = self.cold[id].as_deref_mut().expect("vacant flow slot"); // trim-lint: allow(no-panic-in-library, reason = "reading a freed flow id is a host bug")
+        (&mut self.hot[id], cold)
     }
 
     /// Ids of live flows, ascending.
@@ -436,13 +325,13 @@ mod tests {
         assert_eq!(s.generation(0), 1);
         s.leak_check().unwrap();
 
-        // The vacated id is reused before the columns grow, and the new
+        // The vacated id is reused before the table grows, and the new
         // occupant's local_idx is restamped.
         let (hot, cold) = entry(9, TcpConfig::default());
         assert_eq!(s.insert(hot, cold), 0);
         assert_eq!(s.cold(0).flow, FlowId(9));
         assert_eq!(s.cold(0).local_idx, 0);
-        assert_eq!(s.capacity(), 2, "reuse must not grow the columns");
+        assert_eq!(s.capacity(), 2, "reuse must not grow the table");
         assert_eq!(
             s.audit(),
             SlabAudit {
@@ -453,96 +342,6 @@ mod tests {
             }
         );
         s.leak_check().unwrap();
-    }
-
-    #[test]
-    fn checkout_writeback_roundtrip_is_bit_exact() {
-        let mut s = filled(2);
-        let mut hot = s.checkout(1);
-        // Deliberately awkward values: non-dyadic floats, the Karn
-        // backoff cap, recovery flags, a large sequence cursor.
-        hot.win.cwnd = 0.1 + 0.2;
-        hot.win.ssthresh = 37.25;
-        hot.win.suspended = true;
-        hot.rto_est.observe(Dur::from_nanos(123_457));
-        hot.rto_est.observe(Dur::from_nanos(7_654_321));
-        hot.next_seq = u64::MAX - 3;
-        hot.high_ack = 1 << 40;
-        hot.max_seq_sent = u64::MAX - 3;
-        hot.total_pkts = 99;
-        hot.recover = (1 << 40) + 17;
-        hot.dup_acks = 3;
-        hot.backoff = 64;
-        hot.in_recovery = true;
-        s.writeback(1, &hot);
-
-        let back = s.checkout(1);
-        assert_eq!(back.win.cwnd.to_bits(), hot.win.cwnd.to_bits());
-        assert_eq!(back.win.ssthresh.to_bits(), hot.win.ssthresh.to_bits());
-        assert!(back.win.suspended);
-        let (srtt_a, rttvar_a) = hot.rto_est.parts();
-        let (srtt_b, rttvar_b) = back.rto_est.parts();
-        assert_eq!(srtt_b.map(f64::to_bits), srtt_a.map(f64::to_bits));
-        assert_eq!(rttvar_b.to_bits(), rttvar_a.to_bits());
-        assert_eq!(back.rto_est.rto(), hot.rto_est.rto());
-        assert_eq!(back.next_seq, hot.next_seq);
-        assert_eq!(back.high_ack, hot.high_ack);
-        assert_eq!(back.max_seq_sent, hot.max_seq_sent);
-        assert_eq!(back.total_pkts, hot.total_pkts);
-        assert_eq!(back.recover, hot.recover);
-        assert_eq!(back.dup_acks, hot.dup_acks);
-        assert_eq!(back.backoff, hot.backoff);
-        assert!(back.in_recovery);
-        assert_eq!(back.rto_timer, hot.rto_timer);
-
-        // The no-sample estimator state also survives (srtt None).
-        let fresh = s.checkout(0);
-        assert_eq!(fresh.rto_est.parts().0, None);
-        assert_eq!(fresh.rto_est.rto(), TcpConfig::default().min_rto);
-    }
-
-    /// Satellite proof for the migration: the RFC 6298 recurrence holds
-    /// bit-for-bit when the estimator lives in slab columns and is
-    /// gathered/scattered around every sample, exactly like the per-event
-    /// checkout in `TcpHost`.
-    #[test]
-    fn slab_backed_rfc6298_matches_direct_estimator() {
-        const MS: u64 = 1_000_000;
-        let streams: [&[u64]; 4] = [
-            &[10 * MS],
-            &[10 * MS, 20 * MS, 20 * MS],
-            &[100_000, 5 * MS, 123_457, 90 * MS],
-            &[3 * MS, 3 * MS, 3 * MS, 3 * MS, 3 * MS, 50 * MS],
-        ];
-        for (i, samples) in streams.iter().enumerate() {
-            let cfg = TcpConfig {
-                min_rto: Dur::from_millis(1),
-                max_rto: Dur::from_millis(40),
-                ..TcpConfig::default()
-            };
-            let mut direct = RtoEstimator::new(cfg.min_rto, cfg.max_rto);
-            let mut s = FlowSlab::new();
-            let (hot, cold) = entry(i as u64, cfg);
-            let id = s.insert(hot, cold);
-            for &ns in *samples {
-                direct.observe(Dur::from_nanos(ns));
-                let mut hot = s.checkout(id);
-                hot.rto_est.observe(Dur::from_nanos(ns));
-                s.writeback(id, &hot);
-                let stored = s.checkout(id).rto_est;
-                assert_eq!(stored.rto(), direct.rto(), "stream {i}");
-                assert_eq!(
-                    stored.parts().0.map(f64::to_bits),
-                    direct.parts().0.map(f64::to_bits),
-                    "stream {i}"
-                );
-                assert_eq!(
-                    stored.parts().1.to_bits(),
-                    direct.parts().1.to_bits(),
-                    "stream {i}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -557,7 +356,7 @@ mod tests {
         assert!(err.contains("leaked"), "unexpected message: {err}");
 
         // The leaked id must never be handed out again: the next insert
-        // grows the columns instead.
+        // grows the table instead.
         let (hot, cold) = entry(9, TcpConfig::default());
         assert_eq!(s.insert(hot, cold), 3);
         // The fault is one-shot: a later remove frees normally.

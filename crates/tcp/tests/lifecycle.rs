@@ -5,7 +5,9 @@
 //! One host carries several senders so the teardown path exercises the
 //! shared slab: freeing a slot must cancel the flow's timers (a stale
 //! RTO fire on a vacated id would panic the host), drop late ACKs
-//! silently, and return the id to the freelist for reuse.
+//! silently, and return the id to the freelist for reuse. Application
+//! events scheduled for a sender that is gone by the time they fire are
+//! dropped the same way, and never reach a later occupant of the id.
 
 use netsim::prelude::*;
 use netsim::time::SimTime;
@@ -155,4 +157,121 @@ fn teardown_after_drain_is_clean() {
         vec![1]
     );
     assert_eq!(sim.audit_stats().in_flight(), 0);
+}
+
+/// A train or stop scheduled for after its sender's teardown is dropped
+/// when it fires (a stale app event on a vacated slot would panic the
+/// host), and so is a second teardown of the same sender.
+#[test]
+fn app_events_after_teardown_are_dropped() {
+    let (mut sim, tx, _fe) = multi_sender(3);
+    {
+        let host = sim.host_mut::<TcpHost>(tx);
+        host.schedule_teardown(1, SimTime::from_secs_f64(0.2));
+        host.schedule_stop(1, SimTime::from_secs_f64(0.3));
+        host.schedule_teardown(1, SimTime::from_secs_f64(0.4));
+        host.schedule_train(1, SimTime::from_secs_f64(0.5), 30_000);
+    }
+    sim.run();
+
+    let host: &TcpHost = sim.host(tx);
+    assert_eq!(host.sender_count(), 2);
+    assert_eq!(host.sender_generation(1), 1, "torn down exactly once");
+    host.slab_leak_check().unwrap();
+    assert_eq!(sim.audit_stats().in_flight(), 0);
+}
+
+/// Teardown during a response sequence's think gap: the pending
+/// next-request timer fires on a vacated slot and is dropped.
+#[test]
+fn response_sequence_timer_after_teardown_is_dropped() {
+    let (mut sim, tx, _fe) = multi_sender(2);
+    {
+        let host = sim.host_mut::<TcpHost>(tx);
+        // First response at 10 ms, the second 100 ms after it completes;
+        // the teardown at 50 ms lands inside the think gap.
+        host.schedule_response_sequence(
+            1,
+            SimTime::from_secs_f64(0.01),
+            vec![30_000, 30_000],
+            Dur::from_millis(100),
+        );
+        host.schedule_teardown(1, SimTime::from_secs_f64(0.05));
+    }
+    sim.run();
+
+    let host: &TcpHost = sim.host(tx);
+    assert_eq!(host.sender_count(), 1);
+    host.slab_leak_check().unwrap();
+    assert_eq!(sim.audit_stats().in_flight(), 0);
+}
+
+/// Events scheduled for a torn-down sender must not drive the next
+/// occupant of its id: the old train and the old response sequence both
+/// fire after `add_sender` reused the slot, and the new sender stays
+/// untouched — and free to take a sequence of its own.
+#[test]
+fn stale_app_events_never_reach_a_reused_id() {
+    let (mut sim, tx, fe) = multi_sender(2);
+    {
+        let host = sim.host_mut::<TcpHost>(tx);
+        host.schedule_teardown(1, SimTime::from_secs_f64(0.2));
+        host.schedule_train(1, SimTime::from_secs_f64(0.5), 30_000);
+        host.schedule_response_sequence(
+            1,
+            SimTime::from_secs_f64(0.6),
+            vec![30_000],
+            Dur::from_millis(1),
+        );
+    }
+    sim.run_until(SimTime::from_secs_f64(0.3));
+
+    let host = sim.host_mut::<TcpHost>(tx);
+    let idx = host.add_sender(FlowId(9), fe, TcpConfig::default(), &CcKind::Reno);
+    assert_eq!(idx, 1);
+    // The old occupant's sequence went with it.
+    host.schedule_response_sequence(idx, SimTime::ZERO, vec![1], Dur::ZERO);
+    sim.run();
+
+    let conn = sim.host::<TcpHost>(tx).connection(1);
+    assert_eq!(conn.flow(), FlowId(9));
+    assert_eq!(conn.stats().pkts_sent, 0);
+    assert!(conn.is_idle());
+}
+
+/// `connection(idx)` between two `run_until` slices reads the row the
+/// next event acts on. The run is loss-free Reno slow start with
+/// per-packet ACKs, so at every instant the row (cwnd, flight) is tied
+/// to the cold-side counters: one window increment per ACK, one packet
+/// out of flight per ACK. Slicing the run, and reading at the slice
+/// boundaries, changes nothing about where it ends up.
+#[test]
+fn connection_view_is_current_between_slices() {
+    let view = |sim: &Simulator<Segment>, tx| {
+        let c = sim.host::<TcpHost>(tx).connection(1);
+        let stats = c.stats();
+        assert_eq!(stats.rtx_sent + stats.dup_acks_received, 0, "loss-free");
+        assert_eq!(
+            c.cwnd(),
+            TcpConfig::default().init_cwnd + stats.acks_received as f64
+        );
+        assert_eq!(c.flight(), stats.pkts_sent - stats.acks_received);
+        (c.cwnd().to_bits(), c.flight(), c.srtt(), stats)
+    };
+
+    let (mut whole, tx, _) = multi_sender(3);
+    whole.run();
+    let end = view(&whole, tx);
+    assert_eq!(end.1, 0, "drained");
+
+    let (mut sliced, _, _) = multi_sender(3);
+    let mut seen_mid_transfer = false;
+    for us in [1_300, 1_500, 1_700] {
+        sliced.run_until(SimTime::from_nanos(us * 1_000));
+        let (_, flight, srtt, _) = view(&sliced, tx);
+        seen_mid_transfer |= flight > 0 && srtt.is_some();
+    }
+    assert!(seen_mid_transfer, "slice boundaries chosen mid-transfer");
+    sliced.run();
+    assert_eq!(view(&sliced, tx), end);
 }

@@ -1,6 +1,6 @@
 //! Extension — the million-flow engine stress point.
 //!
-//! Exercises the hierarchical timing wheel and the struct-of-arrays
+//! Exercises the hierarchical timing wheel and the per-host
 //! flow slab at depth: single-segment flows packed hundreds-to-thousands
 //! per host fan into one 1 Gbps front-end, a regime dominated by queue
 //! drops and RTO backoff (exactly the timer load the wheel exists for).
@@ -9,8 +9,8 @@
 //! the committed `results/perf/incast_1m.json` wall-clock baseline.
 //!
 //! Unlike `large_scale_100k` (one host per flow), every host here
-//! carries many senders, so the run goes through the slab's
-//! checkout/writeback path on every ACK and the per-host access links
+//! carries many senders, so every ACK looks its flow up in a slab
+//! hundreds of rows deep and the per-host access links
 //! are shared — completion counts measure survival under overload, not
 //! fairness.
 

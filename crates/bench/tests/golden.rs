@@ -12,7 +12,7 @@
 //! cross-validation — exercises the AQM drop paths and the
 //! oscillation monitors), and `million_flow` (the packed incast with
 //! hundreds of senders per host — drives the timing wheel's RTO storm
-//! path and the flow slab's checkout/writeback on every event). Each
+//! path and the flow slab's per-event row lookup). Each
 //! runs at `--jobs 1` and `--jobs 8`; worker count must not leak into
 //! artifacts at all.
 

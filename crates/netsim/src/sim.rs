@@ -114,13 +114,6 @@ struct Core<P: Payload> {
     /// `(time, seq)` a total order across both structures, so the merged
     /// stream is identical to what a single queue would produce.
     seq: u64,
-    /// Deadlines of cancelled-while-live timers. The previous engine
-    /// left cancelled timers in the queue as tombstones that still
-    /// popped (advancing the clock and `events_processed`); the wheel
-    /// removes them in place. Counting the tombstones that would have
-    /// popped keeps `events_processed` — which committed campaign
-    /// artifacts record — bit-identical across the engine swap.
-    ghost_deadlines: Vec<SimTime>,
     arena: PacketArena<P>,
     kinds: Vec<NodeKind>,
     channels: Vec<Channel<P>>,
@@ -209,15 +202,6 @@ impl<P: Payload> Core<P> {
             self.wheel
                 .schedule(self.now + delay, self.seq, (node, token)),
         )
-    }
-
-    fn cancel_timer(&mut self, id: TimerId) {
-        // A live cancel leaves the tombstone the old engine would have
-        // popped; a stale cancel (fired or already cancelled) was a
-        // no-op there too — the tombstone id could never pop twice.
-        if let Some(at) = self.wheel.cancel(id.0) {
-            self.ghost_deadlines.push(at);
-        }
     }
 
     /// The per-event bookkeeping the run loop performs before handling
@@ -641,7 +625,7 @@ impl<P: Payload> Ctx<'_, P> {
     /// Cancels a pending timer. Cancelling an already-fired timer is a
     /// harmless no-op.
     pub fn cancel_timer(&mut self, id: TimerId) {
-        self.core.cancel_timer(id);
+        self.core.wheel.cancel(id.0);
     }
 }
 
@@ -694,7 +678,6 @@ impl<P: Payload> Simulator<P> {
                 events: EventQueue::new(),
                 wheel: TimerWheel::new(),
                 seq: 0,
-                ghost_deadlines: Vec::new(),
                 arena: PacketArena::new(),
                 kinds: Vec::new(),
                 channels: Vec::new(),
@@ -811,9 +794,11 @@ impl<P: Payload> Simulator<P> {
         self.core.delivered_bytes
     }
 
-    /// Events dispatched since the start of the simulation. Divided by
-    /// wall time this is the engine's events/sec throughput, the metric
-    /// the perf-regression layer tracks.
+    /// Events dispatched since the start of the simulation: packet
+    /// arrivals, transmitter wake-ups and timer fires. A cancelled timer
+    /// is never dispatched, so it is not counted. Divided by wall time
+    /// this is the engine's events/sec throughput, the metric the
+    /// perf-regression layer tracks.
     pub fn events_processed(&self) -> u64 {
         self.core.events_processed
     }
@@ -1018,18 +1003,6 @@ impl<P: Payload> Simulator<P> {
                 self.process_event();
             }
         }
-        // The old engine popped cancelled timers as tombstones; see
-        // `Core::ghost_deadlines`. Count the ones this horizon covers.
-        let mut ghost_pops = 0u64;
-        self.core.ghost_deadlines.retain(|&at| {
-            if at <= horizon {
-                ghost_pops += 1;
-                false
-            } else {
-                true
-            }
-        });
-        self.core.events_processed += ghost_pops;
         if horizon != SimTime::MAX && horizon > self.core.now {
             self.core.now = horizon;
         }
@@ -1157,6 +1130,8 @@ mod tests {
     use super::*;
     use crate::agent::SinkAgent;
     use crate::packet::{FlowId, TagPayload};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     fn star(n_senders: usize) -> (Simulator<TagPayload>, Vec<NodeId>, NodeId, ChannelId) {
         let mut sim = Simulator::new();
@@ -1713,9 +1688,7 @@ mod tests {
 
     /// Regression for the cancel-racing-same-tick-fire edge: a timer
     /// cancelled by an earlier fire at the same instant must not fire,
-    /// and the engine must still count its ghost pop (the old
-    /// tombstone-heap engine popped the cancelled entry, so
-    /// `events_processed` includes it — committed goldens depend on it).
+    /// and is not counted as an event.
     #[test]
     fn cancel_racing_same_tick_fire_is_deterministic() {
         let mut sim: Simulator<TagPayload> = Simulator::new();
@@ -1723,8 +1696,7 @@ mod tests {
         let _ = h;
         sim.run();
         assert_eq!(sim.host::<RacingAgent>(h).fired, vec![1]);
-        // 1 real fire + 1 ghost pop of the same-tick victim.
-        assert_eq!(sim.events_processed(), 2);
+        assert_eq!(sim.events_processed(), 1);
         assert_eq!(sim.now(), SimTime::from_nanos(10_000));
     }
 
@@ -1752,50 +1724,81 @@ mod tests {
         }
     }
 
-    /// Regression for the ghost-cancel edge at the engine level: a stale
+    /// Regression for the stale-cancel edge at the engine level: a stale
     /// `TimerId` (its timer already fired) must not kill a newly armed
-    /// timer that recycled the wheel slot, and must not add a ghost pop.
+    /// timer that recycled the wheel slot.
     #[test]
     fn stale_cancel_cannot_kill_recycled_timer() {
         let mut sim: Simulator<TagPayload> = Simulator::new();
         let h = sim.add_host(Box::new(StaleCancelAgent::default()));
         sim.run();
         assert_eq!(sim.host::<StaleCancelAgent>(h).fired, vec![1, 2]);
-        // 2 real fires, no ghosts: the stale cancel was a no-op.
+        // Both timers fired: the stale cancel was a no-op.
         assert_eq!(sim.events_processed(), 2);
     }
 
-    /// Ghost-pop accounting: the old engine popped cancelled timers as
-    /// tombstones, counting them in `events_processed`; committed golden
-    /// CSVs carry those counts, so the wheel engine must reproduce them.
-    #[test]
-    fn ghost_timer_pops_count_toward_events_processed() {
-        let mut sim: Simulator<TagPayload> = Simulator::new();
-        let h = sim.add_host(Box::new(TimerAgent::default()));
-        sim.run();
-        // TimerAgent arms 3 timers and cancels one: 2 fires + 1 ghost.
-        assert_eq!(sim.host::<TimerAgent>(h).fired, vec![1, 3]);
-        assert_eq!(sim.events_processed(), 3);
+    /// Counts `Clock` emissions into a counter the test keeps a handle
+    /// to (attached monitors are boxed inside the simulator).
+    #[derive(Debug, Default)]
+    struct ClockCounter {
+        clocks: Arc<AtomicU64>,
+    }
+    impl crate::monitor::InvariantMonitor for ClockCounter {
+        fn name(&self) -> &'static str {
+            "clock-counter"
+        }
+        fn observe(&mut self, _at: SimTime, ev: &MonitorEvent) {
+            if matches!(ev, MonitorEvent::Clock { .. }) {
+                self.clocks.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        fn violations(&self) -> &[crate::monitor::Violation] {
+            &[]
+        }
     }
 
-    /// A cancelled timer past the stop horizon is NOT a ghost pop yet —
-    /// the old engine would not have reached it either. It becomes one
-    /// only when the horizon passes its deadline.
+    /// The event-count contract: `events_processed` is the number of
+    /// events dispatched, one per `Clock` emission. A timer cancelled
+    /// while live is never dispatched and never counted, and slicing a
+    /// run into several `run_until` calls does not change the total.
     #[test]
-    fn ghost_pops_respect_the_run_horizon() {
-        let mut sim: Simulator<TagPayload> = Simulator::new();
-        let h = sim.add_host(Box::new(TimerAgent::default()));
-        let _ = h;
-        // TimerAgent cancels its 2ms timer. Stop at 1.5ms: only the 1ms
-        // fire has happened; the ghost at 2ms is still pending.
-        sim.run_until(SimTime::from_nanos(1_500_000));
-        assert_eq!(sim.events_processed(), 1);
-        // Crossing 2ms accounts the ghost; 3ms fires the last timer.
-        sim.run_until(SimTime::from_nanos(2_500_000));
-        assert_eq!(sim.events_processed(), 2);
-        sim.run();
-        assert_eq!(sim.events_processed(), 3);
-        assert_eq!(sim.host::<TimerAgent>(h).fired, vec![1, 3]);
+    fn events_processed_counts_dispatched_events_only() {
+        let build = || {
+            let mut sim: Simulator<TagPayload> = Simulator::new();
+            let h = sim.add_host(Box::new(TimerAgent::default()));
+            let s = sim.add_host(Box::new(SinkAgent::default()));
+            sim.connect(
+                h,
+                s,
+                Bandwidth::gbps(1),
+                Dur::from_micros(400),
+                QueueConfig::default(),
+            );
+            let clocks = Arc::new(AtomicU64::new(0));
+            sim.attach_monitor(Box::new(ClockCounter {
+                clocks: Arc::clone(&clocks),
+            }));
+            for i in 0..5 {
+                sim.inject(h, Packet::new(h, s, FlowId(i), 1460, TagPayload(0)));
+            }
+            (sim, clocks)
+        };
+        // TimerAgent cancels its 2 ms timer while it is live; the horizon
+        // lies past that deadline and before the 3 ms fire.
+        let horizon = SimTime::from_nanos(2_500_000);
+
+        let (mut whole, clocks) = build();
+        whole.run_until(horizon);
+        // 5 packets x (tx-done + arrival) on the one hop + the 1 ms fire.
+        assert_eq!(whole.events_processed(), 11);
+        assert_eq!(clocks.load(Ordering::Relaxed), 11);
+
+        let (mut sliced, clocks) = build();
+        for k in 1..=10 {
+            sliced.run_until(SimTime::from_nanos(250_000 * k));
+        }
+        assert_eq!(sliced.events_processed(), 11);
+        assert_eq!(clocks.load(Ordering::Relaxed), 11);
     }
 
     /// Arms `n` timers for one deadline with ascending tokens.

@@ -42,7 +42,7 @@ pub struct ScaleConfig {
     /// host share its access link and flow slab). `1` reproduces the
     /// historical one-host-per-flow topology exactly; larger values keep
     /// million-flow runs to a bounded node/link count and exercise the
-    /// struct-of-arrays slab at depth.
+    /// flow slab at depth.
     pub senders_per_host: usize,
 }
 

@@ -261,11 +261,6 @@ pub fn campaign(_effort: Effort) -> Campaign {
     c
 }
 
-/// Runs the experiment and returns its tables.
-pub fn run(effort: Effort) -> Vec<Table> {
-    crate::execute_quiet(campaign(effort))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

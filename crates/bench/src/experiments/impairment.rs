@@ -183,14 +183,10 @@ pub fn campaign(_effort: Effort) -> Campaign {
     c
 }
 
-/// Runs the experiment and returns its tables.
-pub fn run(effort: Effort) -> Vec<Table> {
-    crate::execute_quiet(campaign(effort))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_fresh;
 
     #[test]
     fn reno_times_out_and_trim_does_not() {
@@ -229,7 +225,7 @@ mod tests {
 
     #[test]
     fn campaign_reduces_to_summary_and_per_protocol_tables() {
-        let tables = run(Effort::Quick);
+        let tables = run_fresh("impairment", campaign(Effort::Quick));
         assert_eq!(tables.len(), 5, "summary + 2x(detail, throughput)");
         assert_eq!(tables[0].len(), 2, "one summary row per protocol");
     }

@@ -154,11 +154,6 @@ pub fn campaign(_effort: Effort) -> Campaign {
     c
 }
 
-/// Runs the experiment and returns its tables.
-pub fn run(effort: Effort) -> Vec<Table> {
-    crate::execute_quiet(campaign(effort))
-}
-
 /// Goodput (Mbps) of `n` TRIM LPTs over a 1 Gbps bottleneck for 0.8 s,
 /// with K from the guideline or overridden.
 fn measure_goodput(n: usize, k_override_ns: Option<u64>) -> f64 {

@@ -195,11 +195,6 @@ pub fn campaign(effort: Effort) -> Campaign {
     c
 }
 
-/// Runs the experiment and returns its tables.
-pub fn run(effort: Effort) -> Vec<Table> {
-    crate::execute_quiet(campaign(effort))
-}
-
 /// Extension beyond Fig. 8: the engine-scale incast sweep
 /// (`large_scale_100k`), one job per (flow count, protocol) on the
 /// star topology from `trim_workload::scale`. Quick effort covers 1k

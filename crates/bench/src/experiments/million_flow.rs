@@ -5,8 +5,8 @@
 //! per host fan into one 1 Gbps front-end, a regime dominated by queue
 //! drops and RTO backoff (exactly the timer load the wheel exists for).
 //! Quick effort runs a packed 5 000-flow point that the golden suite
-//! reproduces byte-for-byte; `--full` adds the 10⁶-flow point behind
-//! the committed `results/perf/incast_1m.json` wall-clock baseline.
+//! reproduces byte-for-byte; `--full` adds the 10⁶-flow point, which
+//! CI runs once per push.
 //!
 //! Unlike `large_scale_100k` (one host per flow), every host here
 //! carries many senders, so every ACK looks its flow up in a slab
@@ -126,11 +126,6 @@ pub fn campaign(effort: Effort) -> Campaign {
         vec![("million_flow".to_string(), t)]
     });
     c
-}
-
-/// Runs the experiment and returns its tables.
-pub fn run(effort: Effort) -> Vec<Table> {
-    crate::execute_quiet(campaign(effort))
 }
 
 #[cfg(test)]

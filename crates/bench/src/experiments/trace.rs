@@ -100,18 +100,14 @@ pub fn campaign(effort: Effort) -> Campaign {
     c
 }
 
-/// Runs the experiment and returns its tables.
-pub fn run(effort: Effort) -> Vec<Table> {
-    crate::execute_quiet(campaign(effort))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_fresh;
 
     #[test]
     fn produces_all_three_artifacts() {
-        let tables = run(Effort::Quick);
+        let tables = run_fresh("trace-artifacts", campaign(Effort::Quick));
         assert_eq!(tables.len(), 3);
         assert_eq!(tables[0].len(), 10);
         assert!(!tables[1].is_empty());
@@ -120,7 +116,7 @@ mod tests {
 
     #[test]
     fn size_cdf_hits_paper_anchors() {
-        let tables = run(Effort::Quick);
+        let tables = run_fresh("trace-size-cdf", campaign(Effort::Quick));
         let render = tables[1].render();
         // ~20% at 4 KB, ~90% at 128 KB (Fig. 2(a)).
         let find = |kb: &str| -> f64 {

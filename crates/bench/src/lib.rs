@@ -7,11 +7,10 @@
 //! pool, with per-job CSV artifacts, resume, and a run manifest under
 //! `results/`.
 //!
-//! Run everything with the unified CLI (`cargo run --release --bin
-//! trim-bench -- --only trace,kmodel --jobs 4`), or a single experiment
-//! with its dedicated binary (`--bin exp_impairment`). Pass `--full`
-//! for paper-scale parameters; the default "quick" effort uses smaller
-//! sweeps so the whole suite finishes in minutes.
+//! Run everything, or a selection, with the one CLI (`cargo run
+//! --release --bin trim-bench -- --only trace,kmodel --jobs 4`). Pass
+//! `--full` for paper-scale parameters; the default "quick" effort uses
+//! smaller sweeps so the whole suite finishes in minutes.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(
@@ -21,9 +20,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use std::path::PathBuf;
-
-use trim_harness::{engine, Campaign, CliArgs, ExecConfig};
+use trim_harness::{engine, CliArgs, ExecConfig};
 
 pub mod experiments;
 pub mod registry;
@@ -31,28 +28,8 @@ pub mod registry;
 pub use trim_harness::table;
 pub use trim_harness::{Effort, Table};
 
-/// Directory where experiment CSVs are written.
-pub fn results_dir() -> PathBuf {
-    PathBuf::from("results")
-}
-
-/// Executes a campaign with default settings (all cores, resume
-/// enabled, `results/`, no progress output) and returns its reduce
-/// tables. The `run(effort)` entry point of every experiment delegates
-/// here, so tests and legacy callers keep their one-call interface.
-pub(crate) fn execute_quiet(campaign: Campaign) -> Vec<Table> {
-    let cfg = ExecConfig {
-        results_dir: results_dir(),
-        quiet: true,
-        ..ExecConfig::default()
-    };
-    engine::execute(campaign, &cfg)
-        .expect("campaign execution failed")
-        .into_tables()
-}
-
 /// Drives a selection of experiments from parsed CLI options: the
-/// shared `main` of `trim-bench`, `run_all`, and the `exp_*` binaries.
+/// `main` of `trim-bench`.
 ///
 /// # Errors
 ///
@@ -100,90 +77,35 @@ pub fn drive(args: &CliArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// The `main` of a single-experiment binary: strict CLI parsing
-/// restricted to this experiment, then [`drive`].
-pub fn single_experiment_main(id: &str) {
-    let program = format!("exp_{id}");
-    let mut args = trim_harness::cli::parse_env_or_exit(&program, &[id]);
-    if let Some(only) = &args.only {
-        if only.iter().any(|o| o != id) {
-            eprintln!("{program}: this binary only runs '{id}' (use trim-bench --only for others)");
-            std::process::exit(2);
-        }
-    }
-    args.only = Some(vec![id.to_string()]);
-    if let Err(msg) = drive(&args) {
-        eprintln!("{program}: {msg}");
-        std::process::exit(1);
-    }
-}
-
-/// Runs `f` over `items` on worker threads, preserving input order.
-///
-/// Simulations are single-threaded and independent; experiment
-/// *helpers* (ablations, cross-module sweeps that are not campaign
-/// jobs) use this to spread repetitions across cores.
-pub fn parallel_map<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(T) -> U + Sync,
-{
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let n = items.len();
-    let mut slots: Vec<Option<U>> = (0..n).map(|_| None).collect();
-    let queue: std::sync::Mutex<Vec<(usize, T)>> =
-        std::sync::Mutex::new(items.into_iter().enumerate().collect());
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..threads.min(n.max(1)) {
-            handles.push(scope.spawn(|| {
-                let mut done = Vec::new();
-                loop {
-                    let item = queue.lock().expect("queue poisoned").pop();
-                    match item {
-                        Some((i, t)) => done.push((i, f(t))),
-                        None => break,
-                    }
-                }
-                done
-            }));
-        }
-        for h in handles {
-            for (i, u) in h.join().expect("worker panicked") {
-                slots[i] = Some(u);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every slot filled"))
-        .collect()
-}
-
 /// Formats an `f64` exactly (shortest round-trip); job artifacts use
 /// this so the reduce step recovers bit-identical values from CSV.
 pub(crate) fn num(x: f64) -> String {
     table::num(x)
 }
 
+/// Executes `campaign` from scratch into its own temporary results
+/// directory (`force`, so no earlier run's job CSVs can stand in for
+/// the code under test) and returns the reduce tables. `tag` must be
+/// unique per calling test: tests run on parallel threads.
+#[cfg(test)]
+pub(crate) fn run_fresh(tag: &str, campaign: trim_harness::Campaign) -> Vec<Table> {
+    let dir = std::env::temp_dir().join(format!("trim-exp-{tag}-{}", std::process::id()));
+    let cfg = ExecConfig {
+        force: true,
+        results_dir: dir.clone(),
+        quiet: true,
+        ..ExecConfig::default()
+    };
+    let tables = engine::execute(campaign, &cfg)
+        .expect("campaign runs")
+        .into_tables();
+    let _ = std::fs::remove_dir_all(&dir);
+    tables
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let out = parallel_map((0..100).collect(), |x: i32| x * 2);
-        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_map_empty() {
-        let out: Vec<i32> = parallel_map(Vec::<i32>::new(), |x| x);
-        assert!(out.is_empty());
-    }
 
     #[test]
     fn registry_ids_are_unique_and_findable() {

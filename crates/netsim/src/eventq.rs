@@ -70,14 +70,6 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Creates an empty queue with room for `cap` events.
-    pub fn with_capacity(cap: usize) -> Self {
-        EventQueue {
-            heap: Vec::with_capacity(cap),
-            seq: 0,
-        }
-    }
-
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
@@ -88,13 +80,6 @@ impl<T> EventQueue<T> {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Events pushed over the queue's lifetime (the insertion-sequence
-    /// counter).
-    #[inline]
-    pub fn pushed(&self) -> u64 {
-        self.seq
     }
 
     /// Schedules `value` at `at`. Amortized O(1) when `at` sorts after
@@ -114,7 +99,7 @@ impl<T> EventQueue<T> {
     /// to merge the queue deterministically with the timing wheel: both
     /// draw from one global sequence, so `(at, seq)` totally orders
     /// events across the two structures. Caller-supplied sequences must
-    /// be unique; they do not advance [`Self::pushed`].
+    /// be unique; they do not advance the queue's own counter.
     #[inline]
     pub fn push_with_seq(&mut self, at: SimTime, seq: u64, value: T) {
         self.heap.push(Entry { at, seq, value });
@@ -151,13 +136,6 @@ impl<T> EventQueue<T> {
             self.sift_down(0);
         }
         Some((entry.at, entry.value))
-    }
-
-    /// Iterates over pending events in arbitrary (heap) order. For
-    /// inspection only — never let this order influence simulation
-    /// state.
-    pub fn iter_unordered(&self) -> impl Iterator<Item = (SimTime, &T)> {
-        self.heap.iter().map(|e| (e.at, &e.value))
     }
 
     #[inline]
@@ -255,15 +233,13 @@ mod tests {
     }
 
     #[test]
-    fn len_and_pushed_track_operations() {
+    fn len_tracks_operations() {
         let mut q = EventQueue::new();
         q.push(t(1), ());
         q.push(t(2), ());
         assert_eq!(q.len(), 2);
-        assert_eq!(q.pushed(), 2);
         q.pop();
         assert_eq!(q.len(), 1);
-        assert_eq!(q.pushed(), 2, "pushed counts lifetime insertions");
     }
 
     #[test]
@@ -277,17 +253,5 @@ mod tests {
         assert_eq!(q.pop(), Some((t(2), "first")));
         assert_eq!(q.pop(), Some((t(7), "a")));
         assert_eq!(q.pop(), Some((t(7), "b")));
-    }
-
-    #[test]
-    fn iter_unordered_sees_every_pending_event() {
-        let mut q = EventQueue::new();
-        for i in 0..10u64 {
-            q.push(t(i), i);
-        }
-        q.pop();
-        let mut seen: Vec<u64> = q.iter_unordered().map(|(_, &v)| v).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (1..10).collect::<Vec<_>>());
     }
 }

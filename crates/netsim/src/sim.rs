@@ -337,25 +337,11 @@ impl<P: Payload> Core<P> {
             QueueCapacity::Packets(n) => Some(n),
             QueueCapacity::Bytes(_) => None,
         };
-        if c.busy {
-            let outcome = c.queue.enqueue(now, pkt);
-            if !self.note_enqueue_drop(ch, now, src, dst, flow, size, uid, outcome)
-                && self.monitors_on
-            {
-                let len_after = self.channels[ch.index()].queue.len();
-                self.emit(MonitorEvent::Enqueued {
-                    channel: ch,
-                    flow,
-                    uid,
-                    len_after,
-                    cap_pkts,
-                });
-            }
-            return;
-        }
-        // Count packets that bypass the queue in the queue stats so that
-        // enqueue/dequeued reflect every packet offered to the channel.
-        // The enqueue can still fail (zero capacity, injected fault).
+        let was_idle = !c.busy;
+        // A packet offered to an idle channel passes through the queue
+        // too, so that enqueued/dequeued reflect every packet offered to
+        // the channel. The enqueue can still fail (zero capacity,
+        // injected fault).
         let outcome = c.queue.enqueue(now, pkt);
         if self.note_enqueue_drop(ch, now, src, dst, flow, size, uid, outcome) {
             return;
@@ -370,12 +356,14 @@ impl<P: Payload> Core<P> {
                 cap_pkts,
             });
         }
-        let c = &mut self.channels[ch.index()];
-        c.busy = true;
-        // CoDel never drops the last remaining packet, so the dequeue
-        // directly after a successful enqueue always yields one.
-        let head = c.queue.dequeue(now).expect("just enqueued"); // trim-lint: allow(no-panic-in-library, reason = "dequeue directly follows the enqueue in this call")
-        self.transmit(ch, now, head);
+        if was_idle {
+            let c = &mut self.channels[ch.index()];
+            c.busy = true;
+            // CoDel never drops the last remaining packet, so the dequeue
+            // directly after a successful enqueue always yields one.
+            let head = c.queue.dequeue(now).expect("just enqueued"); // trim-lint: allow(no-panic-in-library, reason = "dequeue directly follows the enqueue in this call")
+            self.transmit(ch, now, head);
+        }
     }
 
     fn on_tx_done(&mut self, ch: ChannelId) {
@@ -389,6 +377,36 @@ impl<P: Payload> Core<P> {
             Some(pkt) => self.transmit(ch, now, pkt),
             None => self.channels[ch.index()].busy = false,
         }
+    }
+
+    /// Enters a packet into the network at host `node`: stamps
+    /// `sent_at`, assigns the engine-unique id, does the injection
+    /// bookkeeping (counter, packet trace, `Injected` monitor event) and
+    /// forwards it.
+    fn inject(&mut self, node: NodeId, mut pkt: Packet<P>) {
+        pkt.sent_at = self.now;
+        self.next_uid += 1;
+        pkt.uid = self.next_uid;
+        self.injected_pkts += 1;
+        if let Some(t) = &mut self.ptrace {
+            t.record(PacketEvent {
+                at: self.now,
+                kind: PacketEventKind::Sent { node },
+                src: pkt.src,
+                dst: pkt.dst,
+                flow: pkt.flow,
+                size: pkt.size,
+            });
+        }
+        if self.monitors_on {
+            self.emit(MonitorEvent::Injected {
+                node,
+                flow: pkt.flow,
+                uid: pkt.uid,
+                size: pkt.size,
+            });
+        }
+        self.forward(node, pkt);
     }
 
     /// Routes a packet out of `node` toward `pkt.dst`.
@@ -564,30 +582,8 @@ impl<P: Payload> Ctx<'_, P> {
     /// # Panics
     ///
     /// Panics if the destination is unreachable.
-    pub fn send(&mut self, mut pkt: Packet<P>) {
-        pkt.sent_at = self.core.now;
-        self.core.next_uid += 1;
-        pkt.uid = self.core.next_uid;
-        self.core.injected_pkts += 1;
-        if let Some(t) = &mut self.core.ptrace {
-            t.record(PacketEvent {
-                at: self.core.now,
-                kind: PacketEventKind::Sent { node: self.node },
-                src: pkt.src,
-                dst: pkt.dst,
-                flow: pkt.flow,
-                size: pkt.size,
-            });
-        }
-        if self.core.monitors_on {
-            self.core.emit(MonitorEvent::Injected {
-                node: self.node,
-                flow: pkt.flow,
-                uid: pkt.uid,
-                size: pkt.size,
-            });
-        }
-        self.core.forward(self.node, pkt);
+    pub fn send(&mut self, pkt: Packet<P>) {
+        self.core.inject(self.node, pkt);
     }
 
     /// Reports a protocol-level event (window update, probe transition)
@@ -753,30 +749,7 @@ impl<P: Payload> Simulator<P> {
     /// if its agent had sent it. Useful for tests and simple examples.
     pub fn inject(&mut self, src: NodeId, pkt: Packet<P>) {
         self.ensure_ready();
-        let mut pkt = pkt;
-        pkt.sent_at = self.core.now;
-        self.core.next_uid += 1;
-        pkt.uid = self.core.next_uid;
-        self.core.injected_pkts += 1;
-        if let Some(t) = &mut self.core.ptrace {
-            t.record(PacketEvent {
-                at: self.core.now,
-                kind: PacketEventKind::Sent { node: src },
-                src: pkt.src,
-                dst: pkt.dst,
-                flow: pkt.flow,
-                size: pkt.size,
-            });
-        }
-        if self.core.monitors_on {
-            self.core.emit(MonitorEvent::Injected {
-                node: src,
-                flow: pkt.flow,
-                uid: pkt.uid,
-                size: pkt.size,
-            });
-        }
-        self.core.forward(src, pkt);
+        self.core.inject(src, pkt);
     }
 
     /// Current simulated time.
@@ -796,9 +769,7 @@ impl<P: Payload> Simulator<P> {
 
     /// Events dispatched since the start of the simulation: packet
     /// arrivals, transmitter wake-ups and timer fires. A cancelled timer
-    /// is never dispatched, so it is not counted. Divided by wall time
-    /// this is the engine's events/sec throughput, the metric the
-    /// perf-regression layer tracks.
+    /// is never dispatched, so it is not counted.
     pub fn events_processed(&self) -> u64 {
         self.core.events_processed
     }
@@ -1864,5 +1835,55 @@ mod tests {
         assert_eq!(sim.now(), SimTime::from_nanos(58_000));
         // Injection order (9 then 4), not node order, decides the tie.
         assert_eq!(sim.host::<RecordingAgent>(dst).seen, vec![9, 4]);
+    }
+
+    /// Records every callback as `('T', token)` or `('P', flow)`.
+    #[derive(Debug, Default)]
+    struct CallbackLog {
+        calls: Vec<(char, u64)>,
+    }
+    impl Agent<TagPayload> for CallbackLog {
+        fn on_packet(&mut self, _ctx: &mut Ctx<'_, TagPayload>, pkt: Packet<TagPayload>) {
+            self.calls.push(('P', pkt.flow.0));
+        }
+        fn on_timer(&mut self, _ctx: &mut Ctx<'_, TagPayload>, token: u64) {
+            self.calls.push(('T', token));
+        }
+    }
+
+    /// The two schedulers merge on `(time, seq)` even inside a same-tick
+    /// batch: with timers and arrivals for one host due at one instant
+    /// and interleaved in sequence, an arrival with the smaller key
+    /// preempts the timer batch (T, P, T) and a timer with the smaller
+    /// key preempts the delivery batch (P, T, P).
+    #[test]
+    fn same_instant_timers_and_arrivals_interleave_by_sequence() {
+        let at = Dur::from_micros(10);
+        let run = |kinds: [char; 3]| {
+            let mut sim: Simulator<TagPayload> = Simulator::new();
+            let h = sim.add_host(Box::new(CallbackLog::default()));
+            sim.ensure_ready();
+            // Scheduled straight into the two structures, so the global
+            // sequence numbers are 1, 2, 3 in `kinds` order and nothing
+            // else (no tx-done) is ever pending.
+            for (i, kind) in kinds.into_iter().enumerate() {
+                let id = i as u64 + 1;
+                if kind == 'T' {
+                    sim.core.set_timer(h, at, id);
+                } else {
+                    let pkt = Packet::new(h, h, FlowId(id), 100, TagPayload(0));
+                    let pkt = sim.core.arena.alloc(pkt);
+                    sim.core.pending_arrivals += 1;
+                    sim.core
+                        .schedule(SimTime::ZERO + at, Ev::Arrival { node: h, pkt });
+                }
+            }
+            sim.run();
+            assert_eq!(sim.events_processed(), 3);
+            assert_eq!(sim.now(), SimTime::ZERO + at);
+            sim.host::<CallbackLog>(h).calls.clone()
+        };
+        assert_eq!(run(['T', 'P', 'T']), vec![('T', 1), ('P', 2), ('T', 3)]);
+        assert_eq!(run(['P', 'T', 'P']), vec![('P', 1), ('T', 2), ('P', 3)]);
     }
 }

@@ -14,7 +14,7 @@
 //! - [`incast`] — partition/aggregate query fan-in with query-completion
 //!   metrics (an extension beyond the paper's figures);
 //! - [`scale`] — engine-scale incast (up to 100k flows) backing the
-//!   `trim-perf` macro-benchmarks and the `large_scale_100k` campaign;
+//!   repo benchmark's incast workloads and the `large_scale_100k` campaign;
 //! - [`metrics`] — completion-time summaries (ACT/ARCT, tails, CDFs).
 //!
 //! ```

@@ -1,13 +1,14 @@
 //! Engine-scale incast: N senders (up to 100 000) fanning into one
 //! front-end through a single switch.
 //!
-//! This is the stress workload behind the `trim-perf` macro-benchmarks
-//! and the `large_scale_100k` campaign: it exists to exercise the event
-//! engine at flow counts far beyond the paper's figures, so the
-//! topology is the plain star and every knob lives in [`ScaleConfig`].
+//! This is the stress workload behind the repo benchmark's incast
+//! workloads and the `large_scale_100k` and `million_flow` campaigns:
+//! it exists to exercise the event engine at flow counts far beyond
+//! the paper's figures, so the topology is the plain star and every
+//! knob lives in [`ScaleConfig`].
 //! The report carries only deterministic quantities (completions,
 //! packet audit, event count) — wall-clock timing is layered on top by
-//! `trim-perf` and never enters campaign artifacts.
+//! `benchmark/` and never enters campaign artifacts.
 
 use netsim::prelude::*;
 use netsim::time::SimTime;

@@ -14,7 +14,7 @@ use netsim::topology::LinkSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use trim_core::TrimConfig;
-use trim_harness::{Campaign, JobRecord};
+use trim_harness::{record_for, Campaign};
 use trim_tcp::CcKind;
 use trim_workload::http::impairment_workload;
 use trim_workload::scenario::ScenarioBuilder;
@@ -141,13 +141,6 @@ fn impairment_table(c: AblationCell) -> Table {
         num(c.act),
     ]);
     t
-}
-
-fn record_for<'a>(records: &'a [JobRecord], key: &str) -> &'a JobRecord {
-    records
-        .iter()
-        .find(|r| r.key == key)
-        .unwrap_or_else(|| panic!("missing job '{key}'"))
 }
 
 /// The switch-AQM comparison grid: (label, protocol, queue discipline).

@@ -29,7 +29,7 @@ use netsim::time::SimTime;
 use netsim::topology::LinkSpec;
 use trim_check::{RedStability, StabilityConfig};
 use trim_core::fluid::{red_stability, RedFluid};
-use trim_harness::{Campaign, JobRecord};
+use trim_harness::{record_for, Campaign};
 use trim_tcp::{CcKind, TcpConfig};
 use trim_workload::scenario::{ScenarioBuilder, TrainSpec};
 use trim_workload::spec::{ScenarioSpec, SpecAqm, SpecCc, SpecTrain};
@@ -430,13 +430,6 @@ fn stability_table(row: &StabilityRow) -> Table {
         u8::from(row.agree()).to_string(),
     ]);
     t
-}
-
-fn record_for<'a>(records: &'a [JobRecord], key: &str) -> &'a JobRecord {
-    records
-        .iter()
-        .find(|r| r.key == key)
-        .unwrap_or_else(|| panic!("missing job '{key}'"))
 }
 
 /// Builds the campaign: one job per matrix cell, one per

@@ -8,7 +8,7 @@
 use netsim::time::Dur;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use trim_harness::{Campaign, JobRecord};
+use trim_harness::{record_for, Campaign};
 use trim_tcp::{CcKind, TcpConfig};
 use trim_workload::distributions::exponential;
 use trim_workload::http::{lpt, spt};
@@ -118,13 +118,6 @@ fn cell_table(cell: Cell) -> Table {
         cell.timeouts.to_string(),
     ]);
     t
-}
-
-fn record_for<'a>(records: &'a [JobRecord], key: &str) -> &'a JobRecord {
-    records
-        .iter()
-        .find(|r| r.key == key)
-        .unwrap_or_else(|| panic!("missing job '{key}'"))
 }
 
 /// Builds the concurrency campaign: one job per (protocol, n_spt,

@@ -13,7 +13,7 @@ use netsim::prelude::*;
 use netsim::time::{Dur, SimTime};
 use netsim::topology::LinkSpec;
 use trim_harness::table::fmt_f64;
-use trim_harness::{Artifacts, Campaign, JobRecord};
+use trim_harness::{record_for, Artifacts, Campaign};
 use trim_tcp::{CcKind, TcpHost};
 use trim_workload::scenario::ScenarioBuilder;
 
@@ -128,13 +128,6 @@ fn protocol_job(cc: &CcKind) -> Artifacts {
         ("grid".to_string(), grid),
         ("fairness".to_string(), fairness),
     ]
-}
-
-fn record_for<'a>(records: &'a [JobRecord], key: &str) -> &'a JobRecord {
-    records
-        .iter()
-        .find(|r| r.key == key)
-        .unwrap_or_else(|| panic!("missing job '{key}'"))
 }
 
 /// Builds the convergence campaign: one job per protocol, reduced into

@@ -6,7 +6,7 @@
 //! This experiment quantifies them: a query completes when its *slowest*
 //! shard arrives, so one RTO on any worker stalls the whole query.
 
-use trim_harness::{Campaign, JobRecord};
+use trim_harness::{record_for, Campaign};
 use trim_tcp::CcKind;
 use trim_workload::incast::{incast_qct, QueryConfig};
 
@@ -21,13 +21,6 @@ fn protocols() -> [(&'static str, CcKind); 3] {
         ("dctcp", CcKind::Dctcp),
         ("trim", CcKind::trim_with_capacity(1_000_000_000, 1460)),
     ]
-}
-
-fn record_for<'a>(records: &'a [JobRecord], key: &str) -> &'a JobRecord {
-    records
-        .iter()
-        .find(|r| r.key == key)
-        .unwrap_or_else(|| panic!("missing job '{key}'"))
 }
 
 /// Builds the incast campaign: one job per (fan-out, protocol), with

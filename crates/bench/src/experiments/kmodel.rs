@@ -18,7 +18,7 @@ use trim_workload::scenario::ScenarioBuilder;
 
 use netsim::time::{Dur, SimTime};
 use trim_harness::table::fmt_f64;
-use trim_harness::{Campaign, JobRecord};
+use trim_harness::{record_for, Campaign};
 
 use crate::num;
 use crate::{Effort, Table};
@@ -82,13 +82,6 @@ fn steady_state_table() -> Table {
         ]);
     }
     steady
-}
-
-fn record_for<'a>(records: &'a [JobRecord], key: &str) -> &'a JobRecord {
-    records
-        .iter()
-        .find(|r| r.key == key)
-        .unwrap_or_else(|| panic!("missing job '{key}'"))
 }
 
 /// Builds the K-model campaign: one analytic job for the two model

@@ -9,7 +9,7 @@
 //! arrivals), so the campaign's jobs ignore their derived seeds.
 
 use netsim::time::{Dur, SimTime};
-use trim_harness::{Campaign, JobRecord};
+use trim_harness::{record_for, Campaign};
 use trim_tcp::{CcKind, TcpConfig, TcpHost};
 use trim_workload::http::lpt;
 use trim_workload::scenario::ScenarioBuilder;
@@ -119,13 +119,6 @@ fn cell_table(run: PropertyRun) -> Table {
         run.timeouts.to_string(),
     ]);
     t
-}
-
-fn record_for<'a>(records: &'a [JobRecord], key: &str) -> &'a JobRecord {
-    records
-        .iter()
-        .find(|r| r.key == key)
-        .unwrap_or_else(|| panic!("missing job '{key}'"))
 }
 
 /// Builds the properties campaign: two recorded queue-series jobs for

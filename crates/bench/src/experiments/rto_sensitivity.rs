@@ -9,7 +9,7 @@
 //! retransmissions that TRIM avoids entirely.
 
 use netsim::time::Dur;
-use trim_harness::{Campaign, JobRecord};
+use trim_harness::{record_for, Campaign};
 use trim_tcp::CcKind;
 
 use crate::experiments::concurrency;
@@ -18,13 +18,6 @@ use crate::table::fmt_secs;
 use crate::{Effort, Table};
 
 const N_SPT: usize = 8;
-
-fn record_for<'a>(records: &'a [JobRecord], key: &str) -> &'a JobRecord {
-    records
-        .iter()
-        .find(|r| r.key == key)
-        .unwrap_or_else(|| panic!("missing job '{key}'"))
-}
 
 /// Builds the RTO-sensitivity campaign: one job per (RTO_min, protocol)
 /// on the 8-SPT/2-LPT cell. Every job shares the one cell's seed key,

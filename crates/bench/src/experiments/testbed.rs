@@ -20,7 +20,7 @@ use trim_workload::Summary;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use trim_harness::{Artifacts, Campaign, JobRecord};
+use trim_harness::{record_for, Artifacts, Campaign};
 
 use crate::num;
 use crate::table::{fmt_f64, fmt_secs};
@@ -135,13 +135,6 @@ fn web_service_job(cc: &CcKind, n_per_server: usize, seed: u64) -> Artifacts {
         cdf.row(&[format!("{ms}"), num(frac)]);
     }
     vec![("summary".to_string(), summary), ("cdf".to_string(), cdf)]
-}
-
-fn record_for<'a>(records: &'a [JobRecord], key: &str) -> &'a JobRecord {
-    records
-        .iter()
-        .find(|r| r.key == key)
-        .unwrap_or_else(|| panic!("missing job '{key}'"))
 }
 
 /// Builds the testbed campaign: one ARCT job per (response size,

@@ -89,6 +89,18 @@ impl JobRecord {
     }
 }
 
+/// The record of the job submitted under `key`, for reduce steps.
+///
+/// # Panics
+///
+/// Panics if no job of the campaign has that key.
+pub fn record_for<'a>(records: &'a [JobRecord], key: &str) -> &'a JobRecord {
+    records
+        .iter()
+        .find(|r| r.key == key)
+        .unwrap_or_else(|| panic!("missing job '{key}'"))
+}
+
 type ReduceFn = Box<dyn FnOnce(&[JobRecord]) -> Artifacts + Send>;
 
 /// A named sweep: a seed, a set of jobs, and a reduce step assembling

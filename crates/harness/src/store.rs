@@ -128,7 +128,7 @@ impl ResultStore {
     }
 
     /// Atomically writes `contents` to `rel` (a path relative to the
-    /// results root, e.g. `perf/incast_1k.json`), creating parent
+    /// results root, e.g. `fuzz/<repro>.spec`), creating parent
     /// directories. Same temp-file + rename discipline as every other
     /// artifact, so a concurrent reader never observes a torn file.
     ///
@@ -374,16 +374,16 @@ mod tests {
     fn text_artifact_round_trips_and_creates_dirs() {
         let store = tmp_store("text_artifact");
         store
-            .write_text_artifact("perf/incast_1k.json", "{\"a\": 1}\n")
+            .write_text_artifact("fuzz/repro.spec", "flows = 1\n")
             .unwrap();
-        let read = fs::read_to_string(store.root().join("perf/incast_1k.json")).unwrap();
-        assert_eq!(read, "{\"a\": 1}\n");
+        let read = fs::read_to_string(store.root().join("fuzz/repro.spec")).unwrap();
+        assert_eq!(read, "flows = 1\n");
         // Overwrite is atomic (rename), not append.
         store
-            .write_text_artifact("perf/incast_1k.json", "{}\n")
+            .write_text_artifact("fuzz/repro.spec", "flows = 2\n")
             .unwrap();
-        let read = fs::read_to_string(store.root().join("perf/incast_1k.json")).unwrap();
-        assert_eq!(read, "{}\n");
+        let read = fs::read_to_string(store.root().join("fuzz/repro.spec")).unwrap();
+        assert_eq!(read, "flows = 2\n");
     }
 
     #[test]

@@ -59,7 +59,6 @@ fn art_diag(
         path: path.to_string(),
         line,
         message: msg,
-        severity: crate::diag::Severity::Deny,
     }
 }
 

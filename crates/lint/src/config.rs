@@ -2,10 +2,10 @@
 //!
 //! A deliberately small TOML subset, parsed by hand (the workspace
 //! builds offline; no `toml` crate): top-level `exclude`, then one
-//! `[rule-name]` section per rule with `enabled`, `apply-paths` and
-//! `allow-paths` keys. Arrays of strings may span lines. Anything the
-//! parser does not understand is a hard error — a silently ignored
-//! config key is how a lint rots.
+//! `[rule-name]` section per rule with `apply-paths` and `allow-paths`
+//! keys. Arrays of strings may span lines. Anything the parser does not
+//! understand — a key, or a section that names no rule — is a hard
+//! error: a silently ignored config line is how a lint rots.
 //!
 //! Path semantics: every entry is a workspace-relative prefix. A rule
 //! with `apply-paths` runs only on files under one of those prefixes; a
@@ -15,25 +15,15 @@
 
 use std::collections::BTreeMap;
 
-use crate::diag::Severity;
+use crate::rules;
 
 /// Per-rule configuration.
 #[derive(Clone, Debug, Default)]
 pub struct RuleConfig {
-    /// `false` disables the rule outright.
-    pub disabled: bool,
     /// When set, the rule only runs on files under these prefixes.
     pub apply_paths: Option<Vec<String>>,
     /// Files under these prefixes are exempt.
     pub allow_paths: Vec<String>,
-    /// `deny` (default) fails the run; `warn` reports but exits 0.
-    pub severity: Severity,
-    /// Semantic rules only: files under these prefixes do not *seed*
-    /// taint (their wall-clock / unordered-map uses are trusted), but
-    /// functions in them still propagate taint from elsewhere. This is
-    /// how `netsim::hash` vouches for its deterministically-seeded
-    /// `HashMap` without exempting its callers.
-    pub source_allow_paths: Vec<String>,
 }
 
 /// The whole configuration.
@@ -57,8 +47,23 @@ impl Config {
                 continue;
             }
             if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-                section = Some(name.trim().to_string());
-                cfg.rules.entry(name.trim().to_string()).or_default();
+                let name = name.trim();
+                if rules::RETIRED_RULES.contains(&name) {
+                    return Err(format!(
+                        "Lint.toml:{}: rule `{name}` was removed from trim-lint; \
+                         delete its section",
+                        n + 1
+                    ));
+                }
+                if !rules::configurable(name) {
+                    return Err(format!(
+                        "Lint.toml:{}: unknown section `[{name}]`: no source rule \
+                         has that name (see `trim-lint --list-rules`)",
+                        n + 1
+                    ));
+                }
+                section = Some(name.to_string());
+                cfg.rules.entry(name.to_string()).or_default();
                 continue;
             }
             let Some((key, value)) = line.split_once('=') else {
@@ -83,24 +88,8 @@ impl Config {
                 (Some(rule), k) => {
                     let rc = cfg.rules.entry(rule.clone()).or_default();
                     match k {
-                        "enabled" => rc.disabled = value.trim() == "false",
                         "apply-paths" => rc.apply_paths = Some(parse_string_array(&value, n)?),
                         "allow-paths" => rc.allow_paths = parse_string_array(&value, n)?,
-                        "source-allow-paths" => {
-                            rc.source_allow_paths = parse_string_array(&value, n)?
-                        }
-                        "severity" => {
-                            rc.severity = match value.trim() {
-                                "\"deny\"" => Severity::Deny,
-                                "\"warn\"" => Severity::Warn,
-                                v => {
-                                    return Err(format!(
-                                    "Lint.toml:{}: severity must be \"deny\" or \"warn\", got {v}",
-                                    n + 1
-                                ))
-                                }
-                            }
-                        }
                         k => {
                             return Err(format!(
                                 "Lint.toml:{}: unknown key `{k}` in [{rule}]",
@@ -119,21 +108,6 @@ impl Config {
         self.rules.get(name).cloned().unwrap_or_default()
     }
 
-    /// The effective severity of one rule (`Deny` unless configured).
-    pub fn severity(&self, name: &str) -> Severity {
-        self.rule(name).severity
-    }
-
-    /// Semantic rules: whether a file's own tokens may seed taint for
-    /// `rule` (see [`RuleConfig::source_allow_paths`]).
-    pub fn seeds_taint(&self, rule: &str, rel_path: &str) -> bool {
-        !self
-            .rule(rule)
-            .source_allow_paths
-            .iter()
-            .any(|p| path_under(rel_path, p))
-    }
-
     /// Whether `rel_path` is excluded from scanning entirely.
     pub fn is_excluded(&self, rel_path: &str) -> bool {
         self.exclude.iter().any(|p| path_under(rel_path, p))
@@ -142,9 +116,6 @@ impl Config {
     /// Whether a rule judges a given file, per its section.
     pub fn rule_applies(&self, rule: &str, rel_path: &str) -> bool {
         let rc = self.rule(rule);
-        if rc.disabled {
-            return false;
-        }
         if let Some(apply) = &rc.apply_paths {
             if !apply.iter().any(|p| path_under(rel_path, p)) {
                 return false;
@@ -226,9 +197,6 @@ allow-paths = [
 [no-raw-unit-literal]
 apply-paths = ["crates/netsim"]
 allow-paths = ["crates/netsim/src/units.rs"]
-
-[no-float-eq]
-enabled = false
 "#;
 
     #[test]
@@ -242,7 +210,6 @@ enabled = false
         assert!(c.rule_applies("no-raw-unit-literal", "crates/netsim/src/time.rs"));
         assert!(!c.rule_applies("no-raw-unit-literal", "crates/netsim/src/units.rs"));
         assert!(!c.rule_applies("no-raw-unit-literal", "crates/tcp/src/conn.rs"));
-        assert!(!c.rule_applies("no-float-eq", "crates/core/src/kmodel.rs"));
         assert!(c.rule_applies("no-panic-in-library", "anything.rs"));
     }
 
@@ -257,24 +224,22 @@ enabled = false
     fn unknown_keys_are_hard_errors() {
         assert!(Config::parse("mystery = 3\n").is_err());
         assert!(Config::parse("[no-wall-clock]\ncolor = \"red\"\n").is_err());
+        assert!(Config::parse("[no-wall-clock]\nenabled = flase\n").is_err());
     }
 
     #[test]
-    fn severity_and_source_allow_paths() {
-        let c = Config::parse(
-            "[transitive-wall-clock]\nseverity = \"warn\"\n\
-             [transitive-unordered-iteration]\n\
-             source-allow-paths = [\"crates/netsim/src/hash.rs\"]\n",
-        )
-        .unwrap();
-        assert_eq!(c.severity("transitive-wall-clock"), Severity::Warn);
-        assert_eq!(c.severity("transitive-unordered-iteration"), Severity::Deny);
-        assert!(!c.seeds_taint(
-            "transitive-unordered-iteration",
-            "crates/netsim/src/hash.rs"
-        ));
-        assert!(c.seeds_taint("transitive-unordered-iteration", "crates/tcp/src/conn.rs"));
-        assert!(Config::parse("[transitive-wall-clock]\nseverity = \"loud\"\n").is_err());
+    fn unknown_sections_are_hard_errors() {
+        // A typo must not parse as a rule nobody runs.
+        let e = Config::parse("exclude = []\n[no-wall-clok]\nallow-paths = []\n").unwrap_err();
+        assert!(
+            e.contains("Lint.toml:2") && e.contains("no-wall-clok"),
+            "{e}"
+        );
+        // Artifact rules read no configuration, so a section is a typo too.
+        assert!(Config::parse("[artifact-results-csv]\n").is_err());
+        // Retired rules say so instead of "unknown".
+        let e = Config::parse("[transitive-wall-clock]\napply-paths = []\n").unwrap_err();
+        assert!(e.contains("Lint.toml:1") && e.contains("removed"), "{e}");
     }
 
     #[test]

@@ -8,32 +8,11 @@
 
 use std::fmt;
 
-/// How a finding affects the exit code.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Default)]
-pub enum Severity {
-    /// Reported and fails the run (exit 1). The default.
-    #[default]
-    Deny,
-    /// Reported but does not fail the run on its own (configured per
-    /// rule with `severity = "warn"` in `Lint.toml`).
-    Warn,
-}
-
-impl Severity {
-    /// The name used in `Lint.toml` and the JSON rendering.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Severity::Deny => "deny",
-            Severity::Warn => "warn",
-        }
-    }
-}
-
 /// One finding.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Stable code, `TL001`…; artifact checks use `TL1xx`, semantic
-    /// (interprocedural) checks `TL2xx`.
+    /// Stable code, `TL001`…; artifact checks use `TL1xx`, the
+    /// sim-closure checks `TL2xx`.
     pub code: &'static str,
     /// Rule name as used in suppressions and `Lint.toml` sections.
     pub rule: &'static str,
@@ -43,8 +22,6 @@ pub struct Diagnostic {
     pub line: u32,
     /// Human-readable description with the how-to-fix.
     pub message: String,
-    /// Whether this finding fails the run.
-    pub severity: Severity,
 }
 
 impl Diagnostic {
@@ -61,14 +38,10 @@ impl Diagnostic {
 
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let tag = match self.severity {
-            Severity::Deny => "",
-            Severity::Warn => " (warn)",
-        };
         write!(
             f,
-            "{}:{}: {} [{}]{} {}",
-            self.path, self.line, self.code, self.rule, tag, self.message
+            "{}:{}: {} [{}] {}",
+            self.path, self.line, self.code, self.rule, self.message
         )
     }
 }
@@ -97,13 +70,14 @@ pub fn json_escape(s: &str) -> String {
 
 /// Renders the machine-readable report.
 ///
-/// Schema (version 2 — v1 plus the `severity` field):
+/// Schema (version 3 — every finding fails the run, so v2's
+/// per-diagnostic level field is gone):
 /// ```json
 /// {
-///   "version": 2,
+///   "version": 3,
 ///   "diagnostics": [
 ///     {"code": "TL001", "rule": "no-wall-clock", "path": "crates/x/src/a.rs",
-///      "line": 12, "severity": "deny", "message": "..."}
+///      "line": 12, "message": "..."}
 ///   ],
 ///   "summary": {"files": 120, "diagnostics": 1}
 /// }
@@ -111,18 +85,17 @@ pub fn json_escape(s: &str) -> String {
 /// Diagnostics are pre-sorted; two runs over the same tree produce
 /// byte-identical output.
 pub fn render_json(diags: &[Diagnostic], files_scanned: usize) -> String {
-    let mut out = String::from("{\n  \"version\": 2,\n  \"diagnostics\": [");
+    let mut out = String::from("{\n  \"version\": 3,\n  \"diagnostics\": [");
     for (i, d) in diags.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str(&format!(
-            "\n    {{\"code\": \"{}\", \"rule\": \"{}\", \"path\": \"{}\", \"line\": {}, \"severity\": \"{}\", \"message\": \"{}\"}}",
+            "\n    {{\"code\": \"{}\", \"rule\": \"{}\", \"path\": \"{}\", \"line\": {}, \"message\": \"{}\"}}",
             d.code,
             d.rule,
             json_escape(&d.path),
             d.line,
-            d.severity.as_str(),
             json_escape(&d.message)
         ));
     }
@@ -164,7 +137,6 @@ mod tests {
             path: path.to_string(),
             line,
             message: msg.to_string(),
-            severity: Severity::Deny,
         }
     }
 

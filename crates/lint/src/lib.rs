@@ -11,15 +11,13 @@
 //!
 //! The analyzer is std-only and from scratch: a lossless lexer
 //! ([`lexer`]), per-file context extraction ([`context`]: file roles,
-//! `#[cfg(test)]` regions, inline suppressions), a rule catalog
-//! ([`rules`]: lexical codes `TL001`–`TL008`), and an
-//! experiment-artifact cross-checker ([`artifacts`]: codes
-//! `TL101`–`TL104`). On top of the same token stream sits the semantic
-//! layer (`--semantic`): a recursive-descent item parser ([`parser`]),
-//! a workspace symbol table and crate graph ([`symbols`]), a
-//! dependency-bounded conservative call graph ([`callgraph`]), and an
-//! interprocedural taint engine ([`taint`]) behind rules
-//! `TL201`–`TL205`. Configuration lives in the workspace-root
+//! `#[cfg(test)]` regions, inline suppressions), a rule catalog of
+//! per-file token rules ([`rules`]: `TL001`–`TL008`, `TL203`, `TL204`),
+//! two workspace-level passes ([`workspace`]: `TL205` monitor coverage
+//! and `TL206`, which keeps the simulation crates' dependency closure
+//! inside the scope the token rules judge — the reason no call graph is
+//! needed), and an experiment-artifact cross-checker ([`artifacts`]:
+//! codes `TL101`–`TL104`). Configuration lives in the workspace-root
 //! `Lint.toml` ([`config`]); findings render as text or versioned JSON
 //! ([`diag`]).
 //!
@@ -29,9 +27,8 @@
 //! let t0 = Instant::now(); // trim-lint: allow(no-wall-clock, reason = "progress display only")
 //! ```
 //!
-//! Exit-code contract of the `trim-lint` binary: `0` clean (or only
-//! `severity = "warn"` findings), `1` at least one deny-severity
-//! diagnostic, `2` usage or I/O error.
+//! Exit-code contract of the `trim-lint` binary: `0` clean, `1` at
+//! least one diagnostic, `2` usage or I/O error.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,15 +42,12 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 pub mod artifacts;
-pub mod callgraph;
 pub mod config;
 pub mod context;
 pub mod diag;
 pub mod lexer;
-pub mod parser;
 pub mod rules;
-pub mod symbols;
-pub mod taint;
+pub mod workspace;
 
 pub use config::Config;
 pub use diag::Diagnostic;
@@ -122,31 +116,25 @@ fn rel_path(root: &Path, path: &Path) -> String {
     s.join("/")
 }
 
-/// Runs every source rule over the workspace at `root` under `cfg`.
+/// Runs every source rule over the workspace at `root` under `cfg`:
+/// the per-file rules on each file, then the two workspace-level passes.
 pub fn run_workspace(root: &Path, cfg: &Config) -> Result<Report, String> {
-    let files = collect_files(root, cfg)?;
     let mut diagnostics = Vec::new();
-    let files_scanned = files.len();
-    for rel in &files {
+    let mut files = Vec::new();
+    for rel in collect_files(root, cfg)? {
         let src =
-            fs::read_to_string(root.join(rel)).map_err(|e| format!("cannot read {rel}: {e}"))?;
-        let mut file = context::SourceFile::analyze(rel, src);
+            fs::read_to_string(root.join(&rel)).map_err(|e| format!("cannot read {rel}: {e}"))?;
+        let mut file = context::SourceFile::analyze(&rel, src);
         diagnostics.extend(rules::check_file(&mut file, cfg));
+        files.push(file);
     }
-    for d in &mut diagnostics {
-        d.severity = cfg.severity(d.rule);
-    }
+    workspace::monitor_coverage(cfg, &files, &mut diagnostics);
+    workspace::dependency_closure(root, cfg, &mut diagnostics)?;
     diag::sort(&mut diagnostics);
     Ok(Report {
         diagnostics,
-        files_scanned,
+        files_scanned: files.len(),
     })
-}
-
-/// Runs the semantic (interprocedural) rules (`--semantic`) at `root`,
-/// returning the report plus the analysis (for `--callgraph`).
-pub fn run_semantic(root: &Path, cfg: &Config) -> Result<(Report, taint::Analysis), String> {
-    taint::run_semantic(root, cfg)
 }
 
 /// Runs the artifact cross-checker (`--artifacts`) at `root`.

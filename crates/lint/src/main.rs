@@ -2,15 +2,13 @@
 //!
 //! ```text
 //! trim-lint                  # source rules over the workspace
-//! trim-lint --semantic       # interprocedural taint + shard-safety (TL2xx)
 //! trim-lint --artifacts      # registry/EXPERIMENTS.md/results/corpus cross-check
-//! trim-lint --callgraph F    # also dump the call-graph JSON to F (with --semantic)
-//! trim-lint --format json    # machine-readable report (schema v2)
+//! trim-lint --format json    # machine-readable report (schema v3)
 //! trim-lint --list-rules     # the rule catalog with stable codes
 //! ```
 //!
-//! Exit codes: `0` clean (or warn-severity findings only), `1` deny
-//! diagnostics found, `2` usage or I/O error — suitable for CI gating.
+//! Exit codes: `0` clean, `1` diagnostics found, `2` usage or I/O
+//! error — suitable for CI gating.
 
 #![forbid(unsafe_code)]
 
@@ -23,8 +21,6 @@ struct Args {
     root: Option<PathBuf>,
     format: Format,
     artifacts: bool,
-    semantic: bool,
-    callgraph: Option<PathBuf>,
     list_rules: bool,
 }
 
@@ -35,23 +31,19 @@ enum Format {
 }
 
 fn usage() -> &'static str {
-    "usage: trim-lint [--root DIR] [--format text|json] [--semantic] [--artifacts]\n\
-     \x20                [--callgraph FILE] [--list-rules]\n\
+    "usage: trim-lint [--root DIR] [--format text|json] [--artifacts] [--list-rules]\n\
      \n\
      Determinism & simulation-hygiene static analysis for the TCP-TRIM workspace.\n\
-     Without flags, runs the source rules (TL001-TL008) over every .rs file under\n\
-     the workspace root (the nearest ancestor directory holding Lint.toml).\n\
-     --semantic instead runs the interprocedural passes (TL201-TL205): item\n\
-     parsing, workspace symbol table, conservative call graph, and taint\n\
-     propagation from nondeterminism sources to simulation entry points.\n\
-     --callgraph FILE additionally writes the resolved call graph (with per-fn\n\
-     taint labels) as versioned JSON; requires --semantic.\n\
+     Without flags, runs the source rules over every .rs file under the workspace\n\
+     root (the nearest ancestor directory holding Lint.toml): the per-file token\n\
+     rules (TL001-TL008, TL203, TL204), then monitor coverage (TL205) and the\n\
+     check that every [dependencies] path of a simulation crate is itself in the\n\
+     determinism scope (TL206).\n\
      --artifacts instead cross-checks the experiment registry against\n\
      EXPERIMENTS.md, committed results/ CSVs, and corpus/*.spec round-trips\n\
      (TL101-TL104).\n\
      \n\
-     Exit codes: 0 clean (or warn-only findings), 1 deny diagnostics found,\n\
-     2 usage/IO error."
+     Exit codes: 0 clean, 1 diagnostics found, 2 usage/IO error."
 }
 
 /// Writes to stdout, treating a closed pipe (`trim-lint ... | head`) as a
@@ -68,8 +60,6 @@ fn parse_args() -> Result<Args, String> {
         root: None,
         format: Format::Text,
         artifacts: false,
-        semantic: false,
-        callgraph: None,
         list_rules: false,
     };
     let mut it = std::env::args().skip(1);
@@ -88,11 +78,6 @@ fn parse_args() -> Result<Args, String> {
                 };
             }
             "--artifacts" => args.artifacts = true,
-            "--semantic" => args.semantic = true,
-            "--callgraph" => {
-                let v = it.next().ok_or("--callgraph needs a file argument")?;
-                args.callgraph = Some(PathBuf::from(v));
-            }
             "--list-rules" => args.list_rules = true,
             "--help" | "-h" => {
                 emit(usage());
@@ -117,20 +102,12 @@ fn main() -> ExitCode {
     if args.list_rules {
         for r in rules::SOURCE_RULES
             .iter()
-            .chain(rules::SEMANTIC_RULES)
+            .chain(rules::CLOSURE_RULES)
             .chain(rules::ARTIFACT_RULES)
         {
             emit(&format!("{}  {:<32}  {}\n", r.code, r.name, r.summary));
         }
         return ExitCode::SUCCESS;
-    }
-    if args.callgraph.is_some() && !args.semantic {
-        eprintln!("trim-lint: --callgraph requires --semantic");
-        return ExitCode::from(2);
-    }
-    if args.semantic && args.artifacts {
-        eprintln!("trim-lint: --semantic and --artifacts are separate modes; pick one");
-        return ExitCode::from(2);
     }
 
     let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
@@ -147,15 +124,6 @@ fn main() -> ExitCode {
 
     let report = if args.artifacts {
         trim_lint::run_artifacts(&root)
-    } else if args.semantic {
-        trim_lint::load_config(&root).and_then(|cfg| {
-            let (report, analysis) = trim_lint::run_semantic(&root, &cfg)?;
-            if let Some(path) = &args.callgraph {
-                std::fs::write(path, analysis.render_callgraph())
-                    .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-            }
-            Ok(report)
-        })
     } else {
         trim_lint::load_config(&root).and_then(|cfg| trim_lint::run_workspace(&root, &cfg))
     };
@@ -172,14 +140,9 @@ fn main() -> ExitCode {
         Format::Text => diag::render_text(&report.diagnostics, report.files_scanned),
     };
     emit(&rendered);
-    // Warn-severity findings are reported but do not fail the run.
-    let denies = report
-        .diagnostics
-        .iter()
-        .any(|d| d.severity == diag::Severity::Deny);
-    if denies {
-        ExitCode::from(1)
-    } else {
+    if report.diagnostics.is_empty() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
     }
 }

@@ -74,37 +74,25 @@ pub const SOURCE_RULES: &[RuleInfo] = &[
     },
 ];
 
-/// The semantic (interprocedural) rules (`--semantic`), in code order.
-/// Implemented in [`crate::taint`] over the call graph from
-/// [`crate::callgraph`].
-pub const SEMANTIC_RULES: &[RuleInfo] = &[
-    RuleInfo {
-        code: "TL201",
-        name: "transitive-wall-clock",
-        summary: "simulation-path fn whose call graph reaches Instant/SystemTime through \
-                  helpers (direct uses are TL001's job); the report names the frontier \
-                  fn where wall time enters the sim path",
-    },
-    RuleInfo {
-        code: "TL202",
-        name: "transitive-unordered-iteration",
-        summary: "simulation-path fn whose call graph reaches std HashMap/HashSet \
-                  through helpers; source-allow-paths vouches for deterministically \
-                  keyed wrappers (netsim::hash) without exempting their callers",
-    },
+/// The sim-closure rules, in code order: what keeps the simulation
+/// crates' dependency closure free of nondeterminism sources and shared
+/// mutable state. TL203/TL204 are per-file token rules like the ones
+/// above; TL205/TL206 are workspace-level passes ([`crate::workspace`]).
+/// TL201/TL202 (the retired call-graph taint rules) are not reused.
+pub const CLOSURE_RULES: &[RuleInfo] = &[
     RuleInfo {
         code: "TL203",
         name: "shard-safety",
         summary: "shared-mutable-state site in a sim crate (static mut, thread_local!, \
-                  Rc/RefCell/Cell, interior-mutable static): the exact inventory the \
-                  topology-sharding refactor must drain before threads touch these crates",
+                  Rc/RefCell/Cell, interior-mutable static): sim state must be owned by \
+                  the simulator it belongs to, never global or aliased",
     },
     RuleInfo {
         code: "TL204",
         name: "unseeded-randomness",
-        summary: "PRNG construction from ambient entropy (thread_rng/from_entropy/OsRng/\
-                  RandomState) instead of the splitmix64 seed chain; reached directly or \
-                  through helpers",
+        summary: "ambient-entropy identifier (thread_rng/from_entropy/OsRng/getrandom/\
+                  SystemRandom/RandomState) on a simulation path; every PRNG derives \
+                  from the splitmix64 seed chain",
     },
     RuleInfo {
         code: "TL205",
@@ -112,7 +100,18 @@ pub const SEMANTIC_RULES: &[RuleInfo] = &[
         summary: "MonitorEvent variant not emitted by any sim site or consumed by no \
                   monitor/test: dead telemetry or an invariant nobody checks",
     },
+    RuleInfo {
+        code: "TL206",
+        name: "sim-dependency-closure",
+        summary: "crate under [no-unordered-iteration] apply-paths has a [dependencies] \
+                  path outside that list: the per-file determinism rules only decide \
+                  the sim path if its dependency closure is scoped too",
+    },
 ];
+
+/// Section names of rules this tool once had; `Lint.toml` rejects them
+/// with a "was removed" message rather than a generic "unknown".
+pub const RETIRED_RULES: &[&str] = &["transitive-wall-clock", "transitive-unordered-iteration"];
 
 /// The artifact cross-checker rules (`--artifacts`), in code order.
 pub const ARTIFACT_RULES: &[RuleInfo] = &[
@@ -141,41 +140,46 @@ pub const ARTIFACT_RULES: &[RuleInfo] = &[
 ];
 
 /// Rules an inline suppression may name: the first six source rules
-/// plus every semantic rule (the hygiene rules themselves are not
-/// suppressible; artifact findings have no source line to attach a
-/// comment to).
+/// plus the two per-file closure rules (the hygiene rules themselves
+/// are not suppressible; workspace-level and artifact findings are
+/// fixed at the site, not waved through by a comment).
+fn suppressible_rules() -> impl Iterator<Item = &'static RuleInfo> {
+    SOURCE_RULES[..6].iter().chain(&CLOSURE_RULES[..2])
+}
+
+/// Whether an inline suppression may name `name`.
 pub fn suppressible(name: &str) -> bool {
-    SOURCE_RULES[..6]
-        .iter()
-        .chain(SEMANTIC_RULES)
-        .any(|r| r.name == name)
+    suppressible_rules().any(|r| r.name == name)
 }
 
-/// Whether a rule name belongs to the semantic (`TL2xx`) family, whose
-/// suppressions only the `--semantic` pass can mark used.
-pub fn is_semantic(name: &str) -> bool {
-    SEMANTIC_RULES.iter().any(|r| r.name == name)
-}
-
-pub(crate) fn info(name: &str) -> &'static RuleInfo {
+/// A rule that runs under a [`Config`] (artifact checks take none), by
+/// name.
+fn find(name: &str) -> Option<&'static RuleInfo> {
     SOURCE_RULES
         .iter()
-        .chain(SEMANTIC_RULES)
-        .chain(ARTIFACT_RULES)
+        .chain(CLOSURE_RULES)
         .find(|r| r.name == name)
-        .unwrap_or(&SOURCE_RULES[0])
 }
 
-fn diag(name: &'static str, file: &SourceFile, line: u32, message: String) -> Diagnostic {
-    let ri = info(name);
+/// Whether `Lint.toml` may carry a `[name]` section.
+pub fn configurable(name: &str) -> bool {
+    find(name).is_some()
+}
+
+/// A finding of source/closure rule `name` at `path:line`.
+pub(crate) fn diag_at(name: &'static str, path: &str, line: u32, message: String) -> Diagnostic {
+    let ri = find(name).unwrap_or(&SOURCE_RULES[0]);
     Diagnostic {
         code: ri.code,
         rule: ri.name,
-        path: file.rel_path.clone(),
+        path: path.to_string(),
         line,
         message,
-        severity: crate::diag::Severity::Deny,
     }
+}
+
+fn diag(name: &'static str, file: &SourceFile, line: u32, message: String) -> Diagnostic {
+    diag_at(name, &file.rel_path, line, message)
 }
 
 /// Checks one file: runs every rule enabled for it, applies inline
@@ -200,6 +204,12 @@ pub fn check_file(file: &mut SourceFile, cfg: &Config) -> Vec<Diagnostic> {
     if cfg.rule_applies("forbid-unsafe", &file.rel_path) {
         forbid_unsafe(file, &mut raw);
     }
+    if cfg.rule_applies("shard-safety", &file.rel_path) {
+        shard_safety(file, &mut raw);
+    }
+    if cfg.rule_applies("unseeded-randomness", &file.rel_path) {
+        unseeded_randomness(file, &mut raw);
+    }
 
     // Apply suppressions: a diagnostic is dropped when a *valid*
     // suppression for its rule covers its line (or the whole file).
@@ -217,10 +227,7 @@ pub fn check_file(file: &mut SourceFile, cfg: &Config) -> Vec<Diagnostic> {
         }
     }
 
-    // Judge the suppressions themselves. Suppressions of semantic
-    // (TL2xx) rules are exempt from the unused check here: only the
-    // `--semantic` pass can tell whether they suppressed anything, and
-    // it reports its own TL008s.
+    // Judge the suppressions themselves.
     for s in &file.suppressions {
         if !suppressible(&s.rule) {
             out.push(diag(
@@ -231,9 +238,7 @@ pub fn check_file(file: &mut SourceFile, cfg: &Config) -> Vec<Diagnostic> {
                     "suppression names unknown or non-suppressible rule `{}`; \
                      suppressible rules: {}",
                     s.rule,
-                    SOURCE_RULES[..6]
-                        .iter()
-                        .chain(SEMANTIC_RULES)
+                    suppressible_rules()
                         .map(|r| r.name)
                         .collect::<Vec<_>>()
                         .join(", ")
@@ -251,7 +256,7 @@ pub fn check_file(file: &mut SourceFile, cfg: &Config) -> Vec<Diagnostic> {
                     s.rule, s.rule
                 ),
             ));
-        } else if !s.used && !is_semantic(&s.rule) {
+        } else if !s.used {
             out.push(diag(
                 "unused-suppression",
                 file,
@@ -278,7 +283,7 @@ fn sig_kind(file: &SourceFile, k: usize) -> Option<TokenKind> {
     file.sig.get(k).map(|&i| file.tokens[i].kind)
 }
 
-fn sig_text(file: &SourceFile, k: usize) -> Option<&str> {
+pub(crate) fn sig_text(file: &SourceFile, k: usize) -> Option<&str> {
     file.sig.get(k).map(|&i| file.text(&file.tokens[i]))
 }
 
@@ -459,6 +464,93 @@ fn forbid_unsafe(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     }
 }
 
+/// Type names whose appearance in a `static` makes it interior-mutable
+/// shared state.
+const INTERIOR_MUT: &[&str] = &[
+    "Mutex",
+    "RwLock",
+    "OnceLock",
+    "OnceCell",
+    "LazyLock",
+    "UnsafeCell",
+    "RefCell",
+    "Cell",
+];
+
+/// TL203: every construct through which two simulators (or two runs in
+/// one process) could share mutable state, outside tests. An exhaustive
+/// enumeration rather than an analysis: the scoped crates sit at zero
+/// sites and CI keeps them there.
+fn shard_safety(file: &SourceFile, out: &mut Vec<Diagnostic>) {
+    for (k, line, text) in sig_texts(file) {
+        if sig_kind(file, k) != Some(TokenKind::Ident) || file.in_test_region(sig_start(file, k)) {
+            continue;
+        }
+        let found: Option<String> = match text {
+            "static" if sig_text(file, k + 1) == Some("mut") => {
+                Some("`static mut`: writable global state".to_string())
+            }
+            "static" => {
+                // `static X: Atomic…/Mutex<…> = …` — interior-mutable
+                // global. Scan the declared type up to the `=`/`;`.
+                (k + 1..=k + 24)
+                    .map_while(|j| sig_text(file, j).filter(|&tt| tt != "=" && tt != ";"))
+                    .find(|tt| tt.starts_with("Atomic") || INTERIOR_MUT.contains(tt))
+                    .map(|tt| format!("interior-mutable `static` (`{tt}`)"))
+            }
+            "thread_local" if sig_text(file, k + 1) == Some("!") => {
+                Some("`thread_local!`: per-thread state outlives the simulator".to_string())
+            }
+            "Rc" => Some("`Rc`: non-atomic shared ownership".to_string()),
+            "RefCell" | "Cell" => Some(format!("`{text}`: single-thread interior mutability")),
+            _ => None,
+        };
+        if let Some(what) = found {
+            out.push(diag(
+                "shard-safety",
+                file,
+                line,
+                format!(
+                    "{what}; sim-crate state must be Ctx-threaded (owned by the \
+                     simulator it belongs to) — migrate it or suppress with the audit \
+                     reason"
+                ),
+            ));
+        }
+    }
+}
+
+/// Identifiers that draw from ambient entropy rather than the
+/// splitmix64 seed chain.
+const ENTROPY_IDENTS: &[&str] = &[
+    "thread_rng",
+    "from_entropy",
+    "OsRng",
+    "getrandom",
+    "SystemRandom",
+    "RandomState",
+];
+
+/// TL204: any ambient-entropy identifier on a configured simulation
+/// path, tests included — a test seeded from the OS is a test that
+/// cannot be replayed.
+fn unseeded_randomness(file: &SourceFile, out: &mut Vec<Diagnostic>) {
+    for (k, line, text) in sig_texts(file) {
+        if sig_kind(file, k) == Some(TokenKind::Ident) && ENTROPY_IDENTS.contains(&text) {
+            out.push(diag(
+                "unseeded-randomness",
+                file,
+                line,
+                format!(
+                    "`{text}` draws from ambient entropy: every stream in this \
+                     workspace must derive from the splitmix64 seed chain so runs \
+                     replay bit-exactly"
+                ),
+            ));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -633,7 +725,7 @@ apply-paths = ["crates/netsim"]
     fn rule_codes_are_unique_and_stable() {
         let mut codes: Vec<_> = SOURCE_RULES
             .iter()
-            .chain(SEMANTIC_RULES)
+            .chain(CLOSURE_RULES)
             .chain(ARTIFACT_RULES)
             .map(|r| r.code)
             .collect();
@@ -642,26 +734,36 @@ apply-paths = ["crates/netsim"]
         codes.dedup();
         assert_eq!(codes.len(), n);
         assert_eq!(SOURCE_RULES[0].code, "TL001");
-        assert_eq!(SEMANTIC_RULES[0].code, "TL201");
+        assert_eq!(CLOSURE_RULES[0].code, "TL203");
         assert_eq!(ARTIFACT_RULES[0].code, "TL101");
     }
 
     #[test]
-    fn semantic_suppressions_pass_source_mode_hygiene() {
-        // A TL2xx suppression is known (no TL007) and exempt from the
-        // source-mode unused check (no TL008) — only `--semantic` can
-        // judge whether it suppressed anything.
+    fn shard_safety_and_entropy_are_suppressible_token_rules() {
+        let src = "static HITS: AtomicU64 = AtomicU64::new(0);\n\
+                   fn f() -> u64 { thread_rng() }";
+        let codes: Vec<_> = run("crates/core/src/a.rs", src)
+            .iter()
+            .map(|d| (d.code, d.line))
+            .collect();
+        assert_eq!(codes, [("TL203", 1), ("TL204", 2)]);
+        // A plain `static` table is not shared mutable state.
+        assert!(run("crates/core/src/a.rs", "static T: [u8; 2] = [1, 2];").is_empty());
+        // Both take the ordinary inline suppression, and a leftover one
+        // is an ordinary TL008.
         let d = run(
             "crates/core/src/a.rs",
-            "// trim-lint: allow(transitive-wall-clock, reason = \"progress only\")\nfn f() {}",
+            "// trim-lint: allow(shard-safety, reason = \"audited\")\n\
+             thread_local! { static S: u64 = 0; }\n\
+             // trim-lint: allow(unseeded-randomness, reason = \"left over\")\nfn f() {}",
         );
-        assert!(d.is_empty(), "{d:?}");
-        // …but a missing reason is still rejected here.
+        let codes: Vec<_> = d.iter().map(|d| (d.code, d.line)).collect();
+        assert_eq!(codes, [("TL008", 3)]);
+        // Workspace-level rules cannot be waved through by a comment.
         let d = run(
             "crates/core/src/a.rs",
-            "// trim-lint: allow(shard-safety)\nfn f() {}",
+            "// trim-lint: allow(monitor-coverage, reason = \"x\")\nfn f() {}",
         );
-        assert_eq!(d.len(), 1);
         assert_eq!(d[0].code, "TL007");
     }
 }

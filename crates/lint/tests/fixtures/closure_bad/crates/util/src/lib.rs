@@ -1,20 +1,21 @@
-//! Helper crate where nondeterminism hides: none of these functions is
-//! on an audited path itself, so only the transitive rules can see
-//! through them.
+//! Helper crate where nondeterminism hides: outside every scope as
+//! committed, so nothing here is reported until the scopes include it.
 
-/// Reads the wall clock (direct TL201 source, invisible to TL001 here).
+#![forbid(unsafe_code)]
+
+/// Reads the wall clock (TL001 once `crates/util` is scoped).
 pub fn wall_now() -> u64 {
     let t = std::time::Instant::now();
     t.elapsed().as_nanos() as u64
 }
 
-/// Iterates a std HashMap (direct TL202 source).
+/// Iterates a std HashMap (TL002 once scoped).
 pub fn count_keys() -> usize {
     let m: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
     m.len()
 }
 
-/// Constructs a PRNG from ambient entropy (direct TL204 source).
+/// Constructs a PRNG from ambient entropy (TL204 once scoped).
 pub fn entropy_seed() -> u64 {
     let r = thread_rng();
     r

@@ -133,12 +133,10 @@ fn json_output_is_stable_and_parseable_shape() {
     let mut diags = check_file(&mut f, &Config::default());
     trim_lint::diag::sort(&mut diags);
     let json = trim_lint::diag::render_json(&diags, 1);
-    // Versioned schema with the fields CI consumers rely on (v2 added
-    // the per-diagnostic `severity`).
-    assert!(json.contains("\"version\": 2"), "{json}");
+    // Versioned schema with the fields CI consumers rely on.
+    assert!(json.contains("\"version\": 3"), "{json}");
     assert!(json.contains("\"code\": \"TL001\""), "{json}");
     assert!(json.contains("\"code\": \"TL007\""), "{json}");
-    assert!(json.contains("\"severity\": \"deny\""), "{json}");
     assert!(
         json.contains("\"summary\": {\"files\": 1, \"diagnostics\": 2}"),
         "{json}"

@@ -1,16 +1,13 @@
-//! Round-trip guarantees the semantic layer is built on: the lexer is
-//! lossless (token concatenation reproduces the file byte-for-byte)
-//! and the item parser's spans tile the file without overlap, so
-//! reassembling gaps + spans also reproduces the bytes. Checked
-//! exhaustively over every file the real workspace scan visits, and
-//! probabilistically over generated token soup.
+//! The round-trip guarantee every rule is built on: the lexer is
+//! lossless (token concatenation reproduces the file byte-for-byte).
+//! Checked exhaustively over every file the real workspace scan
+//! visits, and probabilistically over generated token soup.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
-use trim_lint::context::SourceFile;
-use trim_lint::{lexer, parser};
+use trim_lint::lexer;
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -47,45 +44,6 @@ fn relex(text: &str) -> String {
 fn every_workspace_file_relexes_byte_for_byte() {
     for (rel, text) in workspace_sources() {
         assert_eq!(relex(&text), text, "{rel} did not re-lex losslessly");
-    }
-}
-
-#[test]
-fn parser_spans_tile_every_workspace_file() {
-    for (rel, text) in workspace_sources() {
-        let src = SourceFile::analyze(&rel, text.clone());
-        let parsed = parser::parse(&src);
-        // Top-level item spans: in bounds, strictly increasing,
-        // non-overlapping — so gaps + spans reassemble the file.
-        let mut rebuilt = String::with_capacity(text.len());
-        let mut prev_end = 0usize;
-        for &(start, end) in &parsed.top_spans {
-            assert!(
-                prev_end <= start && start < end && end <= text.len(),
-                "{rel}: bad top-level span ({start}, {end}) after {prev_end}"
-            );
-            rebuilt.push_str(&text[prev_end..start]);
-            rebuilt.push_str(&text[start..end]);
-            prev_end = end;
-        }
-        rebuilt.push_str(&text[prev_end..]);
-        assert_eq!(rebuilt, text, "{rel} did not reassemble from spans");
-        // Every fn span is in bounds and contains its body span.
-        for f in &parsed.fns {
-            let (fs_, fe) = f.span;
-            assert!(
-                fs_ < fe && fe <= text.len(),
-                "{rel}: fn {} span out of bounds",
-                f.name
-            );
-            if let Some((bs, be)) = f.body {
-                assert!(
-                    fs_ <= bs && bs < be && be <= fe,
-                    "{rel}: fn {} body escapes its item span",
-                    f.name
-                );
-            }
-        }
     }
 }
 

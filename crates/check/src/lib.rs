@@ -2,10 +2,11 @@
 //!
 //! Two independent facilities:
 //!
-//! - [`monitors`]: the built-in runtime [`InvariantMonitor`]s for the
-//!   `netsim` engine — packet conservation, queue bounds, per-port FIFO
-//!   order, clock monotonicity, congestion-window range, and TRIM
-//!   probe state-machine legality — plus [`attach_standard`] and the
+//! - [`monitors`]: the built-in runtime
+//!   [`InvariantMonitor`](netsim::InvariantMonitor)s for the `netsim`
+//!   engine — packet conservation, queue bounds, per-port FIFO order,
+//!   clock monotonicity, congestion-window range, and TRIM probe
+//!   state-machine legality — plus [`attach_standard`] and the
 //!   [`monitors_enabled`] policy used by the scenario builders.
 //! - [`golden`]: field-by-field CSV comparison with explicit tolerances,
 //!   used by the golden-trace regression suite (`trim-check` binary in
@@ -14,10 +15,11 @@
 //!
 //! Monitoring policy: monitors are attached when the
 //! `TRIM_CHECK_MONITORS` environment variable says so (`1`/`true`/`yes`/
-//! `on` to force on, `0`/`false`/`no`/`off` to force off), and default
-//! to on in debug builds and off in release builds. Every tier-1
-//! simulation test therefore runs fully monitored, while release-mode
-//! experiment campaigns pay only a disabled-check branch per event.
+//! `on` to force on, `0`/`false`/`no`/`off` to force off; any other
+//! value is ignored), and default to on in debug builds and off in
+//! release builds. Every tier-1 simulation test therefore runs fully
+//! monitored, while release-mode experiment campaigns pay only a
+//! disabled-check branch per event.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(
@@ -37,19 +39,27 @@ pub use monitors::{
     SessionConservation, StabilityConfig, StandingQueue,
 };
 
-use netsim::{InvariantMonitor, Payload, Simulator};
+use netsim::{Payload, Simulator};
 
 /// Whether the standard monitors should be attached, per the
-/// `TRIM_CHECK_MONITORS` policy: the environment variable wins when set
-/// (`1`/`true`/`yes`/`on` vs `0`/`false`/`no`/`off`); otherwise debug
+/// `TRIM_CHECK_MONITORS` policy: the environment variable wins when it
+/// is set to a recognised value (see [`policy`]); otherwise debug
 /// builds monitor and release builds do not.
 pub fn monitors_enabled() -> bool {
-    match std::env::var("TRIM_CHECK_MONITORS") {
-        Ok(v) => matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "1" | "true" | "yes" | "on"
-        ),
-        Err(_) => cfg!(debug_assertions),
+    let value = std::env::var("TRIM_CHECK_MONITORS").ok();
+    policy(value.as_deref(), cfg!(debug_assertions))
+}
+
+/// The `TRIM_CHECK_MONITORS` decision for a given variable value:
+/// `1`/`true`/`yes`/`on` attach the monitors, `0`/`false`/`no`/`off`
+/// detach them (surrounding whitespace and case ignored), and anything
+/// else — unset, empty, a typo — falls back to `build_default`, so a
+/// misspelt override can never silently switch monitoring off.
+pub fn policy(value: Option<&str>, build_default: bool) -> bool {
+    match value.map(|v| v.trim().to_ascii_lowercase()).as_deref() {
+        Some("1" | "true" | "yes" | "on") => true,
+        Some("0" | "false" | "no" | "off") => false,
+        _ => build_default,
     }
 }
 
@@ -72,13 +82,10 @@ pub fn attach_standard_if_enabled<P: Payload>(sim: &mut Simulator<P>) -> bool {
     enabled
 }
 
-/// A boxed monitor list's total violation count — convenience for tests
-/// that drive monitors directly rather than through a simulator.
-pub fn violation_count(monitors: &[Box<dyn InvariantMonitor>]) -> usize {
-    monitors.iter().map(|m| m.violations().len()).sum()
-}
-
-/// One failed oracle check: which oracle, and what it saw.
+/// One failed check of a post-run differential oracle: where an
+/// [`InvariantMonitor`](netsim::InvariantMonitor) watches the live event
+/// stream, an oracle inspects a finished run's summary and reports every
+/// disagreement with the model's predictions.
 #[derive(Clone, Debug, PartialEq)]
 pub struct OracleFailure {
     /// Name of the oracle that failed.
@@ -91,29 +98,6 @@ impl std::fmt::Display for OracleFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "[{}] {}", self.oracle, self.detail)
     }
-}
-
-/// A post-run differential oracle: where an [`InvariantMonitor`] watches
-/// the live event stream, an oracle inspects a finished run's summary
-/// (`S` is whatever the caller can produce — a scenario report, a trace,
-/// a measured utilization) and reports every disagreement with the
-/// model's predictions. Oracles must not panic; return one
-/// [`OracleFailure`] per independent problem so a single run surfaces
-/// them all.
-pub trait Oracle<S> {
-    /// A short stable name, used in failure reports.
-    fn name(&self) -> &'static str;
-    /// Checks `subject`, appending one failure per disagreement.
-    fn check(&self, subject: &S, failures: &mut Vec<OracleFailure>);
-}
-
-/// Runs every oracle against `subject` and collects the failures.
-pub fn run_oracles<S>(subject: &S, oracles: &[&dyn Oracle<S>]) -> Vec<OracleFailure> {
-    let mut failures = Vec::new();
-    for o in oracles {
-        o.check(subject, &mut failures);
-    }
-    failures
 }
 
 #[cfg(test)]
@@ -137,30 +121,6 @@ mod tests {
         ] {
             assert!(names.contains(&expected), "missing monitor {expected}");
         }
-    }
-
-    #[test]
-    fn run_oracles_collects_failures_from_every_oracle() {
-        struct AtMost(u32);
-        impl Oracle<u32> for AtMost {
-            fn name(&self) -> &'static str {
-                "at-most"
-            }
-            fn check(&self, subject: &u32, failures: &mut Vec<OracleFailure>) {
-                if *subject > self.0 {
-                    failures.push(OracleFailure {
-                        oracle: self.name(),
-                        detail: format!("{subject} > {}", self.0),
-                    });
-                }
-            }
-        }
-        let (lo, hi) = (AtMost(3), AtMost(100));
-        assert!(run_oracles(&2, &[&lo, &hi]).is_empty());
-        let failures = run_oracles(&7, &[&lo, &hi]);
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].oracle, "at-most");
-        assert!(failures[0].to_string().contains("7 > 3"));
     }
 
     #[test]
@@ -309,18 +269,18 @@ mod tests {
     }
 
     #[test]
-    fn env_policy_parses_common_spellings() {
-        // Can't set the process environment safely in a parallel test
-        // run; exercise the default path only.
-        let default = monitors_enabled();
-        assert_eq!(
-            default,
-            std::env::var("TRIM_CHECK_MONITORS")
-                .map(|v| matches!(
-                    v.trim().to_ascii_lowercase().as_str(),
-                    "1" | "true" | "yes" | "on"
-                ))
-                .unwrap_or(cfg!(debug_assertions))
-        );
+    fn policy_falls_back_to_the_build_default_on_unrecognised_values() {
+        for on in ["1", "true", "yes", "on", " ON ", "True\n"] {
+            assert!(policy(Some(on), false), "{on:?}");
+        }
+        for off in ["0", "false", "no", "off", " Off ", "FALSE"] {
+            assert!(!policy(Some(off), true), "{off:?}");
+        }
+        for default in [true, false] {
+            assert_eq!(policy(None, default), default);
+            for typo in ["2", "ture", "", "  ", "enable"] {
+                assert_eq!(policy(Some(typo), default), default, "{typo:?}");
+            }
+        }
     }
 }

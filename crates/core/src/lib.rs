@@ -18,9 +18,9 @@
 //!
 //! The crate is **pure**: no I/O, no clocks, no simulator types — times are
 //! plain nanosecond integers. [`Trim`] is the per-connection state machine;
-//! [`kmodel`] is the analytical steady-state model and [`analysis`] the
-//! train-completion-time estimates. The companion crate `trim-tcp` embeds
-//! [`Trim`] into a packet-level TCP for the `netsim` simulator.
+//! [`kmodel`] is the analytical steady-state model. The companion crate
+//! `trim-tcp` embeds [`Trim`] into a packet-level TCP for the `netsim`
+//! simulator.
 //!
 //! ## Example
 //!
@@ -52,7 +52,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod analysis;
 pub mod config;
 pub mod estimator;
 pub mod fluid;

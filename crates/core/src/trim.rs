@@ -139,11 +139,6 @@ impl Trim {
         self.rtt.smooth_ns()
     }
 
-    /// The minimum RTT observed (the queue-free baseline), once measured.
-    pub fn min_rtt_ns(&self) -> Option<u64> {
-        self.rtt.min_ns()
-    }
-
     /// The RTT threshold `K` currently in force, once derivable.
     pub fn k_ns(&self) -> Option<u64> {
         self.k_ns

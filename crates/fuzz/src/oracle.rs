@@ -7,7 +7,7 @@
 //! delivered goodput, measured bottleneck utilization vs the Eq. 4
 //! full-utilization prediction — so they run on the [`SpecOutcome`].
 
-use trim_check::{Oracle, OracleFailure};
+use trim_check::OracleFailure;
 use trim_core::kmodel;
 use trim_workload::spec::{ScenarioSpec, SpecCc, SpecOutcome, SPEC_MSS_BYTES};
 
@@ -21,11 +21,15 @@ pub struct SpecRun<'a> {
     pub outcome: &'a SpecOutcome,
 }
 
-/// Runs every fuzz oracle against a finished run via
-/// [`trim_check::run_oracles`].
+/// Runs every fuzz oracle against a finished run and collects the
+/// failures. An oracle does not panic; it appends one [`OracleFailure`]
+/// per independent problem so a single run surfaces them all.
 pub fn check_oracles(spec: &ScenarioSpec, outcome: &SpecOutcome) -> Vec<OracleFailure> {
     let run = SpecRun { spec, outcome };
-    trim_check::run_oracles(&run, &[&GoodputConservation, &KFullUtilization])
+    let mut failures = Vec::new();
+    goodput_conservation(&run, &mut failures);
+    k_full_utilization(&run, &mut failures);
+    failures
 }
 
 /// Goodput conservation: the front-end can never deliver more in-order
@@ -39,73 +43,58 @@ pub fn check_oracles(spec: &ScenarioSpec, outcome: &SpecOutcome) -> Vec<OracleFa
 /// sequence completed. Instead the completed prefix gives a floor —
 /// the sender must have delivered at least the padded bytes of every
 /// response it reports complete.
-#[derive(Debug)]
-pub struct GoodputConservation;
-
-impl<'a> Oracle<SpecRun<'a>> for GoodputConservation {
-    fn name(&self) -> &'static str {
-        "goodput-conservation"
-    }
-
-    fn check(&self, run: &SpecRun<'a>, failures: &mut Vec<OracleFailure>) {
-        for s in &run.outcome.report.senders {
-            let offered = run.spec.offered_padded_bytes(s.sender);
-            let session = run.spec.session_for(s.sender);
-            // Exact equality needs the whole offered load to have been
-            // issued: always true for trains, true for a session only
-            // once all of its responses completed.
-            let fully_issued = match session {
-                None => true,
-                Some(sess) => s.trains.len() == sess.sizes.len(),
-            };
-            if s.goodput_bytes > offered {
-                failures.push(OracleFailure {
-                    oracle: self.name(),
-                    detail: format!(
-                        "sender {} delivered {} bytes but only offered {}",
-                        s.sender, s.goodput_bytes, offered
-                    ),
-                });
-            } else if !s.unfinished && fully_issued && s.goodput_bytes != offered {
-                failures.push(OracleFailure {
-                    oracle: self.name(),
-                    detail: format!(
-                        "sender {} is idle but delivered {} of {} offered bytes",
-                        s.sender, s.goodput_bytes, offered
-                    ),
-                });
+pub fn goodput_conservation(run: &SpecRun<'_>, failures: &mut Vec<OracleFailure>) {
+    let mut fail = |detail: String| {
+        failures.push(OracleFailure {
+            oracle: "goodput-conservation",
+            detail,
+        })
+    };
+    for s in &run.outcome.report.senders {
+        let offered = run.spec.offered_padded_bytes(s.sender);
+        let session = run.spec.session_for(s.sender);
+        // Exact equality needs the whole offered load to have been
+        // issued: always true for trains, true for a session only
+        // once all of its responses completed.
+        let fully_issued = match session {
+            None => true,
+            Some(sess) => s.trains.len() == sess.sizes.len(),
+        };
+        if s.goodput_bytes > offered {
+            fail(format!(
+                "sender {} delivered {} bytes but only offered {}",
+                s.sender, s.goodput_bytes, offered
+            ));
+        } else if !s.unfinished && fully_issued && s.goodput_bytes != offered {
+            fail(format!(
+                "sender {} is idle but delivered {} of {} offered bytes",
+                s.sender, s.goodput_bytes, offered
+            ));
+        }
+        if let Some(sess) = session {
+            let pad = |b: u64| b.div_ceil(SPEC_MSS_BYTES) * SPEC_MSS_BYTES;
+            let completed_floor: u64 = sess
+                .sizes
+                .iter()
+                .take(s.trains.len())
+                .map(|&b| pad(b))
+                .sum();
+            if s.goodput_bytes < completed_floor {
+                fail(format!(
+                    "sender {} completed {} responses ({} padded bytes) \
+                     but delivered only {}",
+                    s.sender,
+                    s.trains.len(),
+                    completed_floor,
+                    s.goodput_bytes
+                ));
             }
-            if let Some(sess) = session {
-                let pad = |b: u64| b.div_ceil(SPEC_MSS_BYTES) * SPEC_MSS_BYTES;
-                let completed_floor: u64 = sess
-                    .sizes
-                    .iter()
-                    .take(s.trains.len())
-                    .map(|&b| pad(b))
-                    .sum();
-                if s.goodput_bytes < completed_floor {
-                    failures.push(OracleFailure {
-                        oracle: self.name(),
-                        detail: format!(
-                            "sender {} completed {} responses ({} padded bytes) \
-                             but delivered only {}",
-                            s.sender,
-                            s.trains.len(),
-                            completed_floor,
-                            s.goodput_bytes
-                        ),
-                    });
-                }
-            }
-            if s.goodput_bytes % SPEC_MSS_BYTES != 0 {
-                failures.push(OracleFailure {
-                    oracle: self.name(),
-                    detail: format!(
-                        "sender {} goodput {} is not whole segments",
-                        s.sender, s.goodput_bytes
-                    ),
-                });
-            }
+        }
+        if s.goodput_bytes % SPEC_MSS_BYTES != 0 {
+            fail(format!(
+                "sender {} goodput {} is not whole segments",
+                s.sender, s.goodput_bytes
+            ));
         }
     }
 }
@@ -116,80 +105,69 @@ impl<'a> Oracle<SpecRun<'a>> for GoodputConservation {
 /// horizons.
 pub const UTILIZATION_FLOOR: f64 = 0.90;
 
+/// Whether the spec is in [`k_full_utilization`]'s jurisdiction.
+pub fn qualifies_for_full_utilization(spec: &ScenarioSpec) -> bool {
+    let streaming = spec.trains.len() == spec.senders
+        && (0..spec.senders).all(|s| spec.trains.iter().any(|t| t.sender == s))
+        && spec.trains.iter().all(|t| t.at_us <= 1_000);
+    let offered_bytes: u64 = (0..spec.senders)
+        .map(|s| spec.offered_padded_bytes(s))
+        .sum();
+    let carriable_bytes = spec.bottleneck_bps() / 8 * spec.horizon_ms / 1_000;
+    spec.cc == SpecCc::TrimGuideline
+        && spec.fault.is_none()
+        && spec.sessions.is_empty()
+        && streaming
+        && offered_bytes >= 2 * carriable_bytes
+}
+
+/// The measured bottleneck utilization of a run: delivered payload
+/// over what the link could carry in the horizon.
+pub fn measured_utilization(spec: &ScenarioSpec, outcome: &SpecOutcome) -> f64 {
+    let delivered: u64 = outcome.report.senders.iter().map(|s| s.goodput_bytes).sum();
+    let carriable = spec.bottleneck_bps() as f64 / 8.0 * spec.horizon_ms as f64 / 1_000.0;
+    delivered as f64 / carriable
+}
+
 /// Eq. 4 differential: when TRIM runs with the guideline `K` under
 /// persistent offered load beyond the bottleneck capacity, the paper
 /// predicts full utilization. Checked twice: the closed-form
 /// steady-state model must claim `full_utilization`, and the measured
 /// bottleneck utilization must stay above [`UTILIZATION_FLOOR`].
 ///
-/// Only *qualifying* specs are judged — TRIM-guideline, no injected
-/// fault, every sender streaming one train from (near) time zero, and
-/// aggregate offered load at least twice what the link can carry over
-/// the horizon — so the oracle never flakes on bursty or underloaded
-/// scenarios.
-#[derive(Debug)]
-pub struct KFullUtilization;
-
-impl KFullUtilization {
-    /// Whether the spec is in the oracle's jurisdiction.
-    pub fn qualifies(spec: &ScenarioSpec) -> bool {
-        let streaming = spec.trains.len() == spec.senders
-            && (0..spec.senders).all(|s| spec.trains.iter().any(|t| t.sender == s))
-            && spec.trains.iter().all(|t| t.at_us <= 1_000);
-        let offered_bytes: u64 = (0..spec.senders)
-            .map(|s| spec.offered_padded_bytes(s))
-            .sum();
-        let carriable_bytes = spec.bottleneck_bps() / 8 * spec.horizon_ms / 1_000;
-        spec.cc == SpecCc::TrimGuideline
-            && spec.fault.is_none()
-            && spec.sessions.is_empty()
-            && streaming
-            && offered_bytes >= 2 * carriable_bytes
+/// Only *qualifying* specs ([`qualifies_for_full_utilization`]) are
+/// judged — TRIM-guideline, no injected fault, every sender streaming
+/// one train from (near) time zero, and aggregate offered load at least
+/// twice what the link can carry over the horizon — so the oracle never
+/// flakes on bursty or underloaded scenarios.
+pub fn k_full_utilization(run: &SpecRun<'_>, failures: &mut Vec<OracleFailure>) {
+    if !qualifies_for_full_utilization(run.spec) {
+        return;
     }
-
-    /// The measured bottleneck utilization of a run: delivered payload
-    /// over what the link could carry in the horizon.
-    pub fn measured_utilization(spec: &ScenarioSpec, outcome: &SpecOutcome) -> f64 {
-        let delivered: u64 = outcome.report.senders.iter().map(|s| s.goodput_bytes).sum();
-        let carriable = spec.bottleneck_bps() as f64 / 8.0 * spec.horizon_ms as f64 / 1_000.0;
-        delivered as f64 / carriable
+    let mut fail = |detail: String| {
+        failures.push(OracleFailure {
+            oracle: "k-full-utilization",
+            detail,
+        })
+    };
+    let capacity_pps = run.spec.bottleneck_bps() as f64 / (8.0 * SPEC_MSS_BYTES as f64);
+    let base_rtt_ns = run.spec.base_rtt_ns();
+    let k_ns = kmodel::k_lower_bound_ns(capacity_pps, base_rtt_ns);
+    let st = kmodel::steady_state(capacity_pps, base_rtt_ns, k_ns, run.spec.senders as u32);
+    if !st.full_utilization {
+        fail(format!(
+            "steady-state model denies full utilization at the \
+             guideline K = {k_ns}ns (C = {capacity_pps:.0} pps, \
+             D = {base_rtt_ns}ns, N = {})",
+            run.spec.senders
+        ));
     }
-}
-
-impl<'a> Oracle<SpecRun<'a>> for KFullUtilization {
-    fn name(&self) -> &'static str {
-        "k-full-utilization"
-    }
-
-    fn check(&self, run: &SpecRun<'a>, failures: &mut Vec<OracleFailure>) {
-        if !Self::qualifies(run.spec) {
-            return;
-        }
-        let capacity_pps = run.spec.bottleneck_bps() as f64 / (8.0 * SPEC_MSS_BYTES as f64);
-        let base_rtt_ns = run.spec.base_rtt_ns();
-        let k_ns = kmodel::k_lower_bound_ns(capacity_pps, base_rtt_ns);
-        let st = kmodel::steady_state(capacity_pps, base_rtt_ns, k_ns, run.spec.senders as u32);
-        if !st.full_utilization {
-            failures.push(OracleFailure {
-                oracle: self.name(),
-                detail: format!(
-                    "steady-state model denies full utilization at the \
-                     guideline K = {k_ns}ns (C = {capacity_pps:.0} pps, \
-                     D = {base_rtt_ns}ns, N = {})",
-                    run.spec.senders
-                ),
-            });
-        }
-        let measured = Self::measured_utilization(run.spec, run.outcome);
-        if measured < UTILIZATION_FLOOR {
-            failures.push(OracleFailure {
-                oracle: self.name(),
-                detail: format!(
-                    "measured bottleneck utilization {measured:.3} below \
-                     {UTILIZATION_FLOOR} despite guideline K and saturating load"
-                ),
-            });
-        }
+    let measured = measured_utilization(run.spec, run.outcome);
+    if measured < UTILIZATION_FLOOR {
+        fail(format!(
+            "measured bottleneck utilization {measured:.3} below \
+             {UTILIZATION_FLOOR} despite guideline K and saturating load"
+        ));
     }
 }
 
@@ -226,17 +204,17 @@ mod tests {
     #[test]
     fn qualification_requires_trim_guideline_and_saturation() {
         let spec = saturating_spec();
-        assert!(KFullUtilization::qualifies(&spec));
+        assert!(qualifies_for_full_utilization(&spec));
         let mut reno = spec.clone();
         reno.cc = SpecCc::Reno;
-        assert!(!KFullUtilization::qualifies(&reno));
+        assert!(!qualifies_for_full_utilization(&reno));
         let mut light = spec.clone();
         light.trains[0].bytes = 1_460;
         light.trains[1].bytes = 1_460;
-        assert!(!KFullUtilization::qualifies(&light));
+        assert!(!qualifies_for_full_utilization(&light));
         let mut late = spec;
         late.trains[0].at_us = 30_000;
-        assert!(!KFullUtilization::qualifies(&late));
+        assert!(!qualifies_for_full_utilization(&late));
     }
 
     #[test]
@@ -246,7 +224,7 @@ mod tests {
         assert!(out.violations.is_empty(), "{:?}", out.violations);
         let failures = check_oracles(&spec, &out);
         assert!(failures.is_empty(), "{failures:?}");
-        let u = KFullUtilization::measured_utilization(&spec, &out);
+        let u = measured_utilization(&spec, &out);
         assert!(u > UTILIZATION_FLOOR, "utilization {u}");
     }
 

@@ -110,9 +110,9 @@ fn session_spec_exercises_the_mid_think_cutoff() {
 #[test]
 fn saturation_spec_exercises_the_utilization_oracle() {
     let spec = load("saturate_trim_guideline.spec");
-    assert!(trim_fuzz::oracle::KFullUtilization::qualifies(&spec));
+    assert!(trim_fuzz::oracle::qualifies_for_full_utilization(&spec));
     let out = spec.run().unwrap();
-    let u = trim_fuzz::oracle::KFullUtilization::measured_utilization(&spec, &out);
+    let u = trim_fuzz::oracle::measured_utilization(&spec, &out);
     assert!(
         u >= trim_fuzz::oracle::UTILIZATION_FLOOR,
         "utilization {u} under the oracle floor"

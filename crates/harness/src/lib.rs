@@ -50,11 +50,6 @@ pub enum Effort {
 }
 
 impl Effort {
-    /// Whether this is the full effort.
-    pub fn is_full(self) -> bool {
-        self == Effort::Full
-    }
-
     /// Picks `quick` or `full` by effort.
     pub fn pick<T>(self, quick: T, full: T) -> T {
         match self {
@@ -90,8 +85,6 @@ mod tests {
     fn effort_pick() {
         assert_eq!(Effort::Quick.pick(1, 2), 1);
         assert_eq!(Effort::Full.pick(1, 2), 2);
-        assert!(Effort::Full.is_full());
-        assert!(!Effort::Quick.is_full());
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! running a single simulation, that they still agree:
 //!
 //! - **TL101** — every registered experiment id appears in an
-//!   `EXPERIMENTS.md` heading (as `exp_<id>` or the bare id).
+//!   `EXPERIMENTS.md` heading, as the `trim-bench --only` id in
+//!   backticks.
 //! - **TL102** — every artifact an experiment declares exists as
 //!   `results/<name>.csv`, and conversely every committed top-level
 //!   results CSV is declared by some experiment (no orphans).
@@ -152,6 +153,13 @@ fn module_produces(module_src: &str, a: &str) -> bool {
     false
 }
 
+/// Whether an `EXPERIMENTS.md` heading names experiment `id`: the id in
+/// backticks, so a heading for `large_scale_100k` does not stand in for
+/// `large_scale`.
+fn heading_names(heading: &str, id: &str) -> bool {
+    heading.contains(&format!("`{id}`"))
+}
+
 /// Matches a `format!`-style template's fixed fragments against `name`.
 fn format_matches(template: &str, name: &str) -> bool {
     let mut frags: Vec<&str> = Vec::new();
@@ -212,20 +220,16 @@ pub fn check_artifacts(root: &Path) -> Result<Vec<Diagnostic>, String> {
     let mut declared: Vec<String> = Vec::new();
     for e in &entries {
         // TL101: a section heading must name the experiment.
-        let exp_tag = format!("exp_{}", e.id);
-        if !headings
-            .iter()
-            .any(|h| h.contains(&exp_tag) || h.contains(&format!("`{}`", e.id)))
-        {
+        if !headings.iter().any(|h| heading_names(h, &e.id)) {
             out.push(art_diag(
                 "TL101",
                 "artifact-experiment-doc",
                 REGISTRY,
                 e.line,
                 format!(
-                    "experiment `{}` has no EXPERIMENTS.md section: add a heading \
-                     mentioning `{exp_tag}` (or `{}`) describing paper vs. measured",
-                    e.id, e.id
+                    "experiment `{0}` has no EXPERIMENTS.md section: add a heading \
+                     mentioning `{0}` in backticks describing paper vs. measured",
+                    e.id
                 ),
             ));
         }
@@ -418,6 +422,18 @@ pub static ALL: &[ExperimentSpec] = &[
     #[test]
     fn registry_parse_rejects_empty() {
         assert!(parse_registry("pub fn nothing() {}").is_err());
+    }
+
+    #[test]
+    fn headings_name_an_experiment_by_its_backticked_id_only() {
+        let h = "## Engine-scale incast (`large_scale_100k`)";
+        assert!(heading_names(h, "large_scale_100k"));
+        assert!(!heading_names(h, "large_scale"));
+        assert!(!heading_names(
+            "## Fig. 8 (`exp_large_scale`)",
+            "large_scale"
+        ));
+        assert!(!heading_names("## Fig. 8 — large_scale", "large_scale"));
     }
 
     #[test]

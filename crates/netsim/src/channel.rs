@@ -46,9 +46,4 @@ impl<P: crate::packet::Payload> Channel<P> {
     pub fn bandwidth(&self) -> Bandwidth {
         self.bandwidth
     }
-
-    /// The wire's propagation delay.
-    pub fn propagation_delay(&self) -> Dur {
-        self.delay
-    }
 }

@@ -120,12 +120,6 @@ impl<T> EventQueue<T> {
         self.heap.first().map(|e| e.key())
     }
 
-    /// Borrows the earliest pending event along with its key.
-    #[inline]
-    pub fn peek(&self) -> Option<(SimTime, u64, &T)> {
-        self.heap.first().map(|e| (e.at, e.seq, &e.value))
-    }
-
     /// Removes and returns the earliest event (ties in insertion
     /// order).
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
@@ -249,7 +243,6 @@ mod tests {
         q.push_with_seq(t(7), 3, "a");
         q.push_with_seq(t(2), 99, "first");
         assert_eq!(q.peek_key(), Some((t(2), 99)));
-        assert_eq!(q.peek(), Some((t(2), 99, &"first")));
         assert_eq!(q.pop(), Some((t(2), "first")));
         assert_eq!(q.pop(), Some((t(7), "a")));
         assert_eq!(q.pop(), Some((t(7), "b")));

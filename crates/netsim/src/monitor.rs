@@ -2,10 +2,10 @@
 //!
 //! An [`InvariantMonitor`] observes a stream of [`MonitorEvent`]s emitted
 //! by the engine (and by protocol agents through
-//! [`Ctx::emit_monitor`](crate::sim::Ctx::emit_monitor)) and records
-//! [`Violation`]s without ever influencing the simulation: monitoring is
-//! strictly read-only, so a monitored run produces byte-identical results
-//! to an unmonitored one.
+//! [`Ctx::emit_monitor_with`](crate::sim::Ctx::emit_monitor_with)) and
+//! records [`Violation`]s without ever influencing the simulation:
+//! monitoring is strictly read-only, so a monitored run produces
+//! byte-identical results to an unmonitored one.
 //!
 //! Cost when disabled: every emission site first checks whether any
 //! monitor is attached and returns immediately otherwise, so the
@@ -63,7 +63,7 @@ impl fmt::Display for ProbeTransition {
 /// `Enqueued`, `Dequeued`) are emitted by the simulator itself;
 /// protocol-level events (`CwndUpdate`, `ProbeTransition`) are emitted
 /// by transport agents through
-/// [`Ctx::emit_monitor`](crate::sim::Ctx::emit_monitor).
+/// [`Ctx::emit_monitor_with`](crate::sim::Ctx::emit_monitor_with).
 #[derive(Clone, Debug, PartialEq)]
 pub enum MonitorEvent {
     /// The engine is about to advance the clock to `to` (the timestamp

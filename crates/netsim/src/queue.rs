@@ -192,12 +192,6 @@ impl QueueConfig {
         self.aqm = QueueDiscipline::CoDel(codel);
         self
     }
-
-    /// Selects the queue discipline.
-    pub fn with_discipline(mut self, aqm: QueueDiscipline) -> Self {
-        self.aqm = aqm;
-        self
-    }
 }
 
 impl Default for QueueConfig {
@@ -1145,15 +1139,6 @@ mod tests {
         assert_eq!(codel_control_law(t0, i, 1), SimTime::from_nanos(1_000_000));
         assert_eq!(codel_control_law(t0, i, 4), SimTime::from_nanos(500_000));
         assert_eq!(codel_control_law(t0, i, 100), SimTime::from_nanos(100_000));
-    }
-
-    #[test]
-    fn discipline_selection_via_config() {
-        let qc = QueueConfig::drop_tail(10)
-            .with_discipline(QueueDiscipline::CoDel(CoDelConfig::datacenter()));
-        assert!(matches!(qc.aqm, QueueDiscipline::CoDel(_)));
-        let qc = QueueConfig::drop_tail(10).with_discipline(QueueDiscipline::DropTail);
-        assert!(matches!(qc.aqm, QueueDiscipline::DropTail));
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! [`Simulator::run_until`] or [`Simulator::run`].
 //!
 //! Determinism: events are ordered by `(time, insertion sequence)`, so two
-//! runs of the same program produce identical schedules.
+//! runs of the same program produce identical schedules. The run loop
+//! dispatches exactly one event per iteration, borrowing the target
+//! host's agent in place beside the engine core.
 //!
 //! Hot-path layout (the engine sustains 100k-flow incasts):
 //!
@@ -587,14 +589,7 @@ impl<P: Payload> Ctx<'_, P> {
     }
 
     /// Reports a protocol-level event (window update, probe transition)
-    /// to any attached invariant monitors. A no-op — one branch — when
-    /// no monitor is attached; see [`Ctx::monitoring`]. Prefer
-    /// [`Ctx::emit_monitor_with`] when building the event costs anything.
-    pub fn emit_monitor(&mut self, ev: MonitorEvent) {
-        self.core.emit(ev);
-    }
-
-    /// Reports a protocol-level event, constructing it only when a
+    /// to any attached invariant monitors, constructing it only when a
     /// monitor is attached. When monitoring is detached this is exactly
     /// one branch: the closure is never called, so its captures are
     /// never read and its event is never built.
@@ -604,12 +599,6 @@ impl<P: Payload> Ctx<'_, P> {
             let ev = f();
             self.core.emit(ev);
         }
-    }
-
-    /// Whether any invariant monitor is attached. Protocol code can use
-    /// this to skip building expensive event payloads.
-    pub fn monitoring(&self) -> bool {
-        self.core.monitors_on
     }
 
     /// Schedules `on_timer(token)` after `delay`. Returns a handle for
@@ -919,14 +908,13 @@ impl<P: Payload> Simulator<P> {
         }
         if !self.started {
             self.started = true;
-            for i in 0..self.agents.len() {
-                if let Some(mut agent) = self.agents[i].take() {
+            for (i, agent) in self.agents.iter_mut().enumerate() {
+                if let Some(agent) = agent {
                     let mut ctx = Ctx {
                         core: &mut self.core,
                         node: NodeId(i as u32),
                     };
                     agent.on_start(&mut ctx);
-                    self.agents[i] = Some(agent);
                 }
             }
         }
@@ -944,6 +932,8 @@ impl<P: Payload> Simulator<P> {
     /// and the timing wheel (timers) — merged by `(time, seq)`. Both
     /// draw sequence numbers from one global counter, so the merge is a
     /// total order identical to the single-queue engine's pop order.
+    /// Each iteration pops and dispatches the one event with the smaller
+    /// key.
     pub fn run_until(&mut self, horizon: SimTime) {
         self.ensure_ready();
         loop {
@@ -969,7 +959,7 @@ impl<P: Payload> Simulator<P> {
                 }
             };
             if timer_first {
-                self.fire_timer_batch();
+                self.fire_timer();
             } else {
                 self.process_event();
             }
@@ -988,50 +978,23 @@ impl<P: Payload> Simulator<P> {
         }
     }
 
-    /// Pops and dispatches the minimal timer, keeping its host's agent
-    /// checked out while further timers for the same node at the same
-    /// instant are next in the merged order — same-tick batching, so a
-    /// fan-in burst of RTO/delayed-ACK deadlines touches each host once
-    /// per tick. Every per-event step (clock emission, clock advance,
-    /// event count) still happens inside the loop in merge order, so a
-    /// batched run is observationally identical to an unbatched one.
-    fn fire_timer_batch(&mut self) {
+    /// Pops and dispatches the minimal timer.
+    fn fire_timer(&mut self) {
         let Some((at, _seq, (node, token))) = self.core.wheel.pop() else {
             return;
         };
         self.core.step_clock(at);
-        let mut agent = self.agents[node.index()]
-            .take()
+        let agent = self.agents[node.index()]
+            .as_mut()
             .expect("timer delivered to switch"); // trim-lint: allow(no-panic-in-library, reason = "timers are only ever set by host agents; a switch timer is engine corruption")
         let mut ctx = Ctx {
             core: &mut self.core,
             node,
         };
         agent.on_timer(&mut ctx, token);
-        while let Some((wat, wseq, (wnode, wtoken))) = self.core.wheel.peek() {
-            if wat != at || wnode != node {
-                break;
-            }
-            // A packet/link event with a smaller key preempts the batch.
-            if let Some(ek) = self.core.events.peek_key() {
-                if ek < (wat, wseq) {
-                    break;
-                }
-            }
-            self.core.wheel.pop();
-            self.core.step_clock(wat);
-            let mut ctx = Ctx {
-                core: &mut self.core,
-                node,
-            };
-            agent.on_timer(&mut ctx, wtoken);
-        }
-        self.agents[node.index()] = Some(agent);
     }
 
-    /// Pops and handles the minimal packet/link event. Same-instant
-    /// arrivals to the same host batch under one agent checkout, exactly
-    /// like [`Self::fire_timer_batch`].
+    /// Pops and handles the minimal packet/link event.
     fn process_event(&mut self) {
         let Some((at, ev)) = self.core.events.pop() else {
             return;
@@ -1045,54 +1008,20 @@ impl<P: Payload> Simulator<P> {
             Ev::Arrival { node, pkt } => {
                 self.core.pending_arrivals -= 1;
                 let pkt = self.core.arena.free(pkt);
-                match self.core.kinds[node.index()] {
-                    NodeKind::Switch => self.core.forward(node, pkt),
-                    NodeKind::Host => self.deliver_batch(node, at, pkt),
+                match &mut self.agents[node.index()] {
+                    // Switches carry no agent.
+                    None => self.core.forward(node, pkt),
+                    Some(agent) => {
+                        self.core.note_delivery(node, &pkt);
+                        let mut ctx = Ctx {
+                            core: &mut self.core,
+                            node,
+                        };
+                        agent.on_packet(&mut ctx, pkt);
+                    }
                 }
             }
         }
-    }
-
-    /// Delivers `first` to host `node` and keeps the agent checked out
-    /// while further arrivals for the same host at the same instant are
-    /// next in the merged order.
-    fn deliver_batch(&mut self, node: NodeId, at: SimTime, first: Packet<P>) {
-        self.core.note_delivery(node, &first);
-        let mut agent = self.agents[node.index()]
-            .take()
-            .expect("packet delivered to switch"); // trim-lint: allow(no-panic-in-library, reason = "the caller matched NodeKind::Host for this node")
-        let mut ctx = Ctx {
-            core: &mut self.core,
-            node,
-        };
-        agent.on_packet(&mut ctx, first);
-        loop {
-            let next_is_same = match self.core.events.peek() {
-                Some((eat, eseq, Ev::Arrival { node: n, .. })) if eat == at && *n == node => {
-                    // A timer with a smaller key preempts the batch.
-                    !matches!(self.core.wheel.peek_key(), Some(wk) if wk < (eat, eseq))
-                }
-                _ => false,
-            };
-            if !next_is_same {
-                break;
-            }
-            match self.core.events.pop() {
-                Some((_, Ev::Arrival { pkt, .. })) => {
-                    self.core.step_clock(at);
-                    self.core.pending_arrivals -= 1;
-                    let pkt = self.core.arena.free(pkt);
-                    self.core.note_delivery(node, &pkt);
-                    let mut ctx = Ctx {
-                        core: &mut self.core,
-                        node,
-                    };
-                    agent.on_packet(&mut ctx, pkt);
-                }
-                _ => break, // unreachable: peeked an Arrival above
-            }
-        }
-        self.agents[node.index()] = Some(agent);
     }
 }
 
@@ -1790,10 +1719,9 @@ mod tests {
         }
     }
 
-    /// Same-deadline timers on one host fire in arm order (the batched
-    /// fire path keeps the agent checked out across the whole tick).
+    /// Same-deadline timers on one host fire in arm order.
     #[test]
-    fn same_deadline_timer_batch_fires_in_fifo_order() {
+    fn same_deadline_timers_fire_in_fifo_order() {
         let mut sim: Simulator<TagPayload> = Simulator::new();
         let h = sim.add_host(Box::new(FifoTimerAgent {
             n: 5,
@@ -1817,8 +1745,7 @@ mod tests {
     }
 
     /// Two same-instant arrivals on one host (over two direct links with
-    /// identical latency) are delivered in injection-sequence order by
-    /// the batched delivery path.
+    /// identical latency) are delivered in injection-sequence order.
     #[test]
     fn same_instant_arrivals_deliver_in_sequence_order() {
         let mut sim: Simulator<TagPayload> = Simulator::new();
@@ -1851,11 +1778,11 @@ mod tests {
         }
     }
 
-    /// The two schedulers merge on `(time, seq)` even inside a same-tick
-    /// batch: with timers and arrivals for one host due at one instant
-    /// and interleaved in sequence, an arrival with the smaller key
-    /// preempts the timer batch (T, P, T) and a timer with the smaller
-    /// key preempts the delivery batch (P, T, P).
+    /// The two schedulers merge on `(time, seq)` within one instant:
+    /// with timers and arrivals for one host due at the same time and
+    /// interleaved in sequence, an arrival with the smaller key goes
+    /// before the next timer (T, P, T) and a timer with the smaller key
+    /// goes before the next arrival (P, T, P).
     #[test]
     fn same_instant_timers_and_arrivals_interleave_by_sequence() {
         let at = Dur::from_micros(10);

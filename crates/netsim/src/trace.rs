@@ -86,19 +86,6 @@ impl PacketTrace {
     pub fn dropped_events(&self) -> u64 {
         self.dropped_events
     }
-
-    /// Events of one flow, filtered by kind.
-    pub fn flow_events(
-        &self,
-        flow: FlowId,
-        kind_filter: impl Fn(&PacketEventKind) -> bool,
-    ) -> Vec<PacketEvent> {
-        self.events
-            .iter()
-            .filter(|e| e.flow == flow && kind_filter(&e.kind))
-            .copied()
-            .collect()
-    }
 }
 
 /// Accumulates byte arrivals into fixed-width time bins and reports
@@ -151,11 +138,6 @@ impl ThroughputMeter {
         self.bytes.iter().sum()
     }
 
-    /// The bin width.
-    pub fn bin_width(&self) -> Dur {
-        self.bin
-    }
-
     /// Per-bin throughput as `(bin start time, Mbps)` pairs.
     pub fn mbps_series(&self) -> Vec<(SimTime, f64)> {
         let bin_s = self.bin.as_secs_f64();
@@ -169,23 +151,6 @@ impl ThroughputMeter {
                 )
             })
             .collect()
-    }
-
-    /// Average throughput in Mbps between two instants (by whole bins).
-    pub fn average_mbps(&self, from: SimTime, to: SimTime) -> f64 {
-        if to <= from {
-            return 0.0;
-        }
-        let lo = (from.as_nanos() / self.bin.as_nanos()) as usize;
-        let hi = ((to.as_nanos().saturating_sub(1)) / self.bin.as_nanos()) as usize;
-        let total: u64 = self
-            .bytes
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i >= lo && *i <= hi)
-            .map(|(_, b)| *b)
-            .sum();
-        total as f64 * 8.0 / (to - from).as_secs_f64() / 1e6
     }
 }
 
@@ -257,17 +222,6 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert!((s[0].1 - 1.6).abs() < 1e-9); // 200 B/ms = 1.6 Mbps
         assert!((s[1].1 - 0.8).abs() < 1e-9);
-    }
-
-    #[test]
-    fn meter_average_window() {
-        let mut m = ThroughputMeter::new(Dur::from_millis(1));
-        m.record(SimTime::from_nanos(500_000), 1000);
-        m.record(SimTime::from_nanos(1_500_000), 3000);
-        // Average over [0, 2ms): 4000 B / 2 ms = 16 Mbps.
-        let avg = m.average_mbps(SimTime::ZERO, SimTime::from_nanos(2_000_000));
-        assert!((avg - 16.0).abs() < 1e-9);
-        assert_eq!(m.average_mbps(SimTime::ZERO, SimTime::ZERO), 0.0);
     }
 
     #[test]

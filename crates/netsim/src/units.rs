@@ -43,14 +43,6 @@ impl Bandwidth {
         self.0
     }
 
-    /// The rate in packets per second for a given packet size in bytes.
-    ///
-    /// This is the `C` of the paper's steady-state model (Section III.B),
-    /// which measures capacity in packets per second.
-    pub fn packets_per_sec(self, packet_bytes: u32) -> f64 {
-        self.0 as f64 / (packet_bytes as f64 * 8.0)
-    }
-
     /// Time to serialize `bytes` onto the wire at this rate, rounded up to
     /// the next nanosecond so that back-to-back packets never overlap.
     pub fn serialization_time(self, bytes: u32) -> Dur {
@@ -130,13 +122,6 @@ mod tests {
         // 1 byte at 3 bps: 8/3 s = 2.666..s -> rounds up.
         let t = Bandwidth::bps(3).serialization_time(1);
         assert_eq!(t.as_nanos(), 2_666_666_667);
-    }
-
-    #[test]
-    fn packets_per_sec_matches_paper_units() {
-        // 1 Gbps / (1460 B * 8) = 85616.4 packets/s.
-        let c = Bandwidth::gbps(1).packets_per_sec(1460);
-        assert!((c - 85_616.438).abs() < 0.01);
     }
 
     #[test]

@@ -227,15 +227,6 @@ impl<T: Copy> TimerWheel<T> {
         self.cached.map(|c| (c.at, c.seq))
     }
 
-    /// The next timer's key and payload without removing it.
-    pub fn peek(&mut self) -> Option<(SimTime, u64, T)> {
-        if self.cached.is_none() {
-            self.cached = self.scan();
-        }
-        self.cached
-            .map(|c| (c.at, c.seq, self.entries[c.idx as usize].value))
-    }
-
     /// Removes and returns the next timer in `(deadline, seq)` order,
     /// advancing the wheel to its deadline.
     pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {

@@ -21,6 +21,7 @@ use trim_serve::run::{run, ServeConfig};
 use trim_serve::session::SessionModel;
 use trim_serve::{cross_validate, instances};
 
+#[derive(Debug)]
 struct Options {
     sessions: usize,
     seed: u64,
@@ -30,7 +31,7 @@ struct Options {
     crossval: bool,
 }
 
-fn parse_args() -> Result<Options, String> {
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
     let mut opts = Options {
         sessions: 2_048,
         seed: 1,
@@ -39,7 +40,7 @@ fn parse_args() -> Result<Options, String> {
         horizon: 3.0,
         crossval: false,
     };
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
         let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
         match a.as_str() {
@@ -76,6 +77,23 @@ fn parse_args() -> Result<Options, String> {
             other => return Err(format!("unknown option '{other}' (see --help)")),
         }
     }
+    // The library asserts these; reject them here so bad input is a
+    // usage error, not a panic.
+    if opts.sessions == 0 {
+        return Err("--sessions must be at least 1".into());
+    }
+    if opts.pods < 2 || !opts.pods.is_multiple_of(2) {
+        return Err(format!(
+            "--pods must be even and at least 2, got {}",
+            opts.pods
+        ));
+    }
+    if !(opts.horizon.is_finite() && opts.horizon > 0.0) {
+        return Err(format!(
+            "--horizon must be finite and positive, got {}",
+            opts.horizon
+        ));
+    }
     Ok(opts)
 }
 
@@ -107,7 +125,7 @@ fn crossval_table() -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
+    let opts = match parse_args(std::env::args().skip(1)) {
         Ok(o) => o,
         Err(msg) => {
             eprintln!("trim-serve: {msg}");
@@ -155,4 +173,52 @@ fn main() -> ExitCode {
         report.events_processed, opts.horizon
     );
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn defaults_and_valid_values_parse() {
+        let o = parse(&[]).unwrap();
+        assert_eq!((o.sessions, o.seed, o.pods, o.horizon), (2_048, 1, 4, 3.0));
+        assert!(!o.trim && !o.crossval);
+        let o = parse(&[
+            "--sessions",
+            "7",
+            "--pods",
+            "6",
+            "--horizon",
+            "0.5",
+            "--trim",
+        ])
+        .unwrap();
+        assert_eq!((o.sessions, o.pods, o.horizon, o.trim), (7, 6, 0.5, true));
+    }
+
+    #[test]
+    fn values_the_library_asserts_on_are_usage_errors_naming_the_flag() {
+        for (args, flag) in [
+            (["--pods", "3"], "--pods"),
+            (["--pods", "0"], "--pods"),
+            (["--horizon", "0"], "--horizon"),
+            (["--horizon", "-1"], "--horizon"),
+            (["--horizon", "nan"], "--horizon"),
+            (["--horizon", "inf"], "--horizon"),
+            (["--sessions", "0"], "--sessions"),
+            (["--sessions", "-4"], "--sessions"),
+            (["--pods", "x"], "--pods"),
+        ] {
+            let err = parse(&args).unwrap_err();
+            assert!(err.contains(flag), "{args:?}: {err}");
+            assert!(!err.contains('\n'), "{args:?}: one line, got {err:?}");
+        }
+        assert!(parse(&["--pods"]).unwrap_err().contains("needs a value"));
+        assert!(parse(&["--bogus"]).unwrap_err().contains("unknown option"));
+    }
 }

@@ -1,7 +1,7 @@
 //! Pluggable congestion control.
 //!
 //! A [`CcAlgo`] owns the *policy* — how the window grows and shrinks —
-//! while the [`Connection`](crate::conn::Connection) owns the *mechanism*:
+//! while the [`Conn`](crate::conn::Conn) owns the *mechanism*:
 //! sequencing, loss detection, retransmission, and timers. The two
 //! communicate through the shared [`WindowState`].
 

@@ -8,18 +8,13 @@
 //!
 //! ## State layout
 //!
-//! A sender's state is one [`FlowSlab`](crate::slab::FlowSlab) slot in
-//! two halves:
-//!
-//! - [`HotFlow`](crate::slab::HotFlow) — the per-ACK working set (window,
-//!   RTO estimator, sequence cursors, recovery flags), one row of the
-//!   slab's hot vector, mutated in place;
-//! - [`ColdConn`] — everything touched rarely or only at the ends of a
-//!   run (config, controller box, SACK scoreboard, train queue, stats),
-//!   boxed per flow.
-//!
-//! [`ConnCore`] borrows one of each and carries the whole state machine;
-//! [`ConnRef`] is the read-only public view returned by
+//! A sender's whole state is one [`Conn`], boxed in its
+//! [`FlowSlab`](crate::slab::FlowSlab) slot. Every ACK touches the
+//! window, the RTO estimator and the sequence cursors, but also the
+//! config, the stats, the SACK scoreboard, the controller, the probe
+//! state and the train queue, so there is no rarely-touched half to
+//! split off. The state machine is `impl Conn`; the public methods are
+//! the read-only view behind
 //! [`TcpHost::connection`](crate::TcpHost::connection).
 
 use std::collections::{BTreeSet, VecDeque};
@@ -31,7 +26,6 @@ use crate::cc::{AckInfo, CcAlgo, PreSendAction, WindowState};
 use crate::config::TcpConfig;
 use crate::rto::RtoEstimator;
 use crate::segment::{SackBlocks, Segment};
-use crate::slab::HotFlow;
 
 /// Timer-token kind for retransmission timeouts (dispatched by `TcpHost`).
 pub(crate) const KIND_RTO: u64 = 0;
@@ -107,13 +101,38 @@ struct ProbePending {
     timer: TimerId,
 }
 
-/// The rarely-touched half of a sending connection, boxed per flow in
-/// the [`FlowSlab`](crate::slab::FlowSlab).
+/// One sending connection: the per-event working set (window, RTO
+/// estimator, sequence cursors, recovery flags) and everything around it
+/// (config, controller, SACK scoreboard, train queue, stats), boxed per
+/// flow in the [`FlowSlab`](crate::slab::FlowSlab).
 #[derive(Debug)]
-pub(crate) struct ColdConn {
-    pub(crate) flow: FlowId,
+pub struct Conn {
+    /// Congestion window state (cwnd/ssthresh/bounds/suspended).
+    win: WindowState,
+    /// RFC 6298 estimator (srtt/rttvar plus the configured clamp).
+    rto_est: RtoEstimator,
+    /// Next fresh sequence to transmit.
+    next_seq: u64,
+    /// Highest cumulative ACK received.
+    high_ack: u64,
+    /// Highest sequence ever transmitted (fresh data high-water mark).
+    max_seq_sent: u64,
+    /// Total packets handed over by the application so far.
+    total_pkts: u64,
+    /// NewReno recovery point: recovery ends at this sequence.
+    recover: u64,
+    /// Consecutive duplicate ACKs seen.
+    dup_acks: u32,
+    /// Karn backoff multiplier (doubles per RTO, capped at 64).
+    backoff: u32,
+    /// Whether fast recovery is in progress.
+    in_recovery: bool,
+    /// The armed retransmission timer, if any.
+    rto_timer: Option<TimerId>,
+
+    flow: FlowId,
     dst: NodeId,
-    pub(crate) cfg: TcpConfig,
+    cfg: TcpConfig,
     cc: Box<dyn CcAlgo>,
     /// Dense slab id within the owning host, used to build timer tokens.
     /// Assigned by `FlowSlab::insert`.
@@ -129,28 +148,15 @@ pub(crate) struct ColdConn {
 
     trains: VecDeque<TrainProgress>,
     next_train_id: u64,
-    pub(crate) completed: Vec<TrainRecord>,
+    completed: Vec<TrainRecord>,
 
     stats: ConnStats,
     cwnd_series: Option<Series>,
 }
 
-impl ColdConn {
-    /// Cancels and forgets any timers this connection holds (called on
-    /// teardown so a recycled slab slot cannot receive stale fires).
-    pub(crate) fn cancel_timers(&mut self, ctx: &mut Ctx<'_, Segment>, hot: &mut HotFlow) {
-        if let Some(t) = hot.rto_timer.take() {
-            ctx.cancel_timer(t);
-        }
-        if let Some(p) = self.probe.take() {
-            ctx.cancel_timer(p.timer);
-        }
-    }
-}
-
-/// Builds the split state for a new connection sending to `dst` with
-/// flow label `flow`. The cold half's `local_idx` is assigned when the
-/// pair is inserted into a [`FlowSlab`](crate::slab::FlowSlab).
+/// Builds the state for a new connection sending to `dst` with flow
+/// label `flow`. Its `local_idx` is assigned when it is inserted into a
+/// [`FlowSlab`](crate::slab::FlowSlab).
 ///
 /// # Panics
 ///
@@ -160,10 +166,10 @@ pub(crate) fn new_conn(
     dst: NodeId,
     cfg: TcpConfig,
     cc: Box<dyn CcAlgo>,
-) -> (HotFlow, Box<ColdConn>) {
+) -> Box<Conn> {
     cfg.validate()
         .unwrap_or_else(|e| panic!("invalid TcpConfig: {e}")); // trim-lint: allow(no-panic-in-library, reason = "constructor contract: configs are validated at build time")
-    let hot = HotFlow {
+    Box::new(Conn {
         win: WindowState::new(cfg.init_cwnd, cfg.init_ssthresh, cfg.min_cwnd, cfg.max_cwnd),
         rto_est: RtoEstimator::new(cfg.min_rto, cfg.max_rto),
         next_seq: 0,
@@ -175,8 +181,6 @@ pub(crate) fn new_conn(
         backoff: 1,
         in_recovery: false,
         rto_timer: None,
-    };
-    let cold = Box::new(ColdConn {
         flow,
         dst,
         cfg,
@@ -190,103 +194,87 @@ pub(crate) fn new_conn(
         completed: Vec::new(),
         stats: ConnStats::default(),
         cwnd_series: None,
-    });
-    (hot, cold)
+    })
 }
 
-/// Read-only view of one sending connection: a borrow of its slab row
-/// and its boxed cold half. `Copy`, so reference-returning accessors
-/// consume `self` and borrow from the host instead.
-#[derive(Clone, Copy, Debug)]
-pub struct ConnRef<'a> {
-    pub(crate) hot: &'a HotFlow,
-    pub(crate) cold: &'a ColdConn,
-}
-
-impl<'a> ConnRef<'a> {
+impl Conn {
     /// The connection's flow label.
     pub fn flow(&self) -> FlowId {
-        self.cold.flow
+        self.flow
     }
 
     /// The congestion controller's report name.
     pub fn cc_name(&self) -> &'static str {
-        self.cold.cc.name()
+        self.cc.name()
     }
 
     /// The controller itself, for algorithm-specific inspection.
-    pub fn cc(self) -> &'a dyn CcAlgo {
-        self.cold.cc.as_ref()
+    pub fn cc(&self) -> &dyn CcAlgo {
+        self.cc.as_ref()
     }
 
     /// Current congestion window in packets.
     pub fn cwnd(&self) -> f64 {
-        self.hot.win.cwnd
+        self.win.cwnd
     }
 
     /// The smoothed RTT estimate, if any Karn-valid sample has arrived
     /// (echoes of retransmitted packets never contribute samples).
     pub fn srtt(&self) -> Option<Dur> {
-        self.hot.rto_est.srtt()
+        self.rto_est.srtt()
     }
 
     /// Counters accumulated so far.
     pub fn stats(&self) -> ConnStats {
-        self.cold.stats
+        self.stats
     }
 
     /// Trains fully acknowledged so far, in completion order.
-    pub fn completed_trains(self) -> &'a [TrainRecord] {
-        &self.cold.completed
+    pub fn completed_trains(&self) -> &[TrainRecord] {
+        &self.completed
     }
 
     /// Whether every queued train has been fully acknowledged.
     pub fn is_idle(&self) -> bool {
-        self.hot.high_ack == self.hot.total_pkts
+        self.high_ack == self.total_pkts
     }
 
     /// Packets currently unacknowledged.
     pub fn flight(&self) -> u64 {
-        self.hot.next_seq - self.hot.high_ack
+        self.next_seq - self.high_ack
     }
 
     /// The recorded window series, if enabled.
-    pub fn cwnd_series(self) -> Option<&'a Series> {
-        self.cold.cwnd_series.as_ref()
-    }
-}
-
-/// Mutable working view over one connection's split state: the whole
-/// sender state machine lives here. Both halves are borrowed in place
-/// from the connection's slab slot for the duration of one event.
-pub(crate) struct ConnCore<'a> {
-    pub(crate) hot: &'a mut HotFlow,
-    pub(crate) cold: &'a mut ColdConn,
-}
-
-impl ConnCore<'_> {
-    /// Packets currently unacknowledged.
-    fn flight(&self) -> u64 {
-        self.hot.next_seq - self.hot.high_ack
+    pub fn cwnd_series(&self) -> Option<&Series> {
+        self.cwnd_series.as_ref()
     }
 
     /// Starts recording a `(time, cwnd)` point at every window change.
-    pub(crate) fn enable_cwnd_recording(&mut self) {
-        if self.cold.cwnd_series.is_none() {
-            self.cold.cwnd_series = Some(Series::new());
+    pub fn enable_cwnd_recording(&mut self) {
+        if self.cwnd_series.is_none() {
+            self.cwnd_series = Some(Series::new());
+        }
+    }
+
+    /// Cancels and forgets any timers this connection holds (called on
+    /// teardown so a recycled slab slot cannot receive stale fires).
+    pub(crate) fn cancel_timers(&mut self, ctx: &mut Ctx<'_, Segment>) {
+        self.cancel_rto(ctx);
+        if let Some(p) = self.probe.take() {
+            ctx.cancel_timer(p.timer);
         }
     }
 
     fn record_cwnd(&mut self, now: SimTime) {
-        if let Some(s) = &mut self.cold.cwnd_series {
-            s.push(now, self.hot.win.cwnd);
+        if let Some(s) = &mut self.cwnd_series {
+            s.push(now, self.win.cwnd);
         }
     }
 
     /// Reports the current window to any attached invariant monitors
     /// (`cwnd-range` checks it stays within `[min_cwnd, max_cwnd]`).
     fn emit_cwnd(&self, ctx: &mut Ctx<'_, Segment>) {
-        let (flow, win) = (self.cold.flow, &self.hot.win);
+        let (flow, win) = (self.flow, &self.win);
         ctx.emit_monitor_with(|| MonitorEvent::CwndUpdate {
             flow,
             cwnd: win.cwnd,
@@ -299,7 +287,7 @@ impl ConnCore<'_> {
     /// invariant monitors (`ack-reduction-bound` checks that no single
     /// ACK cuts the window below legacy TCP's halving, per Eq. 2–3).
     fn emit_ack_window(&self, ctx: &mut Ctx<'_, Segment>, before: f64, probe_echo: bool) {
-        let (flow, after) = (self.cold.flow, self.hot.win.cwnd);
+        let (flow, after) = (self.flow, self.win.cwnd);
         ctx.emit_monitor_with(|| MonitorEvent::AckWindow {
             flow,
             before,
@@ -311,12 +299,12 @@ impl ConnCore<'_> {
     /// Reports an Algorithm-1 probe state-machine transition to any
     /// attached invariant monitors (`probe-legality` checks ordering).
     fn emit_probe(&self, ctx: &mut Ctx<'_, Segment>, transition: ProbeTransition) {
-        let flow = self.cold.flow;
+        let flow = self.flow;
         ctx.emit_monitor_with(|| MonitorEvent::ProbeTransition { flow, transition });
     }
 
     fn token(&self, kind: u64) -> u64 {
-        (self.cold.local_idx << KIND_BITS) | kind
+        (self.local_idx << KIND_BITS) | kind
     }
 
     /// Discards all application data that has not yet been transmitted:
@@ -326,16 +314,16 @@ impl ConnCore<'_> {
     /// (used by the convergence and multi-hop experiments to stop LPTs
     /// at a scheduled time).
     pub(crate) fn truncate_unsent(&mut self) {
-        self.hot.total_pkts = self.hot.next_seq;
-        while let Some(last) = self.cold.trains.back() {
-            if last.start_seq >= self.hot.total_pkts {
-                self.cold.trains.pop_back();
+        self.total_pkts = self.next_seq;
+        while let Some(last) = self.trains.back() {
+            if last.start_seq >= self.total_pkts {
+                self.trains.pop_back();
             } else {
                 break;
             }
         }
-        if let Some(last) = self.cold.trains.back_mut() {
-            last.end_seq = last.end_seq.min(self.hot.total_pkts);
+        if let Some(last) = self.trains.back_mut() {
+            last.end_seq = last.end_seq.min(self.total_pkts);
         }
     }
 
@@ -347,18 +335,18 @@ impl ConnCore<'_> {
     /// Panics if `bytes` is zero.
     pub(crate) fn enqueue_train(&mut self, ctx: &mut Ctx<'_, Segment>, bytes: u64) {
         assert!(bytes > 0, "empty train");
-        let pkts = bytes.div_ceil(self.cold.cfg.mss_bytes as u64);
-        let start_seq = self.hot.total_pkts;
-        self.hot.total_pkts += pkts;
-        self.cold.trains.push_back(TrainProgress {
-            id: self.cold.next_train_id,
+        let pkts = bytes.div_ceil(self.cfg.mss_bytes as u64);
+        let start_seq = self.total_pkts;
+        self.total_pkts += pkts;
+        self.trains.push_back(TrainProgress {
+            id: self.next_train_id,
             bytes,
             start_seq,
-            end_seq: self.hot.total_pkts,
+            end_seq: self.total_pkts,
             enqueued_at: ctx.now(),
             first_sent_at: None,
         });
-        self.cold.next_train_id += 1;
+        self.next_train_id += 1;
         self.try_send(ctx);
     }
 
@@ -366,29 +354,25 @@ impl ConnCore<'_> {
     /// application queue allow.
     pub(crate) fn try_send(&mut self, ctx: &mut Ctx<'_, Segment>) {
         loop {
-            if self.hot.win.suspended || self.hot.next_seq >= self.hot.total_pkts {
+            if self.win.suspended || self.next_seq >= self.total_pkts {
                 break;
             }
             // With SACK, sacked packets have left the network: they do
             // not occupy the window (pipe accounting).
-            let flight = (self.hot.next_seq - self.hot.high_ack) - self.cold.sacked.len() as u64;
-            let wnd = self.hot.win.cwnd.floor().max(1.0) as u64;
+            let flight = (self.next_seq - self.high_ack) - self.sacked.len() as u64;
+            let wnd = self.win.cwnd.floor().max(1.0) as u64;
             if flight >= wnd {
                 break;
             }
             // Algorithm 1 applies only to fresh data, not go-back-N
             // resends.
-            if self.cold.probe.is_none() && self.hot.next_seq >= self.hot.max_seq_sent {
-                let available = self.hot.total_pkts - self.hot.next_seq;
-                match self
-                    .cold
-                    .cc
-                    .pre_send(&mut self.hot.win, ctx.now(), available)
-                {
+            if self.probe.is_none() && self.next_seq >= self.max_seq_sent {
+                let available = self.total_pkts - self.next_seq;
+                match self.cc.pre_send(&mut self.win, ctx.now(), available) {
                     PreSendAction::Continue => {}
                     PreSendAction::StartProbe { probes, deadline } => {
                         let timer = ctx.set_timer(deadline, self.token(KIND_PROBE));
-                        self.cold.probe = Some(ProbePending {
+                        self.probe = Some(ProbePending {
                             remaining: probes,
                             timer,
                         });
@@ -399,18 +383,18 @@ impl ConnCore<'_> {
                     }
                 }
             }
-            let seq = self.hot.next_seq;
-            let is_probe = self.cold.probe.is_some();
+            let seq = self.next_seq;
+            let is_probe = self.probe.is_some();
             self.transmit(ctx, seq, is_probe);
-            self.hot.next_seq += 1;
-            self.hot.max_seq_sent = self.hot.max_seq_sent.max(self.hot.next_seq);
-            if let Some(p) = &mut self.cold.probe {
-                self.cold.stats.probes_sent += 1;
+            self.next_seq += 1;
+            self.max_seq_sent = self.max_seq_sent.max(self.next_seq);
+            if let Some(p) = &mut self.probe {
+                self.stats.probes_sent += 1;
                 p.remaining -= 1;
                 if p.remaining == 0 {
                     // Algorithm 1 line 6: suspend until the probe result.
-                    self.hot.win.suspended = true;
-                    let flow = self.cold.flow;
+                    self.win.suspended = true;
+                    let flow = self.flow;
                     ctx.emit_monitor_with(|| MonitorEvent::ProbeTransition {
                         flow,
                         transition: ProbeTransition::Suspend,
@@ -422,25 +406,19 @@ impl ConnCore<'_> {
 
     fn transmit(&mut self, ctx: &mut Ctx<'_, Segment>, seq: u64, is_probe: bool) {
         let now = ctx.now();
-        let is_rtx = seq < self.hot.max_seq_sent;
-        let seg = Segment::data(seq, is_probe, is_rtx, now, self.cold.cc.uses_ecn());
-        let pkt = Packet::new(
-            ctx.node(),
-            self.cold.dst,
-            self.cold.flow,
-            self.cold.cfg.mss_bytes,
-            seg,
-        );
+        let is_rtx = seq < self.max_seq_sent;
+        let seg = Segment::data(seq, is_probe, is_rtx, now, self.cc.uses_ecn());
+        let pkt = Packet::new(ctx.node(), self.dst, self.flow, self.cfg.mss_bytes, seg);
         ctx.send(pkt);
-        self.cold.cc.note_sent(now);
-        self.cold.stats.pkts_sent += 1;
+        self.cc.note_sent(now);
+        self.stats.pkts_sent += 1;
         if is_rtx {
-            self.cold.stats.rtx_sent += 1;
+            self.stats.rtx_sent += 1;
         }
         if !is_rtx {
             self.note_first_send(seq, now);
         }
-        if self.hot.rto_timer.is_none() {
+        if self.rto_timer.is_none() {
             self.arm_rto(ctx);
         }
     }
@@ -448,12 +426,11 @@ impl ConnCore<'_> {
     fn note_first_send(&mut self, seq: u64, now: SimTime) {
         // Binary search the (start_seq-sorted) pending trains.
         let idx = self
-            .cold
             .trains
             .partition_point(|t| t.start_seq <= seq)
             .checked_sub(1);
         if let Some(i) = idx {
-            let t = &mut self.cold.trains[i];
+            let t = &mut self.trains[i];
             if seq < t.end_seq && t.first_sent_at.is_none() {
                 t.first_sent_at = Some(now);
             }
@@ -462,16 +439,15 @@ impl ConnCore<'_> {
 
     fn arm_rto(&mut self, ctx: &mut Ctx<'_, Segment>) {
         let rto = self
-            .hot
             .rto_est
             .rto()
-            .mul_f64(self.hot.backoff as f64)
-            .min(self.cold.cfg.max_rto);
-        self.hot.rto_timer = Some(ctx.set_timer(rto, self.token(KIND_RTO)));
+            .mul_f64(self.backoff as f64)
+            .min(self.cfg.max_rto);
+        self.rto_timer = Some(ctx.set_timer(rto, self.token(KIND_RTO)));
     }
 
     fn cancel_rto(&mut self, ctx: &mut Ctx<'_, Segment>) {
-        if let Some(t) = self.hot.rto_timer.take() {
+        if let Some(t) = self.rto_timer.take() {
             ctx.cancel_timer(t);
         }
     }
@@ -496,16 +472,16 @@ impl ConnCore<'_> {
         sack: &SackBlocks,
     ) {
         let now = ctx.now();
-        if self.cold.cfg.sack {
+        if self.cfg.sack {
             for block in sack.iter().flatten() {
                 for seq in block.0..block.1 {
-                    if seq >= self.hot.high_ack && seq < self.hot.next_seq {
-                        self.cold.sacked.insert(seq);
+                    if seq >= self.high_ack && seq < self.next_seq {
+                        self.sacked.insert(seq);
                     }
                 }
             }
         }
-        self.cold.stats.acks_received += 1;
+        self.stats.acks_received += 1;
         // Karn's rule: no RTT sample from a retransmitted packet's echo.
         let rtt = if echo_rtx {
             None
@@ -514,71 +490,70 @@ impl ConnCore<'_> {
         };
         if let Some(r) = rtt {
             if r > Dur::ZERO {
-                self.hot.rto_est.observe(r);
+                self.rto_est.observe(r);
             }
         }
 
-        if ack_seq > self.hot.high_ack {
-            let newly = ack_seq - self.hot.high_ack;
-            self.hot.high_ack = ack_seq;
+        if ack_seq > self.high_ack {
+            let newly = ack_seq - self.high_ack;
+            self.high_ack = ack_seq;
             // After go-back-N the ACK may cover packets sent before the
             // timeout that were still in flight; never send below the
             // cumulative ACK.
-            self.hot.next_seq = self.hot.next_seq.max(self.hot.high_ack);
-            self.hot.max_seq_sent = self.hot.max_seq_sent.max(self.hot.next_seq);
-            self.hot.backoff = 1;
-            self.cold.sacked = self.cold.sacked.split_off(&self.hot.high_ack);
-            if self.hot.in_recovery {
-                if ack_seq >= self.hot.recover {
+            self.next_seq = self.next_seq.max(self.high_ack);
+            self.max_seq_sent = self.max_seq_sent.max(self.next_seq);
+            self.backoff = 1;
+            self.sacked = self.sacked.split_off(&self.high_ack);
+            if self.in_recovery {
+                if ack_seq >= self.recover {
                     // Full ACK: leave recovery, deflate to ssthresh.
-                    self.hot.in_recovery = false;
-                    self.hot.dup_acks = 0;
-                    self.cold.rtx_this_recovery.clear();
-                    self.hot.win.cwnd = self.hot.win.ssthresh;
-                    self.hot.win.clamp_cwnd();
-                } else if self.cold.cfg.sack {
+                    self.in_recovery = false;
+                    self.dup_acks = 0;
+                    self.rtx_this_recovery.clear();
+                    self.win.cwnd = self.win.ssthresh;
+                    self.win.clamp_cwnd();
+                } else if self.cfg.sack {
                     // SACK recovery: repair the lowest unrepaired hole.
                     self.retransmit_next_hole(ctx);
                 } else {
                     // NewReno partial ACK: the next hole is lost too.
-                    self.transmit_rtx(ctx, self.hot.high_ack);
-                    self.hot.win.cwnd =
-                        (self.hot.win.cwnd - newly as f64 + 1.0).max(self.hot.win.min_cwnd);
+                    self.transmit_rtx(ctx, self.high_ack);
+                    self.win.cwnd = (self.win.cwnd - newly as f64 + 1.0).max(self.win.min_cwnd);
                 }
             } else {
-                self.hot.dup_acks = 0;
+                self.dup_acks = 0;
                 let info = AckInfo {
                     now,
                     rtt,
                     newly_acked: newly,
                     ack_seq,
-                    next_seq: self.hot.next_seq,
-                    flight: self.hot.next_seq - self.hot.high_ack,
+                    next_seq: self.next_seq,
+                    flight: self.next_seq - self.high_ack,
                     ece,
                     probe_echo: echo_probe,
                 };
-                let before = self.hot.win.cwnd;
-                self.cold.cc.on_ack(&mut self.hot.win, &info);
+                let before = self.win.cwnd;
+                self.cc.on_ack(&mut self.win, &info);
                 self.emit_ack_window(ctx, before, echo_probe);
             }
             self.complete_trains(now);
             self.rearm_rto(ctx);
         } else {
             // Duplicate ACK.
-            if self.hot.next_seq > self.hot.high_ack {
-                self.hot.dup_acks += 1;
-                self.cold.stats.dup_acks_received += 1;
-                if self.hot.in_recovery {
-                    if self.cold.cfg.sack {
+            if self.next_seq > self.high_ack {
+                self.dup_acks += 1;
+                self.stats.dup_acks_received += 1;
+                if self.in_recovery {
+                    if self.cfg.sack {
                         // SACK recovery: the scoreboard says what is
                         // missing; repair it instead of inflating.
                         self.retransmit_next_hole(ctx);
                     } else {
                         // Window inflation keeps the pipe full.
-                        self.hot.win.cwnd += 1.0;
-                        self.hot.win.clamp_cwnd();
+                        self.win.cwnd += 1.0;
+                        self.win.clamp_cwnd();
                     }
-                } else if self.hot.dup_acks == self.cold.cfg.dupack_threshold {
+                } else if self.dup_acks == self.cfg.dupack_threshold {
                     self.enter_fast_recovery(ctx, now);
                 } else {
                     // Still feed the controller: TRIM needs every RTT
@@ -589,24 +564,24 @@ impl ConnCore<'_> {
                         rtt,
                         newly_acked: 0,
                         ack_seq,
-                        next_seq: self.hot.next_seq,
-                        flight: self.hot.next_seq - self.hot.high_ack,
+                        next_seq: self.next_seq,
+                        flight: self.next_seq - self.high_ack,
                         ece,
                         probe_echo: echo_probe,
                     };
-                    let before = self.hot.win.cwnd;
-                    self.cold.cc.on_ack(&mut self.hot.win, &info);
+                    let before = self.win.cwnd;
+                    self.cc.on_ack(&mut self.win, &info);
                     self.emit_ack_window(ctx, before, echo_probe);
                 }
             }
         }
 
         // Did the controller resolve a probe phase?
-        if let Some(p) = &self.cold.probe {
-            if p.remaining == 0 && !self.hot.win.suspended {
+        if let Some(p) = &self.probe {
+            if p.remaining == 0 && !self.win.suspended {
                 let timer = p.timer;
                 ctx.cancel_timer(timer);
-                self.cold.probe = None;
+                self.probe = None;
                 self.emit_probe(ctx, ProbeTransition::Resolve);
             }
         }
@@ -616,36 +591,28 @@ impl ConnCore<'_> {
     }
 
     fn enter_fast_recovery(&mut self, ctx: &mut Ctx<'_, Segment>, now: SimTime) {
-        self.hot.in_recovery = true;
-        self.hot.recover = self.hot.next_seq;
-        self.cold.rtx_this_recovery.clear();
-        self.cold.rtx_this_recovery.insert(self.hot.high_ack);
-        self.cold.stats.fast_retransmits += 1;
+        self.in_recovery = true;
+        self.recover = self.next_seq;
+        self.rtx_this_recovery.clear();
+        self.rtx_this_recovery.insert(self.high_ack);
+        self.stats.fast_retransmits += 1;
         let flight = self.flight();
-        self.cold
-            .cc
-            .on_fast_retransmit(&mut self.hot.win, flight, now);
+        self.cc.on_fast_retransmit(&mut self.win, flight, now);
         // Standard inflation by the duplicate threshold.
-        self.hot.win.cwnd += self.cold.cfg.dupack_threshold as f64;
-        self.hot.win.clamp_cwnd();
-        self.transmit_rtx(ctx, self.hot.high_ack);
+        self.win.cwnd += self.cfg.dupack_threshold as f64;
+        self.win.clamp_cwnd();
+        self.transmit_rtx(ctx, self.high_ack);
         self.rearm_rto(ctx);
     }
 
     fn transmit_rtx(&mut self, ctx: &mut Ctx<'_, Segment>, seq: u64) {
         let now = ctx.now();
-        let seg = Segment::data(seq, false, true, now, self.cold.cc.uses_ecn());
-        let pkt = Packet::new(
-            ctx.node(),
-            self.cold.dst,
-            self.cold.flow,
-            self.cold.cfg.mss_bytes,
-            seg,
-        );
+        let seg = Segment::data(seq, false, true, now, self.cc.uses_ecn());
+        let pkt = Packet::new(ctx.node(), self.dst, self.flow, self.cfg.mss_bytes, seg);
         ctx.send(pkt);
-        self.cold.cc.note_sent(now);
-        self.cold.stats.pkts_sent += 1;
-        self.cold.stats.rtx_sent += 1;
+        self.cc.note_sent(now);
+        self.stats.pkts_sent += 1;
+        self.stats.rtx_sent += 1;
     }
 
     /// Retransmits the lowest sequence in `[high_ack, recover)` that is
@@ -654,15 +621,15 @@ impl ConnCore<'_> {
     /// `dupack_threshold` SACKed sequences lie above it (otherwise the
     /// packet may simply still be in flight).
     fn retransmit_next_hole(&mut self, ctx: &mut Ctx<'_, Segment>) {
-        let thresh = self.cold.cfg.dupack_threshold as usize;
-        let mut seq = self.hot.high_ack;
-        while seq < self.hot.recover {
-            if !self.cold.sacked.contains(&seq) && !self.cold.rtx_this_recovery.contains(&seq) {
-                let reported_above = self.cold.sacked.range(seq + 1..).take(thresh).count();
+        let thresh = self.cfg.dupack_threshold as usize;
+        let mut seq = self.high_ack;
+        while seq < self.recover {
+            if !self.sacked.contains(&seq) && !self.rtx_this_recovery.contains(&seq) {
+                let reported_above = self.sacked.range(seq + 1..).take(thresh).count();
                 if reported_above < thresh {
                     return; // not yet known lost; wait for more reports
                 }
-                self.cold.rtx_this_recovery.insert(seq);
+                self.rtx_this_recovery.insert(seq);
                 self.transmit_rtx(ctx, seq);
                 return;
             }
@@ -673,41 +640,41 @@ impl ConnCore<'_> {
     /// The retransmission timer fired: collapse the window, back off the
     /// timer, and go-back-N from the last cumulative ACK.
     pub(crate) fn on_rto_fire(&mut self, ctx: &mut Ctx<'_, Segment>) {
-        self.hot.rto_timer = None;
+        self.rto_timer = None;
         if self.flight() == 0 {
             return; // stale: everything got acknowledged meanwhile
         }
         let now = ctx.now();
-        self.cold.stats.timeouts += 1;
+        self.stats.timeouts += 1;
         let flight = self.flight();
-        self.cold.cc.on_timeout(&mut self.hot.win, flight, now);
-        self.hot.win.cwnd = self.cold.cfg.restart_cwnd;
-        self.hot.win.suspended = false;
-        self.hot.win.clamp_cwnd();
-        if let Some(p) = self.cold.probe.take() {
+        self.cc.on_timeout(&mut self.win, flight, now);
+        self.win.cwnd = self.cfg.restart_cwnd;
+        self.win.suspended = false;
+        self.win.clamp_cwnd();
+        if let Some(p) = self.probe.take() {
             ctx.cancel_timer(p.timer);
             self.emit_probe(ctx, ProbeTransition::Abort);
         }
-        self.hot.in_recovery = false;
-        self.hot.dup_acks = 0;
-        self.cold.rtx_this_recovery.clear();
-        self.cold.sacked.clear();
-        self.hot.backoff = (self.hot.backoff * 2).min(64);
+        self.in_recovery = false;
+        self.dup_acks = 0;
+        self.rtx_this_recovery.clear();
+        self.sacked.clear();
+        self.backoff = (self.backoff * 2).min(64);
         // Go-back-N: resume from the last cumulative ACK.
-        self.hot.next_seq = self.hot.high_ack;
+        self.next_seq = self.high_ack;
         self.record_cwnd(now);
         self.emit_cwnd(ctx);
         self.try_send(ctx);
-        if self.hot.rto_timer.is_none() && self.flight() > 0 {
+        if self.rto_timer.is_none() && self.flight() > 0 {
             self.arm_rto(ctx);
         }
     }
 
     /// The TRIM probe deadline fired without all probe ACKs.
     pub(crate) fn on_probe_deadline_fire(&mut self, ctx: &mut Ctx<'_, Segment>) {
-        if self.cold.probe.take().is_some() {
+        if self.probe.take().is_some() {
             self.emit_probe(ctx, ProbeTransition::Timeout);
-            self.cold.cc.on_probe_deadline(&mut self.hot.win);
+            self.cc.on_probe_deadline(&mut self.win);
             self.record_cwnd(ctx.now());
             self.emit_cwnd(ctx);
             self.try_send(ctx);
@@ -715,12 +682,12 @@ impl ConnCore<'_> {
     }
 
     fn complete_trains(&mut self, now: SimTime) {
-        while let Some(front) = self.cold.trains.front() {
-            if self.hot.high_ack < front.end_seq {
+        while let Some(front) = self.trains.front() {
+            if self.high_ack < front.end_seq {
                 break;
             }
-            let t = self.cold.trains.pop_front().expect("front exists"); // trim-lint: allow(no-panic-in-library, reason = "front() returned Some in the loop condition")
-            self.cold.completed.push(TrainRecord {
+            let t = self.trains.pop_front().expect("front exists"); // trim-lint: allow(no-panic-in-library, reason = "front() returned Some in the loop condition")
+            self.completed.push(TrainRecord {
                 id: t.id,
                 bytes: t.bytes,
                 pkts: t.end_seq - t.start_seq,

@@ -2,9 +2,10 @@
 //! connections and receivers living on one simulated host, and injects
 //! scheduled application trains.
 //!
-//! Sender state lives in a [`FlowSlab`], one row per flow. Each event
-//! borrows its flow's row in place and drives the state machine through
-//! [`ConnCore`]; [`TcpHost::connection`] borrows the same row read-only.
+//! Sender state lives in a [`FlowSlab`], one [`Conn`] per flow. Each
+//! event borrows its flow's connection in place and drives its state
+//! machine; [`TcpHost::connection`] borrows the same connection
+//! read-only.
 
 use netsim::hash::FastHashMap;
 use netsim::prelude::*;
@@ -13,7 +14,7 @@ use netsim::time::SimTime;
 use crate::cc::CcKind;
 use crate::config::TcpConfig;
 use crate::conn::{
-    new_conn, ConnCore, ConnRef, KIND_APP, KIND_BITS, KIND_DELACK, KIND_PROBE, KIND_RTO, KIND_SEQ,
+    new_conn, Conn, KIND_APP, KIND_BITS, KIND_DELACK, KIND_PROBE, KIND_RTO, KIND_SEQ,
 };
 use crate::receiver::Receiver;
 use crate::segment::{SegKind, Segment};
@@ -134,8 +135,7 @@ impl TcpHost {
     /// Panics if the flow already has a sender on this host or `cfg` is
     /// invalid.
     pub fn add_sender(&mut self, flow: FlowId, dst: NodeId, cfg: TcpConfig, cc: &CcKind) -> usize {
-        let (hot, cold) = new_conn(flow, dst, cfg, cc.build());
-        let idx = self.flows.insert(hot, cold);
+        let idx = self.flows.insert(new_conn(flow, dst, cfg, cc.build()));
         assert!(
             self.send_by_flow.insert(flow.0, idx).is_none(),
             "duplicate sender for flow {flow}"
@@ -250,15 +250,14 @@ impl TcpHost {
         self.flows.inject_slot_leak();
     }
 
-    /// Borrows a sending connection by dense flow id: the same row the
+    /// Borrows a sending connection by dense flow id: the same state the
     /// next event for this flow will act on, so it is current mid-run.
     ///
     /// # Panics
     ///
     /// Panics if `idx` is not a live sender.
-    pub fn connection(&self, idx: usize) -> ConnRef<'_> {
-        let (hot, cold) = self.flows.row(idx);
-        ConnRef { hot, cold }
+    pub fn connection(&self, idx: usize) -> &Conn {
+        self.flows.get(idx)
     }
 
     /// Mutably adjusts a sending connection by dense flow id (e.g. to
@@ -267,12 +266,12 @@ impl TcpHost {
     /// # Panics
     ///
     /// Panics if `idx` is not a live sender.
-    pub fn connection_mut(&mut self, idx: usize) -> ConnMut<'_> {
-        ConnMut { host: self, idx }
+    pub fn connection_mut(&mut self, idx: usize) -> &mut Conn {
+        self.flows.get_mut(idx)
     }
 
-    /// Read-only views of all live sending connections, ascending by id.
-    pub fn connections(&self) -> impl Iterator<Item = ConnRef<'_>> {
+    /// All live sending connections, ascending by id.
+    pub fn connections(&self) -> impl Iterator<Item = &Conn> {
         self.flows.live_ids().map(|id| self.connection(id))
     }
 
@@ -322,29 +321,6 @@ impl TcpHost {
         &self.receivers
     }
 
-    /// The receiver serving `flow`, if any.
-    pub fn receiver_for_flow(&self, flow: FlowId) -> Option<&Receiver> {
-        self.recv_by_flow.get(&flow.0).map(|&i| &self.receivers[i])
-    }
-}
-
-/// Mutable handle to one sending connection, for pre-run configuration.
-#[derive(Debug)]
-pub struct ConnMut<'a> {
-    host: &'a mut TcpHost,
-    idx: usize,
-}
-
-impl ConnMut<'_> {
-    /// Starts recording a `(time, cwnd)` point at every window change.
-    pub fn enable_cwnd_recording(&mut self) {
-        let idx = self.idx;
-        self.host
-            .with_core(idx, |core| core.enable_cwnd_recording());
-    }
-}
-
-impl TcpHost {
     fn schedule_app(&mut self, sender_idx: usize, at: SimTime, action: AppAction) {
         assert!(self.flows.contains(sender_idx), "no such sender");
         self.schedule.push(AppEvent {
@@ -355,19 +331,12 @@ impl TcpHost {
         });
     }
 
-    /// Runs `f` over the [`ConnCore`] view of sender `idx`.
-    fn with_core<R>(&mut self, idx: usize, f: impl FnOnce(&mut ConnCore<'_>) -> R) -> R {
-        let (hot, cold) = self.flows.row_mut(idx);
-        f(&mut ConnCore { hot, cold })
-    }
-
     /// Tears a sender down now: cancels its timers, unmaps its flow, and
     /// frees its slab slot.
     fn teardown_sender(&mut self, ctx: &mut Ctx<'_, Segment>, idx: usize) {
-        let (hot, cold) = self.flows.row_mut(idx);
-        cold.cancel_timers(ctx, hot);
-        let cold = self.flows.remove(idx);
-        self.send_by_flow.remove(&cold.flow.0);
+        self.flows.get_mut(idx).cancel_timers(ctx);
+        let conn = self.flows.remove(idx);
+        self.send_by_flow.remove(&conn.flow().0);
         self.seq_by_sender.remove(&idx);
     }
 
@@ -383,7 +352,7 @@ impl TcpHost {
         let Some(&seq_idx) = self.seq_by_sender.get(&sender_idx) else {
             return;
         };
-        let flow = self.flows.cold(sender_idx).flow;
+        let flow = self.flows.get(sender_idx).flow();
         let seq = &mut self.sequences[seq_idx];
         // Only count completions for responses this sequence issued
         // (the sender may also carry plain scheduled trains).
@@ -438,11 +407,10 @@ impl Agent<Segment> for TcpHost {
                 let Some(&idx) = self.send_by_flow.get(&pkt.flow.0) else {
                     return;
                 };
-                let (before, after) = self.with_core(idx, |core| {
-                    let before = core.cold.completed.len();
-                    core.on_ack(ctx, ack_seq, echo_ts, echo_probe, echo_rtx, ece, &sack);
-                    (before, core.cold.completed.len())
-                });
+                let conn = self.flows.get_mut(idx);
+                let before = conn.completed_trains().len();
+                conn.on_ack(ctx, ack_seq, echo_ts, echo_probe, echo_rtx, ece, &sack);
+                let after = conn.completed_trains().len();
                 if after > before {
                     self.advance_sequence(ctx, idx, after - before);
                 }
@@ -454,8 +422,8 @@ impl Agent<Segment> for TcpHost {
         let kind = token & ((1 << KIND_BITS) - 1);
         let idx = (token >> KIND_BITS) as usize;
         match kind {
-            KIND_RTO => self.with_core(idx, |core| core.on_rto_fire(ctx)),
-            KIND_PROBE => self.with_core(idx, |core| core.on_probe_deadline_fire(ctx)),
+            KIND_RTO => self.flows.get_mut(idx).on_rto_fire(ctx),
+            KIND_PROBE => self.flows.get_mut(idx).on_probe_deadline_fire(ctx),
             KIND_APP => {
                 let ev = self.schedule[idx];
                 if self.flows.generation(ev.sender_idx) != ev.generation {
@@ -463,9 +431,9 @@ impl Agent<Segment> for TcpHost {
                 }
                 match ev.action {
                     AppAction::Train { bytes } => {
-                        self.with_core(ev.sender_idx, |core| core.enqueue_train(ctx, bytes))
+                        self.flows.get_mut(ev.sender_idx).enqueue_train(ctx, bytes)
                     }
-                    AppAction::Stop => self.with_core(ev.sender_idx, |core| core.truncate_unsent()),
+                    AppAction::Stop => self.flows.get_mut(ev.sender_idx).truncate_unsent(),
                     AppAction::Teardown => self.teardown_sender(ctx, ev.sender_idx),
                 }
             }
@@ -480,7 +448,7 @@ impl Agent<Segment> for TcpHost {
                     let index = seq.next as u32;
                     seq.next += 1;
                     let sender = seq.sender_idx;
-                    let flow = self.flows.cold(sender).flow;
+                    let flow = self.flows.get(sender).flow();
                     if index == 0 {
                         let planned_requests = seq.sizes.len() as u32;
                         ctx.emit_monitor_with(|| MonitorEvent::SessionStarted {
@@ -500,7 +468,7 @@ impl Agent<Segment> for TcpHost {
                             completed,
                         });
                     }
-                    self.with_core(sender, |core| core.enqueue_train(ctx, bytes));
+                    self.flows.get_mut(sender).enqueue_train(ctx, bytes);
                 }
             }
             _ => unreachable!("unknown timer kind {kind}"),

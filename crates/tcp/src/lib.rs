@@ -7,7 +7,7 @@
 //!   go-back-N RTO recovery ([`conn`]);
 //! - per-packet-ACK receivers with ECN echo ([`receiver`]);
 //! - a host agent multiplexing many connections ([`host`]), their state
-//!   held one row per flow in a recycling flow slab ([`slab`]);
+//!   held one boxed [`Conn`] per flow in a recycling flow slab ([`slab`]);
 //! - pluggable congestion control ([`cc`]): Reno, CUBIC, DCTCP, L2DCT, the
 //!   GIP-style restart baseline, and **TCP-TRIM** (embedding
 //!   [`trim_core::Trim`]).
@@ -33,8 +33,8 @@ pub mod slab;
 
 pub use cc::{AckInfo, CcAlgo, CcKind, PreSendAction, WindowState};
 pub use config::TcpConfig;
-pub use conn::{ConnRef, ConnStats, TrainRecord};
-pub use host::{ConnMut, TcpHost};
+pub use conn::{Conn, ConnStats, TrainRecord};
+pub use host::TcpHost;
 pub use receiver::{Receiver, ReceiverStats};
 pub use segment::{SegKind, Segment};
-pub use slab::{FlowSlab, HotFlow, SlabAudit};
+pub use slab::{FlowSlab, SlabAudit};

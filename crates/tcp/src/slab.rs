@@ -1,53 +1,17 @@
-//! The flow slab: one row of sender state per connection on a host,
-//! keyed by dense flow id.
+//! The flow slab: the sender state of every connection on a host, keyed
+//! by dense flow id.
 //!
-//! Each slot holds a [`HotFlow`] — the fields every ACK and timer reads
-//! and writes (window, RTO estimator, sequence cursors; inflight is
-//! `next_seq - high_ack`) — in one `Vec`, and a `Box<ColdConn>` with
-//! everything else (config, controller, SACK scoreboard, train queue,
-//! stats). An event borrows both halves of its flow's slot in place via
-//! [`row_mut`](FlowSlab::row_mut); there is no second copy of a row
-//! anywhere, so a reader between events sees exactly the state the next
-//! event will act on.
+//! Each slot holds one `Box<Conn>`: the whole sender state of the flow.
+//! An event borrows its flow's connection in place (`get_mut`); there is
+//! no second copy of it anywhere, so a reader between events sees
+//! exactly the state the next event will act on.
 //!
 //! Slots are recycled through a freelist with generation counters and
 //! allocated/freed accounting, so teardown at scale reuses ids instead
 //! of growing the table, and [`leak_check`](FlowSlab::leak_check)
 //! catches any slot that is neither live nor free.
 
-use netsim::sim::TimerId;
-
-use crate::cc::WindowState;
-use crate::conn::ColdConn;
-use crate::rto::RtoEstimator;
-
-/// The per-event working set of one sending connection: the slab row
-/// every ACK and timer mutates in place.
-#[derive(Debug)]
-pub struct HotFlow {
-    /// Congestion window state (cwnd/ssthresh/bounds/suspended).
-    pub win: WindowState,
-    /// RFC 6298 estimator (srtt/rttvar plus the configured clamp).
-    pub rto_est: RtoEstimator,
-    /// Next fresh sequence to transmit.
-    pub next_seq: u64,
-    /// Highest cumulative ACK received.
-    pub high_ack: u64,
-    /// Highest sequence ever transmitted (fresh data high-water mark).
-    pub max_seq_sent: u64,
-    /// Total packets handed over by the application so far.
-    pub total_pkts: u64,
-    /// NewReno recovery point: recovery ends at this sequence.
-    pub recover: u64,
-    /// Consecutive duplicate ACKs seen.
-    pub dup_acks: u32,
-    /// Karn backoff multiplier (doubles per RTO, capped at 64).
-    pub backoff: u32,
-    /// Whether fast recovery is in progress.
-    pub in_recovery: bool,
-    /// The armed retransmission timer, if any.
-    pub rto_timer: Option<TimerId>,
-}
+use crate::conn::Conn;
 
 /// Lifecycle accounting for a [`FlowSlab`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -65,12 +29,9 @@ pub struct SlabAudit {
 /// Slab of sender state, keyed by dense flow id.
 #[derive(Debug, Default)]
 pub struct FlowSlab {
-    /// The hot row of every slot. A vacant slot keeps its last
-    /// occupant's row until `insert` overwrites it; `cold` decides
-    /// liveness.
-    hot: Vec<HotFlow>,
-    /// The cold half; `None` marks a vacant (or leaked) slot.
-    cold: Vec<Option<Box<ColdConn>>>,
+    /// One boxed connection per slot; `None` marks a vacant (or leaked)
+    /// slot.
+    conns: Vec<Option<Box<Conn>>>,
     /// Slot birth count: bumped on every removal, so tests can observe
     /// id reuse.
     generation: Vec<u32>,
@@ -80,7 +41,7 @@ pub struct FlowSlab {
     allocated: u64,
     freed: u64,
     high_water: u64,
-    /// Fault injection: leak the next removed slot (drop the cold half
+    /// Fault injection: leak the next removed slot (drop the connection
     /// but never return the id to the freelist).
     leak_next_remove: bool,
 }
@@ -94,8 +55,7 @@ impl FlowSlab {
     /// Creates an empty slab with capacity for `n` flows.
     pub fn with_capacity(n: usize) -> Self {
         FlowSlab {
-            hot: Vec::with_capacity(n),
-            cold: Vec::with_capacity(n),
+            conns: Vec::with_capacity(n),
             generation: Vec::with_capacity(n),
             ..FlowSlab::default()
         }
@@ -113,12 +73,12 @@ impl FlowSlab {
 
     /// Total slots ever created (live + vacant + leaked).
     pub fn capacity(&self) -> usize {
-        self.cold.len()
+        self.conns.len()
     }
 
     /// Whether `id` names a live flow.
     pub fn contains(&self, id: usize) -> bool {
-        self.cold.get(id).is_some_and(Option::is_some)
+        self.conns.get(id).is_some_and(Option::is_some)
     }
 
     /// The slot's birth count: 0 for a first occupant, +1 per removal.
@@ -140,36 +100,34 @@ impl FlowSlab {
         }
     }
 
-    /// Inserts a connection's split state; returns its dense flow id and
-    /// stamps it into the cold half's `local_idx` (timer tokens embed
-    /// it). Vacated ids are reused before the table grows.
-    pub(crate) fn insert(&mut self, hot: HotFlow, mut cold: Box<ColdConn>) -> usize {
+    /// Inserts a connection; returns its dense flow id and stamps it
+    /// into the connection's `local_idx` (timer tokens embed it). Vacated
+    /// ids are reused before the table grows.
+    pub(crate) fn insert(&mut self, mut conn: Box<Conn>) -> usize {
         self.allocated += 1;
         self.high_water = self.high_water.max(self.allocated - self.freed);
         if let Some(id) = self.freelist.pop() {
-            cold.local_idx = id as u64;
-            self.hot[id] = hot;
-            self.cold[id] = Some(cold);
+            conn.local_idx = id as u64;
+            self.conns[id] = Some(conn);
             id
         } else {
-            let id = self.cold.len();
-            cold.local_idx = id as u64;
-            self.hot.push(hot);
-            self.cold.push(Some(cold));
+            let id = self.conns.len();
+            conn.local_idx = id as u64;
+            self.conns.push(Some(conn));
             self.generation.push(0);
             id
         }
     }
 
-    /// Removes a live flow, returning its cold half. The caller must
-    /// have cancelled the flow's timers first (`ColdConn::cancel_timers`)
+    /// Removes a live flow, returning its connection. The caller must
+    /// have cancelled the flow's timers first (`Conn::cancel_timers`)
     /// so a recycled id cannot receive stale fires.
     ///
     /// # Panics
     ///
     /// Panics if `id` is not live.
-    pub(crate) fn remove(&mut self, id: usize) -> Box<ColdConn> {
-        let cold = self.cold[id].take().expect("removed a vacant flow slot"); // trim-lint: allow(no-panic-in-library, reason = "double-free of a flow id is a host bug, not a recoverable state")
+    pub(crate) fn remove(&mut self, id: usize) -> Box<Conn> {
+        let conn = self.conns[id].take().expect("removed a vacant flow slot"); // trim-lint: allow(no-panic-in-library, reason = "double-free of a flow id is a host bug, not a recoverable state")
         self.freed += 1;
         self.generation[id] += 1;
         if self.leak_next_remove {
@@ -179,10 +137,10 @@ impl FlowSlab {
         } else {
             self.freelist.push(id);
         }
-        cold
+        conn
     }
 
-    /// Fault injection: the next [`Self::remove`] drops the cold half
+    /// Fault injection: the next [`Self::remove`] drops the connection
     /// but never returns the id to the freelist, simulating a lifecycle
     /// bug. Exists to prove [`Self::leak_check`] catches it.
     pub fn inject_slot_leak(&mut self) {
@@ -193,7 +151,7 @@ impl FlowSlab {
     /// `allocated - freed`, and every slot is either live or on the
     /// freelist (exactly once).
     pub fn leak_check(&self) -> Result<(), String> {
-        let occupied = self.cold.iter().filter(|c| c.is_some()).count() as u64;
+        let occupied = self.conns.iter().filter(|c| c.is_some()).count() as u64;
         let live = self.allocated - self.freed;
         if occupied != live {
             return Err(format!(
@@ -201,9 +159,9 @@ impl FlowSlab {
                 self.allocated, self.freed
             ));
         }
-        let mut seen = vec![false; self.cold.len()];
+        let mut seen = vec![false; self.conns.len()];
         for &id in &self.freelist {
-            if self.cold[id].is_some() {
+            if self.conns[id].is_some() {
                 return Err(format!("freelist holds live flow id {id}"));
             }
             if seen[id] {
@@ -212,48 +170,38 @@ impl FlowSlab {
             seen[id] = true;
         }
         let reachable = occupied as usize + self.freelist.len();
-        if reachable != self.cold.len() {
+        if reachable != self.conns.len() {
             return Err(format!(
                 "{} slab slot(s) leaked: {} total, {occupied} live, {} free",
-                self.cold.len() - reachable,
-                self.cold.len(),
+                self.conns.len() - reachable,
+                self.conns.len(),
                 self.freelist.len()
             ));
         }
         Ok(())
     }
 
-    /// Borrows the cold half of flow `id`.
+    /// Borrows the connection of live flow `id`.
     ///
     /// # Panics
     ///
     /// Panics if `id` is not live.
-    pub(crate) fn cold(&self, id: usize) -> &ColdConn {
-        self.cold[id].as_deref().expect("vacant flow slot") // trim-lint: allow(no-panic-in-library, reason = "reading a freed flow id is a host bug")
+    pub(crate) fn get(&self, id: usize) -> &Conn {
+        self.conns[id].as_deref().expect("vacant flow slot") // trim-lint: allow(no-panic-in-library, reason = "reading a freed flow id is a host bug")
     }
 
-    /// Borrows both halves of live flow `id`.
+    /// Mutably borrows the connection of live flow `id`, in place.
     ///
     /// # Panics
     ///
     /// Panics if `id` is not live.
-    pub(crate) fn row(&self, id: usize) -> (&HotFlow, &ColdConn) {
-        (&self.hot[id], self.cold(id))
-    }
-
-    /// Mutably borrows both halves of live flow `id`, in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not live.
-    pub(crate) fn row_mut(&mut self, id: usize) -> (&mut HotFlow, &mut ColdConn) {
-        let cold = self.cold[id].as_deref_mut().expect("vacant flow slot"); // trim-lint: allow(no-panic-in-library, reason = "reading a freed flow id is a host bug")
-        (&mut self.hot[id], cold)
+    pub(crate) fn get_mut(&mut self, id: usize) -> &mut Conn {
+        self.conns[id].as_deref_mut().expect("vacant flow slot") // trim-lint: allow(no-panic-in-library, reason = "reading a freed flow id is a host bug")
     }
 
     /// Ids of live flows, ascending.
     pub fn live_ids(&self) -> impl Iterator<Item = usize> + '_ {
-        self.cold
+        self.conns
             .iter()
             .enumerate()
             .filter_map(|(i, c)| c.as_ref().map(|_| i))
@@ -277,15 +225,14 @@ mod tests {
         sim.add_switch()
     }
 
-    fn entry(flow: u64, cfg: TcpConfig) -> (HotFlow, Box<ColdConn>) {
+    fn entry(flow: u64, cfg: TcpConfig) -> Box<Conn> {
         new_conn(FlowId(flow), dst(), cfg, CcKind::Reno.build())
     }
 
     fn filled(n: u64) -> FlowSlab {
         let mut s = FlowSlab::new();
         for f in 0..n {
-            let (hot, cold) = entry(f, TcpConfig::default());
-            s.insert(hot, cold);
+            s.insert(entry(f, TcpConfig::default()));
         }
         s
     }
@@ -294,14 +241,13 @@ mod tests {
     fn insert_assigns_dense_ids_and_counts() {
         let mut s = FlowSlab::with_capacity(4);
         for f in 0..3u64 {
-            let (hot, cold) = entry(f, TcpConfig::default());
-            assert_eq!(s.insert(hot, cold), f as usize);
+            assert_eq!(s.insert(entry(f, TcpConfig::default())), f as usize);
         }
         assert_eq!(s.len(), 3);
         assert_eq!(s.capacity(), 3);
         assert!(s.contains(2) && !s.contains(3));
-        assert_eq!(s.cold(1).flow, FlowId(1));
-        assert_eq!(s.cold(1).local_idx, 1);
+        assert_eq!(s.get(1).flow(), FlowId(1));
+        assert_eq!(s.get(1).local_idx, 1);
         assert_eq!(
             s.audit(),
             SlabAudit {
@@ -319,18 +265,17 @@ mod tests {
     fn removed_id_is_reused_with_bumped_generation() {
         let mut s = filled(2);
         assert_eq!(s.generation(0), 0);
-        let cold = s.remove(0);
-        assert_eq!(cold.flow, FlowId(0));
+        let conn = s.remove(0);
+        assert_eq!(conn.flow(), FlowId(0));
         assert!(!s.contains(0));
         assert_eq!(s.generation(0), 1);
         s.leak_check().unwrap();
 
         // The vacated id is reused before the table grows, and the new
         // occupant's local_idx is restamped.
-        let (hot, cold) = entry(9, TcpConfig::default());
-        assert_eq!(s.insert(hot, cold), 0);
-        assert_eq!(s.cold(0).flow, FlowId(9));
-        assert_eq!(s.cold(0).local_idx, 0);
+        assert_eq!(s.insert(entry(9, TcpConfig::default())), 0);
+        assert_eq!(s.get(0).flow(), FlowId(9));
+        assert_eq!(s.get(0).local_idx, 0);
         assert_eq!(s.capacity(), 2, "reuse must not grow the table");
         assert_eq!(
             s.audit(),
@@ -357,12 +302,10 @@ mod tests {
 
         // The leaked id must never be handed out again: the next insert
         // grows the table instead.
-        let (hot, cold) = entry(9, TcpConfig::default());
-        assert_eq!(s.insert(hot, cold), 3);
+        assert_eq!(s.insert(entry(9, TcpConfig::default())), 3);
         // The fault is one-shot: a later remove frees normally.
         let _ = s.remove(2);
-        let (hot, cold) = entry(10, TcpConfig::default());
-        assert_eq!(s.insert(hot, cold), 2);
+        assert_eq!(s.insert(entry(10, TcpConfig::default())), 2);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use netsim::prelude::*;
 use netsim::time::SimTime;
-use trim_tcp::{CcKind, Segment, SlabAudit, TcpConfig, TcpHost};
+use trim_tcp::{CcKind, ConnStats, Segment, SlabAudit, TcpConfig, TcpHost};
 
 /// Builds `n` senders on ONE host, each with its own flow toward a
 /// front-end with `n` receivers, over a shared switch. Returns
@@ -92,22 +92,43 @@ fn teardown_mid_run_frees_slot_and_books_balance() {
 }
 
 /// A vacated flow id is handed back to the next `add_sender`, with the
-/// slot's generation counter bumped as observable proof of reuse.
+/// slot's generation counter bumped as observable proof of reuse — and
+/// the new occupant starts from a fresh connection: nothing of the old
+/// occupant's window, RTT estimate, counters or train records shows
+/// through the reused id.
 #[test]
 fn torn_down_flow_id_is_reused_by_add_sender() {
     let (mut sim, tx, fe) = multi_sender(3);
-    sim.host_mut::<TcpHost>(tx)
-        .schedule_teardown(1, SimTime::from_secs_f64(0.00105));
+    // t = 1.6 ms: a few round trips into the 1 ms trains.
+    let teardown = SimTime::from_secs_f64(0.0016);
+    sim.host_mut::<TcpHost>(tx).schedule_teardown(1, teardown);
+    sim.run_until(SimTime::from_secs_f64(0.00159));
+    let cfg = TcpConfig::default();
+    {
+        // The run has moved flow 1's window, RTT estimate and counters
+        // off their initial values before the slot is vacated.
+        let old = sim.host::<TcpHost>(tx).connection(1);
+        assert!(old.cwnd() > cfg.init_cwnd);
+        assert!(old.srtt().is_some());
+        assert!(old.stats().acks_received > 0);
+        assert!(!old.is_idle());
+    }
     sim.run();
 
     let host = sim.host_mut::<TcpHost>(tx);
     assert_eq!(host.sender_generation(0), 0);
     assert_eq!(host.sender_generation(1), 1);
 
-    let idx = host.add_sender(FlowId(9), fe, TcpConfig::default(), &CcKind::Reno);
+    let idx = host.add_sender(FlowId(9), fe, cfg, &CcKind::Reno);
     assert_eq!(idx, 1, "freed id must be reused before the slab grows");
     assert_eq!(host.sender_generation(1), 1);
-    assert_eq!(host.connection(1).flow(), FlowId(9));
+    let fresh = host.connection(1);
+    assert_eq!(fresh.flow(), FlowId(9));
+    assert_eq!(fresh.cwnd(), cfg.init_cwnd);
+    assert_eq!(fresh.srtt(), None);
+    assert_eq!(fresh.stats(), ConnStats::default());
+    assert!(fresh.completed_trains().is_empty());
+    assert!(fresh.is_idle());
     let audit = host.slab_audit();
     assert_eq!((audit.allocated, audit.live, audit.high_water), (4, 3, 3));
     host.slab_leak_check().unwrap();

@@ -1030,6 +1030,8 @@ mod tests {
     use super::*;
     use crate::agent::SinkAgent;
     use crate::packet::{FlowId, TagPayload};
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -1812,5 +1814,253 @@ mod tests {
         };
         assert_eq!(run(['T', 'P', 'T']), vec![('T', 1), ('P', 2), ('T', 3)]);
         assert_eq!(run(['P', 'T', 'P']), vec![('P', 1), ('T', 2), ('P', 3)]);
+    }
+
+    /// Logs `(time ns, flow)` of every delivery.
+    #[derive(Debug, Default)]
+    struct ArrivalLog {
+        seen: Vec<(u64, u64)>,
+    }
+    impl Agent<TagPayload> for ArrivalLog {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_, TagPayload>, pkt: Packet<TagPayload>) {
+            self.seen.push((ctx.now().as_nanos(), pkt.flow.0));
+        }
+        fn on_timer(&mut self, _ctx: &mut Ctx<'_, TagPayload>, _token: u64) {}
+    }
+
+    /// One `Enqueued` (`'E'`) or `Dequeued` (`'D'`) on the watched
+    /// channel: `(kind, uid, dispatch)`, where `dispatch` is the number
+    /// of `Clock` emissions seen before it. Two entries with the same
+    /// `dispatch` happened inside one event handler (or, at the same
+    /// count, outside any); the tests compare these indices with each
+    /// other only, never with a constant, so they do not depend on how
+    /// many events a run dispatches.
+    type ChannelLogEntry = (char, u64, u64);
+    type SharedLog = Rc<RefCell<Vec<ChannelLogEntry>>>;
+
+    #[derive(Debug)]
+    struct ChannelLog {
+        ch: ChannelId,
+        dispatches: u64,
+        log: SharedLog,
+    }
+    impl crate::monitor::InvariantMonitor for ChannelLog {
+        fn name(&self) -> &'static str {
+            "channel-log"
+        }
+        fn observe(&mut self, _at: SimTime, ev: &MonitorEvent) {
+            match *ev {
+                MonitorEvent::Clock { .. } => self.dispatches += 1,
+                MonitorEvent::Enqueued { channel, uid, .. } if channel == self.ch => {
+                    self.log.borrow_mut().push(('E', uid, self.dispatches));
+                }
+                MonitorEvent::Dequeued { channel, uid, .. } if channel == self.ch => {
+                    self.log.borrow_mut().push(('D', uid, self.dispatches));
+                }
+                _ => {}
+            }
+        }
+        fn violations(&self) -> &[crate::monitor::Violation] {
+            &[]
+        }
+    }
+
+    fn watch(sim: &mut Simulator<TagPayload>, ch: ChannelId) -> SharedLog {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        sim.attach_monitor(Box::new(ChannelLog {
+            ch,
+            dispatches: 0,
+            log: Rc::clone(&log),
+        }));
+        log
+    }
+
+    /// `(kind, uid)` of every log entry, in order.
+    fn kinds(log: &[ChannelLogEntry]) -> Vec<(char, u64)> {
+        log.iter().map(|&(k, uid, _)| (k, uid)).collect()
+    }
+
+    /// What a same-nanosecond tie at the switch's downlink looks like
+    /// from outside: deliveries at the destination, the downlink's
+    /// statistics, and its `Enqueued`/`Dequeued` log.
+    struct TieOutcome {
+        deliveries: Vec<(u64, u64)>,
+        stats: QueueStats,
+        log: Vec<ChannelLogEntry>,
+    }
+
+    /// Senders A, B (and optionally a rival C that mirrors B) behind one
+    /// switch, every link 1 Gbps / 1 us, the downlink able to hold one
+    /// waiting packet. A's 1000-byte packet reaches the switch at 9 us
+    /// and occupies the downlink's transmitter until exactly 17 us — the
+    /// nanosecond B's (and C's) packet reaches the switch.
+    ///
+    /// `b_first`: B and C send 2000 bytes at t = 0, so their arrivals
+    /// were scheduled *before* the downlink transmission began and sort
+    /// before its end. Otherwise they send 500 bytes at t = 12 us, so
+    /// their arrivals were scheduled *after* it began and sort after its
+    /// end.
+    fn tie_at_downlink(b_first: bool, rival: bool) -> TieOutcome {
+        let mut sim: Simulator<TagPayload> = Simulator::new();
+        let sw = sim.add_switch();
+        let dst = sim.add_host(Box::new(ArrivalLog::default()));
+        let bw = Bandwidth::gbps(1);
+        let d = Dur::from_micros(1);
+        let (_, down) = sim.connect(dst, sw, bw, d, QueueConfig::drop_tail(1));
+        let sender = |sim: &mut Simulator<TagPayload>| {
+            let h = sim.add_host(Box::new(SinkAgent::default()));
+            sim.connect(h, sw, bw, d, QueueConfig::default());
+            h
+        };
+        let a = sender(&mut sim);
+        let b = sender(&mut sim);
+        let c = sender(&mut sim);
+        let log = watch(&mut sim, down);
+        sim.inject(a, Packet::new(a, dst, FlowId(1), 1000, TagPayload(0)));
+        let size = if b_first {
+            2000
+        } else {
+            sim.run_until(SimTime::from_nanos(12_000));
+            500
+        };
+        sim.inject(b, Packet::new(b, dst, FlowId(2), size, TagPayload(0)));
+        if rival {
+            sim.inject(c, Packet::new(c, dst, FlowId(3), size, TagPayload(0)));
+        }
+        sim.run();
+        sim.assert_no_violations();
+        let log = log.borrow().clone();
+        TieOutcome {
+            deliveries: sim.host::<ArrivalLog>(dst).seen.clone(),
+            stats: sim.queue_stats(down),
+            log,
+        }
+    }
+
+    /// Tie-break, arrival first: a packet whose arrival sorts before the
+    /// end of the transmission in progress finds the transmitter busy
+    /// and waits (for zero nanoseconds) until a later event dequeues it.
+    #[test]
+    fn arrival_sorting_before_the_transmitter_frees_queues() {
+        let t = tie_at_downlink(true, false);
+        // A: 9 us + 8 us + 1 us. B: 17 us + 16 us + 1 us.
+        assert_eq!(t.deliveries, vec![(18_000, 1), (34_000, 2)]);
+        assert_eq!(
+            (t.stats.enqueued, t.stats.dequeued, t.stats.dropped),
+            (2, 2, 0)
+        );
+        assert_eq!((t.stats.max_len, t.stats.occupancy_integral), (1, 0));
+        assert_eq!(kinds(&t.log), vec![('E', 1), ('D', 1), ('E', 2), ('D', 2)]);
+        assert_eq!(t.log[0].2, t.log[1].2, "A went straight to the wire");
+        assert_eq!(t.log[3].2, t.log[2].2 + 1, "B waited for the next event");
+
+        // With a rival arriving the same nanosecond, B holds the one
+        // waiting slot and C is dropped.
+        let t = tie_at_downlink(true, true);
+        assert_eq!(t.deliveries, vec![(18_000, 1), (34_000, 2)]);
+        assert_eq!(
+            (t.stats.enqueued, t.stats.dequeued, t.stats.dropped),
+            (2, 2, 1)
+        );
+        assert_eq!((t.stats.max_len, t.stats.occupancy_integral), (1, 0));
+        assert_eq!(kinds(&t.log), vec![('E', 1), ('D', 1), ('E', 2), ('D', 2)]);
+    }
+
+    /// Tie-break, transmitter first: a packet whose arrival sorts after
+    /// the end of the transmission finds the transmitter free.
+    #[test]
+    fn arrival_sorting_after_the_transmitter_frees_goes_straight_out() {
+        let t = tie_at_downlink(false, false);
+        // A as above. B: 17 us + 4 us + 1 us.
+        assert_eq!(t.deliveries, vec![(18_000, 1), (22_000, 2)]);
+        assert_eq!(
+            (t.stats.enqueued, t.stats.dequeued, t.stats.dropped),
+            (2, 2, 0)
+        );
+        assert_eq!((t.stats.max_len, t.stats.occupancy_integral), (1, 0));
+        assert_eq!(kinds(&t.log), vec![('E', 1), ('D', 1), ('E', 2), ('D', 2)]);
+        assert_eq!(t.log[3].2, t.log[2].2, "B went straight to the wire");
+
+        // The rival queues behind B for B's 4 us on the wire; nothing
+        // is dropped.
+        let t = tie_at_downlink(false, true);
+        assert_eq!(t.deliveries, vec![(18_000, 1), (22_000, 2), (26_000, 3)]);
+        assert_eq!(
+            (t.stats.enqueued, t.stats.dequeued, t.stats.dropped),
+            (3, 3, 0)
+        );
+        assert_eq!((t.stats.max_len, t.stats.occupancy_integral), (1, 4_000));
+        assert_eq!(
+            kinds(&t.log),
+            vec![('E', 1), ('D', 1), ('E', 2), ('D', 2), ('E', 3), ('D', 3)]
+        );
+        assert_eq!(t.log[3].2, t.log[2].2);
+        assert_eq!(t.log[4].2, t.log[2].2 + 1, "C arrived in the next event");
+        assert!(t.log[5].2 > t.log[4].2, "and waited for a later one");
+    }
+
+    /// Two hosts on one 1 Gbps / 1 us link, the sender's uplink watched.
+    fn watched_pair() -> (Simulator<TagPayload>, NodeId, NodeId, ChannelId, SharedLog) {
+        let mut sim: Simulator<TagPayload> = Simulator::new();
+        let h = sim.add_host(Box::new(SinkAgent::default()));
+        let s = sim.add_host(Box::new(ArrivalLog::default()));
+        let (up, _) = sim.connect(
+            h,
+            s,
+            Bandwidth::gbps(1),
+            Dur::from_micros(1),
+            QueueConfig::default(),
+        );
+        let log = watch(&mut sim, up);
+        (sim, h, s, up, log)
+    }
+
+    /// Tie-break outside any event, transmitter busy: a zero-byte packet
+    /// serialises in zero time, yet a second `inject` at the same instant
+    /// finds the transmitter busy — its wake-up has not been dispatched —
+    /// both before the first `run_until` and between two of them.
+    #[test]
+    fn second_zero_time_inject_queues_behind_the_first() {
+        for start in [0, 5_000] {
+            let (mut sim, h, s, up, log) = watched_pair();
+            if start > 0 {
+                sim.run_until(SimTime::from_nanos(start));
+            }
+            sim.inject(h, Packet::new(h, s, FlowId(1), 0, TagPayload(0)));
+            sim.inject(h, Packet::new(h, s, FlowId(2), 0, TagPayload(0)));
+            assert_eq!(sim.audit_stats().queued_pkts, 1, "start {start}");
+            sim.run();
+            let seen = &sim.host::<ArrivalLog>(s).seen;
+            assert_eq!(seen, &vec![(start + 1_000, 1), (start + 1_000, 2)]);
+            let stats = sim.queue_stats(up);
+            assert_eq!((stats.enqueued, stats.dequeued), (2, 2));
+            assert_eq!((stats.max_len, stats.occupancy_integral), (1, 0));
+            let log = log.borrow();
+            assert_eq!(kinds(&log), vec![('E', 1), ('D', 1), ('E', 2), ('D', 2)]);
+            assert_eq!(log[2].2, log[0].2, "both offered outside any event");
+            assert_eq!(log[3].2, log[2].2 + 1, "the second left in the next one");
+        }
+    }
+
+    /// Tie-break outside any event, transmitter free: `run_until(h)`
+    /// dispatches everything due at `h`, so an `inject` at the instant a
+    /// transmission ended finds the transmitter free.
+    #[test]
+    fn inject_at_the_instant_the_transmitter_freed_goes_straight_out() {
+        let (mut sim, h, s, up, log) = watched_pair();
+        sim.inject(h, Packet::new(h, s, FlowId(1), 1000, TagPayload(0)));
+        // 1000 bytes at 1 Gbps: the transmitter frees at exactly 8 us.
+        sim.run_until(SimTime::from_nanos(8_000));
+        sim.inject(h, Packet::new(h, s, FlowId(2), 1000, TagPayload(0)));
+        assert_eq!(sim.audit_stats().queued_pkts, 0);
+        sim.run();
+        let seen = &sim.host::<ArrivalLog>(s).seen;
+        assert_eq!(seen, &vec![(9_000, 1), (17_000, 2)]);
+        let stats = sim.queue_stats(up);
+        assert_eq!((stats.enqueued, stats.dequeued), (2, 2));
+        assert_eq!((stats.max_len, stats.occupancy_integral), (1, 0));
+        let log = log.borrow();
+        assert_eq!(kinds(&log), vec![('E', 1), ('D', 1), ('E', 2), ('D', 2)]);
+        assert_eq!(log[3].2, log[2].2, "the second went straight to the wire");
     }
 }

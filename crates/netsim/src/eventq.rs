@@ -3,10 +3,17 @@
 //! The discrete-event hot path is dominated by `push`/`pop` of
 //! near-future events. `std::collections::BinaryHeap` works, but a
 //! 4-ary heap laid out in one flat `Vec` halves the tree depth, keeps
-//! four children in one cache line of keys, and avoids the max-heap
+//! four children in adjacent entries, and avoids the max-heap
 //! key inversion dance ([`std::cmp::Reverse`] wrappers or reversed
 //! `Ord`). Entries are stored by value — no per-event boxing — and
-//! sifts move small `(time, seq, value)` triples.
+//! sifts move small `(key, value)` pairs.
+//!
+//! Each entry carries one integer key, `(time << 64) | seq`, so every
+//! ordering decision is a single `u128` comparison. The engine's heap
+//! is small (tens to a few hundred entries) and lives in cache; what a
+//! pop costs there is the branch on each child comparison, which a
+//! two-word `(time, seq)` tuple compare doubles and a one-word compare
+//! lets `sift_down` replace with selects.
 //!
 //! Ordering contract (identical to the `BinaryHeap<EvEntry>` it
 //! replaced): events pop in ascending `(time, seq)` order, where `seq`
@@ -22,16 +29,20 @@ const ARITY: usize = 4;
 
 #[derive(Clone, Debug)]
 struct Entry<T> {
-    at: SimTime,
-    seq: u64,
+    /// `(time << 64) | seq`: ascending key order is ascending
+    /// `(time, seq)` order.
+    key: u128,
     value: T,
 }
 
-impl<T> Entry<T> {
-    #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.at, self.seq)
-    }
+#[inline]
+fn pack(at: SimTime, seq: u64) -> u128 {
+    (u128::from(at.as_nanos()) << 64) | u128::from(seq)
+}
+
+#[inline]
+fn unpack(key: u128) -> (SimTime, u64) {
+    (SimTime::from_nanos((key >> 64) as u64), key as u64)
 }
 
 /// A stable priority queue of timestamped events.
@@ -89,9 +100,7 @@ impl<T> EventQueue<T> {
     #[inline]
     pub fn push(&mut self, at: SimTime, value: T) {
         self.seq += 1;
-        let seq = self.seq;
-        self.heap.push(Entry { at, seq, value });
-        self.sift_up(self.heap.len() - 1);
+        self.push_with_seq(at, self.seq, value);
     }
 
     /// Schedules `value` at `at` under a caller-supplied sequence
@@ -102,14 +111,17 @@ impl<T> EventQueue<T> {
     /// be unique; they do not advance the queue's own counter.
     #[inline]
     pub fn push_with_seq(&mut self, at: SimTime, seq: u64, value: T) {
-        self.heap.push(Entry { at, seq, value });
+        self.heap.push(Entry {
+            key: pack(at, seq),
+            value,
+        });
         self.sift_up(self.heap.len() - 1);
     }
 
     /// Timestamp of the earliest pending event.
     #[inline]
     pub fn peek_at(&self) -> Option<SimTime> {
-        self.heap.first().map(|e| e.at)
+        self.heap.first().map(|e| unpack(e.key).0)
     }
 
     /// `(time, seq)` key of the earliest pending event — comparable
@@ -117,26 +129,32 @@ impl<T> EventQueue<T> {
     /// sequence counter.
     #[inline]
     pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        self.heap.first().map(|e| e.key())
+        self.heap.first().map(|e| unpack(e.key))
     }
 
     /// Removes and returns the earliest event (ties in insertion
     /// order).
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
+        self.pop_with_seq().map(|(at, _, value)| (at, value))
+    }
+
+    /// [`Self::pop`], also handing back the sequence number the event
+    /// was pushed under (the counterpart of [`Self::push_with_seq`]).
+    pub fn pop_with_seq(&mut self) -> Option<(SimTime, u64, T)> {
         let last = self.heap.len().checked_sub(1)?;
-        self.heap.swap(0, last);
-        let entry = self.heap.pop().expect("len checked above"); // trim-lint: allow(no-panic-in-library, reason = "len >= 1 established two lines up")
-        if !self.heap.is_empty() {
+        let entry = self.heap.swap_remove(0);
+        if last > 0 {
             self.sift_down(0);
         }
-        Some((entry.at, entry.value))
+        let (at, seq) = unpack(entry.key);
+        Some((at, seq, entry.value))
     }
 
     #[inline]
     fn sift_up(&mut self, mut i: usize) {
         while i > 0 {
             let parent = (i - 1) / ARITY;
-            if self.heap[parent].key() <= self.heap[i].key() {
+            if self.heap[parent].key <= self.heap[i].key {
                 break;
             }
             self.heap.swap(parent, i);
@@ -147,18 +165,25 @@ impl<T> EventQueue<T> {
     fn sift_down(&mut self, mut i: usize) {
         let n = self.heap.len();
         loop {
-            let first_child = i * ARITY + 1;
-            if first_child >= n {
-                break;
-            }
-            let last_child = (first_child + ARITY).min(n);
-            let mut best = first_child;
-            for c in first_child + 1..last_child {
-                if self.heap[c].key() < self.heap[best].key() {
-                    best = c;
+            let first = i * ARITY + 1;
+            let best = if first + ARITY <= n {
+                // A full group of four children: two pairwise winners,
+                // then the final. Each winner is an index computed from
+                // a comparison's result, not a branch taken on it —
+                // which child is smallest is close to a coin flip per
+                // level, the worst case for a branch predictor.
+                let key = |j: usize| self.heap[first + j].key;
+                let lo = usize::from(key(1) < key(0));
+                let hi = 2 + usize::from(key(3) < key(2));
+                first + if key(hi) < key(lo) { hi } else { lo }
+            } else {
+                // The heap's last, partial group — or no child at all.
+                match (first..n).min_by_key(|&c| self.heap[c].key) {
+                    Some(c) => c,
+                    None => break,
                 }
-            }
-            if self.heap[i].key() <= self.heap[best].key() {
+            };
+            if self.heap[i].key <= self.heap[best].key {
                 break;
             }
             self.heap.swap(i, best);
@@ -246,5 +271,17 @@ mod tests {
         assert_eq!(q.pop(), Some((t(2), "first")));
         assert_eq!(q.pop(), Some((t(7), "a")));
         assert_eq!(q.pop(), Some((t(7), "b")));
+    }
+
+    #[test]
+    fn pop_with_seq_hands_back_the_pushed_sequence() {
+        let mut q = EventQueue::new();
+        q.push_with_seq(t(7), 10, "b");
+        q.push_with_seq(SimTime::MAX, u64::MAX, "last");
+        q.push_with_seq(t(7), 3, "a");
+        assert_eq!(q.pop_with_seq(), Some((t(7), 3, "a")));
+        assert_eq!(q.pop_with_seq(), Some((t(7), 10, "b")));
+        assert_eq!(q.pop_with_seq(), Some((SimTime::MAX, u64::MAX, "last")));
+        assert_eq!(q.pop_with_seq(), None);
     }
 }

@@ -17,10 +17,16 @@
 //! - in-flight packets live in a slab [`crate::arena::PacketArena`] and
 //!   events carry a 4-byte [`PacketRef`], so steady-state simulation
 //!   allocates zero per-packet heap memory;
-//! - routing is O(1) per hop for direct-neighbor destinations (every hop
-//!   of the paper's incast topologies) and O(switch-degree) otherwise,
-//!   with per-switch distance tables instead of the former
-//!   O(nodes²) next-hop matrix;
+//! - a hop through an idle transmitter is one event, the packet's
+//!   arrival at the far end. Every transmission draws the `(time, seq)`
+//!   key of the wake-up that ends it, and the channel is busy while that
+//!   key lies ahead of the event being dispatched; the wake-up is pushed
+//!   as an event only once a packet waits behind the transmission (see
+//!   `Core::transmit`);
+//! - routing is one table read per hop: a host with a single uplink
+//!   sends everything up it, every other node indexes a dense
+//!   `(node, destination)` table of equal-cost sets built once from a
+//!   breadth-first search per switch (`RouteTable`);
 //! - monitor emission is a single branch on a cached flag when detached
 //!   ([`Ctx::emit_monitor_with`] defers event construction entirely).
 
@@ -31,7 +37,6 @@ use crate::agent::Agent;
 use crate::arena::{PacketArena, PacketRef};
 use crate::channel::Channel;
 use crate::eventq::EventQueue;
-use crate::hash::FastHashMap;
 use crate::monitor::{AuditStats, InvariantMonitor, MonitorEvent, Violation};
 use crate::packet::{ChannelId, FlowId, NodeId, Packet, Payload};
 use crate::queue::{QueueConfig, QueueSample, QueueStats};
@@ -56,7 +61,9 @@ pub struct TimerId(u64);
 enum Ev {
     /// Packet finishes propagation and arrives at a node.
     Arrival { node: NodeId, pkt: PacketRef },
-    /// A channel's transmitter finishes serializing a packet.
+    /// A channel's transmitter finishes serializing a packet while
+    /// another waits in the queue. A transmission that ends with nothing
+    /// waiting has no event.
     TxDone { ch: ChannelId },
 }
 
@@ -66,39 +73,35 @@ enum NodeKind {
     Switch,
 }
 
-/// Precomputed forwarding state.
+/// How packets leave one node.
+#[derive(Clone, Copy, Debug)]
+enum Egress {
+    /// A host whose only link goes to a switch: everything leaves on it,
+    /// and an unreachable destination is the switch's "no route". This
+    /// keeps a 100k-host star at one table row, not 100k.
+    Uplink(ChannelId),
+    /// Any other node: its row in [`RouteTable::next`].
+    Row(u32),
+}
+
+/// Precomputed forwarding state: one dense next-hop table.
 ///
-/// The former implementation materialized `routes[node][dst]` — an
-/// O(nodes²) matrix that is prohibitive at 100k hosts. Instead we keep:
+/// `next[row * nodes + dst]` is the `(start, len)` slice of `ecmp` holding
+/// the equal-cost outgoing channels from the row's node toward host `dst`;
+/// `len == 0` means no route. The sets are what a per-hop search would
+/// find, in adjacency order: the parallel edges to `dst` when it is a
+/// direct neighbor (a one-hop route is strictly shorter than any route
+/// via a switch), else the edges to the switch neighbors nearest `dst`.
+/// Paths never transit a host: hosts terminate packets.
 ///
-/// - `dist[switch_row][node]`: hop distance from each *switch* to every
-///   node (switches × nodes, and real topologies have few switches);
-/// - `neighbor_edges[node]`: direct neighbor → parallel edges to it, in
-///   adjacency order. A one-hop route is always strictly shorter than any
-///   route via a switch, so when the destination is a direct neighbor the
-///   equal-cost set is exactly these edges — one hash lookup. This covers
-///   every hop of a star/incast topology.
-/// - `switch_neighbors[node]`: the node's switch neighbors in adjacency
-///   order, scanned (typically a handful) for remote destinations.
-///
-/// Paths never transit a host: hosts terminate packets. (The old BFS
-/// nominally permitted host transit, but hosts are degree-1 leaves in
-/// every topology this crate builds, so no such path was ever a shortest
-/// path.) Equal-cost sets come out in adjacency order either way, so
-/// per-flow ECMP selection is unchanged and simulations reproduce the
-/// previous engine's schedules exactly.
+/// Size is rows x nodes entries, and real topologies have few rows:
+/// switches, plus any host that is not a single-uplink leaf.
 #[derive(Debug, Default)]
 struct RouteTable {
-    /// Node index → dense switch row; `u32::MAX` for hosts.
-    switch_row: Vec<u32>,
-    /// Per switch row: hop distance to every node (`u32::MAX` if
-    /// unreachable).
-    dist: Vec<Vec<u32>>,
-    /// Per node: direct neighbor → every parallel edge to it, in
-    /// adjacency order.
-    neighbor_edges: Vec<FastHashMap<u32, Vec<ChannelId>>>,
-    /// Per node: switch neighbors `(node index, edge)` in adjacency order.
-    switch_neighbors: Vec<Vec<(u32, ChannelId)>>,
+    /// Per node.
+    egress: Vec<Egress>,
+    next: Vec<(u32, u32)>,
+    ecmp: Vec<ChannelId>,
 }
 
 /// Everything the engine owns except the agents. Splitting this out lets an
@@ -116,6 +119,14 @@ struct Core<P: Payload> {
     /// `(time, seq)` a total order across both structures, so the merged
     /// stream is identical to what a single queue would produce.
     seq: u64,
+    /// Sequence number of the event being dispatched. With `now` it is
+    /// the dispatch frontier: every event whose `(time, seq)` key is at
+    /// or below `(now, cur_seq)` has been dispatched, every other one has
+    /// not — including transmitter wake-ups that were never pushed.
+    /// Outside `run_until` it is the last sequence number drawn before
+    /// the `run_until` that reached `now` returned (every event due by
+    /// `now` has run; anything scheduled since has not).
+    cur_seq: u64,
     arena: PacketArena<P>,
     kinds: Vec<NodeKind>,
     channels: Vec<Channel<P>>,
@@ -180,17 +191,30 @@ impl<P: Payload> Core<P> {
     /// transmitter busy for the serialization time, arrival at the far end
     /// after serialization + propagation. The packet parks in the arena
     /// until its `Arrival` pops.
+    ///
+    /// The transmitter's wake-up always draws its sequence number, so
+    /// every other event keeps the `(time, seq)` key it would have had,
+    /// but becomes an event only if a packet is waiting for it — here, or
+    /// later in [`Self::channel_send`]. Skipping it otherwise changes
+    /// nothing observable: dispatched, it would find the queue empty.
     #[inline]
     fn transmit(&mut self, ch: ChannelId, now: SimTime, pkt: Packet<P>) {
-        let c = &self.channels[ch.index()];
-        let ser = c.bandwidth.serialization_time(pkt.size);
-        let delay = c.delay;
+        let c = &mut self.channels[ch.index()];
+        let free_at = now + c.bandwidth.serialization_time(pkt.size);
+        let arrive_at = free_at + c.delay;
         let to = c.to;
+        self.seq += 1;
+        c.free_at = free_at;
+        c.free_seq = self.seq;
+        c.tx_armed = !c.queue.is_empty();
+        if c.tx_armed {
+            self.events
+                .push_with_seq(free_at, self.seq, Ev::TxDone { ch });
+        }
         let (flow, uid) = (pkt.flow, pkt.uid);
         let pkt = self.arena.alloc(pkt);
         self.pending_arrivals += 1;
-        self.schedule(now + ser, Ev::TxDone { ch });
-        self.schedule(now + ser + delay, Ev::Arrival { node: to, pkt });
+        self.schedule(arrive_at, Ev::Arrival { node: to, pkt });
         self.emit(MonitorEvent::Dequeued {
             channel: ch,
             flow,
@@ -208,14 +232,15 @@ impl<P: Payload> Core<P> {
 
     /// The per-event bookkeeping the run loop performs before handling
     /// any event, in the exact order the engine has always done it:
-    /// clock emission (observed at the *previous* instant), clock
-    /// advance, event count.
+    /// clock emission (observed at the *previous* instant), advance of
+    /// the dispatch frontier `(now, cur_seq)`, event count.
     #[inline]
-    fn step_clock(&mut self, at: SimTime) {
+    fn step_clock(&mut self, at: SimTime, seq: u64) {
         if self.monitors_on {
             self.emit(MonitorEvent::Clock { to: at });
         }
         self.now = at;
+        self.cur_seq = seq;
         self.events_processed += 1;
     }
 
@@ -332,14 +357,15 @@ impl<P: Payload> Core<P> {
 
     /// Hands a packet to a channel: straight to the transmitter when idle,
     /// into the queue otherwise (dropped when full).
+    ///
+    /// The transmitter is idle iff the wake-up ending its last
+    /// transmission sorts at or before the event being dispatched. At the
+    /// very nanosecond it frees, a packet therefore queues iff its own
+    /// event sorts before that wake-up.
     fn channel_send(&mut self, ch: ChannelId, now: SimTime, pkt: Packet<P>) {
         let (src, dst, flow, size, uid) = (pkt.src, pkt.dst, pkt.flow, pkt.size, pkt.uid);
         let c = &mut self.channels[ch.index()];
-        let cap_pkts = match c.queue.config().capacity {
-            QueueCapacity::Packets(n) => Some(n),
-            QueueCapacity::Bytes(_) => None,
-        };
-        let was_idle = !c.busy;
+        let was_idle = (c.free_at, c.free_seq) <= (now, self.cur_seq);
         // A packet offered to an idle channel passes through the queue
         // too, so that enqueued/dequeued reflect every packet offered to
         // the channel. The enqueue can still fail (zero capacity,
@@ -349,7 +375,12 @@ impl<P: Payload> Core<P> {
             return;
         }
         if self.monitors_on {
-            let len_after = self.channels[ch.index()].queue.len();
+            let q = &self.channels[ch.index()].queue;
+            let cap_pkts = match q.config().capacity {
+                QueueCapacity::Packets(n) => Some(n),
+                QueueCapacity::Bytes(_) => None,
+            };
+            let len_after = q.len();
             self.emit(MonitorEvent::Enqueued {
                 channel: ch,
                 flow,
@@ -358,26 +389,31 @@ impl<P: Payload> Core<P> {
                 cap_pkts,
             });
         }
+        let c = &mut self.channels[ch.index()];
         if was_idle {
-            let c = &mut self.channels[ch.index()];
-            c.busy = true;
             // CoDel never drops the last remaining packet, so the dequeue
             // directly after a successful enqueue always yields one.
             let head = c.queue.dequeue(now).expect("just enqueued"); // trim-lint: allow(no-panic-in-library, reason = "dequeue directly follows the enqueue in this call")
             self.transmit(ch, now, head);
+        } else if !c.tx_armed {
+            // First packet to wait behind the transmission in progress:
+            // its wake-up becomes an event, under the key it drew.
+            c.tx_armed = true;
+            self.events
+                .push_with_seq(c.free_at, c.free_seq, Ev::TxDone { ch });
         }
     }
 
     fn on_tx_done(&mut self, ch: ChannelId) {
         let now = self.now;
         let c = &mut self.channels[ch.index()];
+        c.tx_armed = false;
         let head = c.queue.dequeue(now);
         // CoDel may have dropped queued packets during that dequeue;
         // account for them before the survivor's `Dequeued` event.
         self.drain_sojourn_drops(ch, now);
-        match head {
-            Some(pkt) => self.transmit(ch, now, pkt),
-            None => self.channels[ch.index()].busy = false,
+        if let Some(pkt) = head {
+            self.transmit(ch, now, pkt);
         }
     }
 
@@ -428,108 +464,102 @@ impl<P: Payload> Core<P> {
             panic!("no route from {node} to {dst}"); // trim-lint: allow(no-panic-in-library, reason = "documented panic: routing to a switch is a topology construction bug")
         }
         let r = &self.routes;
-        let u = node.index();
-        // Direct-neighbor fast path: a one-hop route is strictly shorter
-        // than anything via a switch, so the equal-cost set is exactly
-        // the parallel edges to dst.
-        if let Some(set) = r.neighbor_edges[u].get(&dst.index_u32()) {
-            return match set.len() {
-                1 => set[0],
-                n => set[(ecmp_hash(flow) % n as u64) as usize],
-            };
-        }
-        // Remote destination: equal-cost next hops are the switch
-        // neighbors whose distance to dst is minimal. (A host neighbor
-        // can only be on a shortest path as the destination itself,
-        // which the fast path already handled.)
-        let sn = &r.switch_neighbors[u];
-        let mut best = u32::MAX;
-        let mut count = 0u64;
-        for &(v, _) in sn {
-            let d = r.dist[r.switch_row[v as usize] as usize][dst.index()];
-            if d < best {
-                best = d;
-                count = 1;
-            } else if d == best {
-                count += 1;
-            }
-        }
-        if best == u32::MAX {
-            panic!("no route from {node} to {dst}"); // trim-lint: allow(no-panic-in-library, reason = "documented panic: a disconnected topology is a construction bug")
-        }
-        let choice = if count == 1 {
-            0
-        } else {
-            ecmp_hash(flow) % count
+        let row = match r.egress[node.index()] {
+            Egress::Uplink(ch) => return ch,
+            Egress::Row(row) => row as usize,
         };
-        let mut seen = 0u64;
-        for &(v, ch) in sn {
-            if r.dist[r.switch_row[v as usize] as usize][dst.index()] == best {
-                if seen == choice {
-                    return ch;
+        let (start, len) = r.next[row * self.kinds.len() + dst.index()];
+        let pick = match len {
+            0 => panic!("no route from {node} to {dst}"), // trim-lint: allow(no-panic-in-library, reason = "documented panic: a disconnected topology is a construction bug")
+            1 => 0,
+            n => ecmp_hash(flow) % u64::from(n),
+        };
+        r.ecmp[start as usize + pick as usize]
+    }
+
+    /// Hop distance from every switch to every node (`u32::MAX` if
+    /// unreachable), indexed `[switch][node]`; hosts get an empty row.
+    /// Breadth-first from each switch, never expanding a host: hosts are
+    /// reachable endpoints but cannot be transited.
+    fn switch_distances(&self) -> Vec<Vec<u32>> {
+        let n = self.kinds.len();
+        let mut queue = VecDeque::new();
+        (0..n)
+            .map(|s| {
+                if self.kinds[s] == NodeKind::Host {
+                    return Vec::new();
                 }
-                seen += 1;
-            }
-        }
-        unreachable!("equal-cost set smaller than counted")
+                let mut d = vec![u32::MAX; n];
+                d[s] = 0;
+                queue.push_back(s);
+                while let Some(x) = queue.pop_front() {
+                    if self.kinds[x] == NodeKind::Host {
+                        continue;
+                    }
+                    for &(v, _) in &self.adjacency[x] {
+                        let vi = v.index();
+                        if d[vi] == u32::MAX {
+                            d[vi] = d[x] + 1;
+                            queue.push_back(vi);
+                        }
+                    }
+                }
+                d
+            })
+            .collect()
     }
 
     fn build_routes(&mut self) {
         let n = self.kinds.len();
-        let mut switch_row = vec![u32::MAX; n];
+        let dist = self.switch_distances();
+        let is_host = |v: NodeId| self.kinds[v.index()] == NodeKind::Host;
+        let mut routes = RouteTable::default();
         let mut rows = 0u32;
-        for (i, k) in self.kinds.iter().enumerate() {
-            if *k == NodeKind::Switch {
-                switch_row[i] = rows;
-                rows += 1;
-            }
-        }
-        // BFS from every switch over the topology, never expanding a
-        // host: hosts are reachable endpoints but cannot be transited.
-        let mut dist = Vec::with_capacity(rows as usize);
-        let mut queue = VecDeque::new();
-        for s in 0..n {
-            if switch_row[s] == u32::MAX {
-                continue;
-            }
-            let mut d = vec![u32::MAX; n];
-            d[s] = 0;
-            queue.clear();
-            queue.push_back(s);
-            while let Some(x) = queue.pop_front() {
-                if self.kinds[x] == NodeKind::Host {
+        for (u, adj) in self.adjacency.iter().enumerate() {
+            if let (NodeKind::Host, &[(v, ch)]) = (self.kinds[u], adj.as_slice()) {
+                if !is_host(v) {
+                    routes.egress.push(Egress::Uplink(ch));
                     continue;
                 }
-                for &(v, _) in &self.adjacency[x] {
-                    let vi = v.index();
-                    if d[vi] == u32::MAX {
-                        d[vi] = d[x] + 1;
-                        queue.push_back(vi);
+            }
+            routes.egress.push(Egress::Row(rows));
+            rows += 1;
+            // Edges to host neighbors grouped by neighbor; the sort is
+            // stable, so parallel edges stay in adjacency order.
+            let mut direct: Vec<(usize, ChannelId)> = adj
+                .iter()
+                .filter(|&&(v, _)| is_host(v))
+                .map(|&(v, ch)| (v.index(), ch))
+                .collect();
+            direct.sort_by_key(|&(v, _)| v);
+            let mut direct = direct.into_iter().peekable();
+            // Switch neighbors, in adjacency order, with their distances.
+            let via: Vec<(&[u32], ChannelId)> = adj
+                .iter()
+                .filter(|&&(v, _)| !is_host(v))
+                .map(|&(v, ch)| (dist[v.index()].as_slice(), ch))
+                .collect();
+            for dst in 0..n {
+                let start = routes.ecmp.len();
+                while let Some((_, ch)) = direct.next_if(|&(v, _)| v == dst) {
+                    routes.ecmp.push(ch);
+                }
+                if routes.ecmp.len() == start && self.kinds[dst] == NodeKind::Host {
+                    let nearest = via.iter().map(|&(d, _)| d[dst]).min();
+                    if let Some(best) = nearest.filter(|&best| best != u32::MAX) {
+                        let tied = via.iter().filter(|&&(d, _)| d[dst] == best);
+                        routes.ecmp.extend(tied.map(|&(_, ch)| ch));
                     }
                 }
+                let len = routes.ecmp.len() - start;
+                routes.next.push((start as u32, len as u32));
             }
-            dist.push(d);
         }
-        let mut neighbor_edges = Vec::with_capacity(n);
-        let mut switch_neighbors = Vec::with_capacity(n);
-        for u in 0..n {
-            let mut ne: FastHashMap<u32, Vec<ChannelId>> = FastHashMap::default();
-            let mut sn = Vec::new();
-            for &(v, ch) in &self.adjacency[u] {
-                ne.entry(v.index_u32()).or_default().push(ch);
-                if self.kinds[v.index()] == NodeKind::Switch {
-                    sn.push((v.index_u32(), ch));
-                }
-            }
-            neighbor_edges.push(ne);
-            switch_neighbors.push(sn);
-        }
-        self.routes = RouteTable {
-            switch_row,
-            dist,
-            neighbor_edges,
-            switch_neighbors,
-        };
+        assert!(
+            u32::try_from(routes.ecmp.len()).is_ok(),
+            "route table too large"
+        );
+        self.routes = routes;
         self.routes_built = true;
     }
 }
@@ -542,13 +572,6 @@ fn ecmp_hash(flow: FlowId) -> u64 {
 
 fn splitmix64(x: u64) -> u64 {
     crate::hash::mix64(x)
-}
-
-impl NodeId {
-    #[inline]
-    fn index_u32(self) -> u32 {
-        self.0
-    }
 }
 
 /// The agent's view of the simulator during a callback: clock, packet
@@ -663,6 +686,7 @@ impl<P: Payload> Simulator<P> {
                 events: EventQueue::new(),
                 wheel: TimerWheel::new(),
                 seq: 0,
+                cur_seq: 0,
                 arena: PacketArena::new(),
                 kinds: Vec::new(),
                 channels: Vec::new(),
@@ -757,8 +781,9 @@ impl<P: Payload> Simulator<P> {
     }
 
     /// Events dispatched since the start of the simulation: packet
-    /// arrivals, transmitter wake-ups and timer fires. A cancelled timer
-    /// is never dispatched, so it is not counted.
+    /// arrivals, timer fires, and transmitter wake-ups that had a packet
+    /// waiting. A transmission that ends with an empty queue and a
+    /// cancelled timer are never dispatched, so they are not counted.
     pub fn events_processed(&self) -> u64 {
         self.core.events_processed
     }
@@ -967,6 +992,12 @@ impl<P: Payload> Simulator<P> {
         if horizon != SimTime::MAX && horizon > self.core.now {
             self.core.now = horizon;
         }
+        // Everything due by `now` has been dispatched, whatever its
+        // sequence number; nothing scheduled from here on has. (A horizon
+        // in the past dispatched nothing and moves nothing.)
+        if horizon >= self.core.now {
+            self.core.cur_seq = self.core.seq;
+        }
         if self.core.monitors_on {
             let audit = self.core.audit();
             let at = self.core.now;
@@ -980,10 +1011,10 @@ impl<P: Payload> Simulator<P> {
 
     /// Pops and dispatches the minimal timer.
     fn fire_timer(&mut self) {
-        let Some((at, _seq, (node, token))) = self.core.wheel.pop() else {
+        let Some((at, seq, (node, token))) = self.core.wheel.pop() else {
             return;
         };
-        self.core.step_clock(at);
+        self.core.step_clock(at, seq);
         let agent = self.agents[node.index()]
             .as_mut()
             .expect("timer delivered to switch"); // trim-lint: allow(no-panic-in-library, reason = "timers are only ever set by host agents; a switch timer is engine corruption")
@@ -996,13 +1027,13 @@ impl<P: Payload> Simulator<P> {
 
     /// Pops and handles the minimal packet/link event.
     fn process_event(&mut self) {
-        let Some((at, ev)) = self.core.events.pop() else {
+        let Some((at, seq, ev)) = self.core.events.pop_with_seq() else {
             return;
         };
         // Timers are strictly later than this event, so the wheel's
         // placement windows can advance to the present.
         self.core.wheel.advance_to(at);
-        self.core.step_clock(at);
+        self.core.step_clock(at, seq);
         match ev {
             Ev::TxDone { ch } => self.core.on_tx_done(ch),
             Ev::Arrival { node, pkt } => {
@@ -1296,6 +1327,97 @@ mod tests {
         sim.inject(h0, Packet::new(h0, sw, FlowId(0), 100, TagPayload(0)));
     }
 
+    /// The per-hop search the dense next-hop table replaced, kept as the
+    /// reference it must agree with: the parallel edges to `dst` when it
+    /// is a direct neighbor, else the edges to the switch neighbors at
+    /// minimum distance from `dst`, both in adjacency order; per-flow
+    /// ECMP over that set.
+    fn reference_route_out(
+        core: &Core<TagPayload>,
+        dist: &[Vec<u32>],
+        node: NodeId,
+        dst: NodeId,
+        flow: FlowId,
+    ) -> ChannelId {
+        let adj = &core.adjacency[node.index()];
+        let edges_to = |pick: &dyn Fn(NodeId) -> bool| -> Vec<ChannelId> {
+            let picked = adj.iter().filter(|&&(v, _)| pick(v));
+            picked.map(|&(_, ch)| ch).collect()
+        };
+        let mut set = edges_to(&|v| v == dst);
+        if set.is_empty() {
+            let to_dst = |v: NodeId| dist[v.index()].get(dst.index()).copied();
+            let best = adj.iter().filter_map(|&(v, _)| to_dst(v)).min();
+            let best = best.expect("node has a switch neighbor");
+            assert_ne!(best, u32::MAX, "no route from {node} to {dst}");
+            set = edges_to(&|v| to_dst(v) == Some(best));
+        }
+        set[(ecmp_hash(flow) % set.len() as u64) as usize]
+    }
+
+    /// `route_out` equals the reference for every node, every host
+    /// destination (the node itself included) and 64 flow labels.
+    fn assert_routes_match_reference(sim: &mut Simulator<TagPayload>) {
+        sim.ensure_ready();
+        let core = &sim.core;
+        let dist = core.switch_distances();
+        let nodes = || (0..core.kinds.len() as u32).map(NodeId);
+        for node in nodes() {
+            for dst in nodes().filter(|d| core.kinds[d.index()] == NodeKind::Host) {
+                for flow in (0..64).map(FlowId) {
+                    assert_eq!(
+                        core.route_out(node, dst, flow),
+                        reference_route_out(core, &dist, node, dst, flow),
+                        "{node} -> {dst}, flow {flow:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn route_table_matches_per_hop_search() {
+        let link = crate::topology::LinkSpec::new(
+            Bandwidth::gbps(1),
+            Dur::from_micros(1),
+            QueueConfig::default(),
+        );
+        fn sink<T>(_: T) -> Box<dyn Agent<TagPayload>> {
+            Box::new(SinkAgent::default())
+        }
+
+        let mut sim = Simulator::new();
+        crate::topology::fat_tree(&mut sim, 4, link, sink);
+        assert_routes_match_reference(&mut sim);
+
+        let mut sim = Simulator::new();
+        crate::topology::many_to_one(&mut sim, 50, link, sink);
+        assert_routes_match_reference(&mut sim);
+
+        // A multigraph no builder makes: parallel host-switch and
+        // switch-switch edges, a longer detour beside them, a dual-homed
+        // host, and two hosts joined directly (hosts forward nothing, so
+        // each needs a switch of its own to be reachable by the rest).
+        let mut sim: Simulator<TagPayload> = Simulator::new();
+        let [h0, h1, dual, lone, peer] = [(); 5].map(|()| sim.add_host(sink(())));
+        let [sa, sb, sc] = [(); 3].map(|()| sim.add_switch());
+        let mut join = |a, b| sim.connect(a, b, link.bandwidth, link.delay, link.queue);
+        join(h0, sa);
+        join(sa, sb);
+        join(h0, sa);
+        join(sa, sc);
+        join(sa, sb);
+        join(sc, sb);
+        join(sb, h1);
+        join(dual, sc);
+        join(sb, h1);
+        join(dual, sa);
+        join(lone, sc);
+        join(dual, peer);
+        join(peer, sb);
+        assert_routes_match_reference(&mut sim);
+    }
+
     /// Counts monitor events and records violations on demand; used to
     /// test the emission hooks themselves.
     #[derive(Debug, Default)]
@@ -1453,8 +1575,8 @@ mod tests {
             Packet::new(senders[0], dst, FlowId(1), 1460, TagPayload(0)),
         );
         sim.run();
-        // One packet over two hops: 2 arrivals + 2 tx-done events.
-        assert_eq!(sim.events_processed(), 4);
+        // One packet over two idle hops: 2 arrivals, no wake-up.
+        assert_eq!(sim.events_processed(), 2);
     }
 
     #[test]
@@ -1660,9 +1782,11 @@ mod tests {
     }
 
     /// The event-count contract: `events_processed` is the number of
-    /// events dispatched, one per `Clock` emission. A timer cancelled
-    /// while live is never dispatched and never counted, and slicing a
-    /// run into several `run_until` calls does not change the total.
+    /// events dispatched, one per `Clock` emission. A transmitter wake-up
+    /// is an event only when a packet was waiting for it, a timer
+    /// cancelled while live is never dispatched and never counted, and
+    /// slicing a run into several `run_until` calls does not change the
+    /// total.
     #[test]
     fn events_processed_counts_dispatched_events_only() {
         let build = || {
@@ -1691,16 +1815,17 @@ mod tests {
 
         let (mut whole, clocks) = build();
         whole.run_until(horizon);
-        // 5 packets x (tx-done + arrival) on the one hop + the 1 ms fire.
-        assert_eq!(whole.events_processed(), 11);
-        assert_eq!(clocks.load(Ordering::Relaxed), 11);
+        // 5 back-to-back packets on the one hop: 5 arrivals, the 4
+        // wake-ups that found a packet waiting, and the 1 ms fire.
+        assert_eq!(whole.events_processed(), 10);
+        assert_eq!(clocks.load(Ordering::Relaxed), 10);
 
         let (mut sliced, clocks) = build();
         for k in 1..=10 {
             sliced.run_until(SimTime::from_nanos(250_000 * k));
         }
-        assert_eq!(sliced.events_processed(), 11);
-        assert_eq!(clocks.load(Ordering::Relaxed), 11);
+        assert_eq!(sliced.events_processed(), 10);
+        assert_eq!(clocks.load(Ordering::Relaxed), 10);
     }
 
     /// Arms `n` timers for one deadline with ascending tokens.
@@ -1794,7 +1919,7 @@ mod tests {
             sim.ensure_ready();
             // Scheduled straight into the two structures, so the global
             // sequence numbers are 1, 2, 3 in `kinds` order and nothing
-            // else (no tx-done) is ever pending.
+            // else is ever pending.
             for (i, kind) in kinds.into_iter().enumerate() {
                 let id = i as u64 + 1;
                 if kind == 'T' {
@@ -2062,5 +2187,23 @@ mod tests {
         let log = log.borrow();
         assert_eq!(kinds(&log), vec![('E', 1), ('D', 1), ('E', 2), ('D', 2)]);
         assert_eq!(log[3].2, log[2].2, "the second went straight to the wire");
+    }
+
+    /// A `run_until` whose horizon lies in the past dispatches nothing,
+    /// so it must not free a transmitter either: the zero-time packet
+    /// injected before it is still on the wire for the one after.
+    #[test]
+    fn run_until_into_the_past_frees_no_transmitter() {
+        let (mut sim, h, s, up, _log) = watched_pair();
+        sim.run_until(SimTime::from_nanos(5_000));
+        sim.inject(h, Packet::new(h, s, FlowId(1), 0, TagPayload(0)));
+        sim.run_until(SimTime::from_nanos(4_000));
+        sim.inject(h, Packet::new(h, s, FlowId(2), 0, TagPayload(0)));
+        assert_eq!(sim.audit_stats().queued_pkts, 1);
+        sim.run();
+        let seen = &sim.host::<ArrivalLog>(s).seen;
+        assert_eq!(seen, &vec![(6_000, 1), (6_000, 2)]);
+        let stats = sim.queue_stats(up);
+        assert_eq!((stats.enqueued, stats.dequeued, stats.max_len), (2, 2, 1));
     }
 }

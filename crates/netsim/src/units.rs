@@ -46,9 +46,13 @@ impl Bandwidth {
     /// Time to serialize `bytes` onto the wire at this rate, rounded up to
     /// the next nanosecond so that back-to-back packets never overlap.
     pub fn serialization_time(self, bytes: u32) -> Dur {
-        let bits = bytes as u128 * 8;
-        let ns = (bits * 1_000_000_000).div_ceil(self.0 as u128);
-        Dur::from_nanos(ns as u64)
+        // bits x 1e9 fits a u64 up to ~2.3 GB, so the per-packet case
+        // never needs the 128-bit division.
+        let ns = match u64::from(bytes).checked_mul(8_000_000_000) {
+            Some(bit_ns) => bit_ns.div_ceil(self.0),
+            None => (u128::from(bytes) * 8_000_000_000).div_ceil(u128::from(self.0)) as u64,
+        };
+        Dur::from_nanos(ns)
     }
 }
 
@@ -122,6 +126,61 @@ mod tests {
         // 1 byte at 3 bps: 8/3 s = 2.666..s -> rounds up.
         let t = Bandwidth::bps(3).serialization_time(1);
         assert_eq!(t.as_nanos(), 2_666_666_667);
+    }
+
+    /// The 64-bit path and the 128-bit fallback are one function: both
+    /// equal the all-128-bit formula on either side of the switch-over
+    /// (`bytes x 8e9` overflows a `u64` above 2 305 843 009 bytes),
+    /// including where the division rounds up.
+    #[test]
+    fn serialization_time_paths_agree() {
+        let wide = |bps: u64, bytes: u32| {
+            (u128::from(bytes) * 8_000_000_000).div_ceil(u128::from(bps)) as u64
+        };
+        let last_narrow = (u64::MAX / 8_000_000_000) as u32;
+        assert_eq!(last_narrow, 2_305_843_009);
+        // Known answers on both sides: at 8 Gbps a byte takes 1 ns.
+        let gbps8 = Bandwidth::gbps(8);
+        for bytes in [last_narrow, last_narrow + 1, u32::MAX] {
+            assert_eq!(gbps8.serialization_time(bytes).as_nanos(), bytes as u64);
+        }
+        // 7 bps never divides 8e9 x bytes evenly for these sizes.
+        assert_eq!(
+            Bandwidth::bps(7).serialization_time(1).as_nanos(),
+            1_142_857_143
+        );
+        let rates = [
+            1,
+            3,
+            7,
+            999_999_937,
+            1_000_000_000,
+            10_000_000_000,
+            40_000_000_001,
+            u64::MAX,
+        ];
+        let sizes = [
+            0,
+            1,
+            40,
+            1460,
+            1500,
+            65_535,
+            last_narrow - 1,
+            last_narrow,
+            last_narrow + 1,
+            u32::MAX - 1,
+            u32::MAX,
+        ];
+        for bps in rates {
+            for bytes in sizes {
+                assert_eq!(
+                    Bandwidth::bps(bps).serialization_time(bytes).as_nanos(),
+                    wide(bps, bytes),
+                    "{bytes} B at {bps} bps"
+                );
+            }
+        }
     }
 
     #[test]

@@ -503,7 +503,9 @@ impl Conn {
             self.next_seq = self.next_seq.max(self.high_ack);
             self.max_seq_sent = self.max_seq_sent.max(self.next_seq);
             self.backoff = 1;
-            self.sacked = self.sacked.split_off(&self.high_ack);
+            if !self.sacked.is_empty() {
+                self.sacked = self.sacked.split_off(&self.high_ack);
+            }
             if self.in_recovery {
                 if ack_seq >= self.recover {
                     // Full ACK: leave recovery, deflate to ssthresh.

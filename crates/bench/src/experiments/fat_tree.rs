@@ -40,7 +40,7 @@ pub fn run_once(cc: &CcKind, k: usize, seed: u64) -> FatTreeRun {
         QueueConfig {
             capacity: QueueCapacity::Bytes(350_000),
             ecn_threshold: Some(65),
-            aqm: netsim::queue::Aqm::DropTail,
+            aqm: netsim::QueueDiscipline::DropTail,
         },
     );
     let net = topology::fat_tree(&mut sim, k, link, |_| Box::new(TcpHost::new()));

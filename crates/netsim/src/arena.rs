@@ -127,7 +127,6 @@ impl<P> PacketArena<P> {
 mod tests {
     use super::*;
     use crate::packet::{FlowId, NodeId, Packet, TagPayload};
-    use crate::time::SimTime;
 
     fn pkt(uid: u64) -> Packet<TagPayload> {
         Packet {
@@ -135,7 +134,6 @@ mod tests {
             dst: NodeId(1),
             flow: FlowId(9),
             size: 1500,
-            sent_at: SimTime::ZERO,
             uid,
             payload: TagPayload(7),
         }

@@ -7,7 +7,7 @@
 //! - duplex links built from per-direction drop-tail queues with optional
 //!   ECN marking ([`queue`], [`channel`]),
 //! - output-queued switches with shortest-path forwarding and deterministic
-//!   per-flow ECMP ([`sim`]),
+//!   per-flow ECMP ([`sim`]; the forwarding table is `route.rs`),
 //! - host [`agent::Agent`]s that receive packets and timers and reply
 //!   through a [`sim::Ctx`],
 //! - the paper's topologies: many-to-one, two-tier, multi-hop and fat-tree
@@ -55,8 +55,10 @@ pub mod channel;
 pub mod eventq;
 pub mod hash;
 pub mod monitor;
+mod observe;
 pub mod packet;
 pub mod queue;
+mod route;
 pub mod sim;
 pub mod time;
 pub mod topology;
@@ -70,9 +72,7 @@ pub use eventq::EventQueue;
 pub use hash::{mix64, FastHashMap, FastHashSet};
 pub use monitor::{AuditStats, InvariantMonitor, MonitorEvent, ProbeTransition, Violation};
 pub use packet::{ChannelId, FlowId, NodeId, Packet, Payload, TagPayload};
-pub use queue::{
-    Aqm, CoDelConfig, QueueConfig, QueueDiscipline, QueueSample, QueueStats, RedConfig,
-};
+pub use queue::{CoDelConfig, QueueConfig, QueueDiscipline, QueueSample, QueueStats, RedConfig};
 pub use sim::{Ctx, Simulator, TimerId};
 pub use time::{Dur, SimTime};
 pub use trace::{PacketEvent, PacketEventKind, PacketTrace, Series, ThroughputMeter};
@@ -86,7 +86,7 @@ pub mod prelude {
         AuditStats, InvariantMonitor, MonitorEvent, ProbeTransition, Violation,
     };
     pub use crate::packet::{ChannelId, FlowId, NodeId, Packet, Payload, TagPayload};
-    pub use crate::queue::{Aqm, CoDelConfig, QueueConfig, QueueDiscipline, QueueStats, RedConfig};
+    pub use crate::queue::{CoDelConfig, QueueConfig, QueueDiscipline, QueueStats, RedConfig};
     pub use crate::sim::{Ctx, Simulator, TimerId};
     pub use crate::time::{Dur, SimTime};
     pub use crate::topology;

@@ -8,8 +8,6 @@
 
 use core::fmt;
 
-use crate::time::SimTime;
-
 /// Identifies a node (host or switch) in the simulated network.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub(crate) u32);
@@ -90,9 +88,6 @@ pub struct Packet<P> {
     pub flow: FlowId,
     /// Total wire size in bytes (headers + data).
     pub size: u32,
-    /// Time the packet was handed to the source's outgoing channel; set by
-    /// the simulator when the packet is first sent.
-    pub sent_at: SimTime,
     /// Engine-unique packet id, assigned by the simulator at injection
     /// (`0` until then). Invariant monitors use it to track individual
     /// packets — e.g. per-port FIFO order — across hops, which the
@@ -103,14 +98,13 @@ pub struct Packet<P> {
 }
 
 impl<P: Payload> Packet<P> {
-    /// Creates a packet. `sent_at` is stamped by the simulator on send.
+    /// Creates a packet. `uid` is assigned by the simulator on send.
     pub fn new(src: NodeId, dst: NodeId, flow: FlowId, size: u32, payload: P) -> Self {
         Packet {
             src,
             dst,
             flow,
             size,
-            sent_at: SimTime::ZERO,
             uid: 0,
             payload,
         }
@@ -143,10 +137,18 @@ mod tests {
         assert_eq!(FlowId(2).to_string(), "f2");
     }
 
+    /// Every queued and in-flight packet carries these bytes; a field
+    /// added here is paid for 10^5 times over in an incast.
     #[test]
-    fn packet_new_zeroes_sent_at() {
+    fn packet_header_is_32_bytes() {
+        let header = std::mem::size_of::<Packet<TagPayload>>() - std::mem::size_of::<TagPayload>();
+        assert_eq!(header, 32);
+    }
+
+    #[test]
+    fn packet_new_leaves_uid_unassigned() {
         let p = Packet::new(NodeId(0), NodeId(1), FlowId(5), 1460, TagPayload(1));
-        assert_eq!(p.sent_at, SimTime::ZERO);
+        assert_eq!(p.uid, 0);
         assert_eq!(p.size, 1460);
         assert_eq!(p.flow, FlowId(5));
     }

@@ -360,6 +360,29 @@ pub fn fat_tree<P: Payload>(
     }
 }
 
+/// The unit tests' star: `n_senders` sinks and a sink front-end on
+/// 1 Gbps / 50 us links, default queues everywhere except `bottleneck`
+/// on the switch's downlink to the front-end. Returns the simulator,
+/// the senders, the front-end and that downlink.
+#[cfg(test)]
+pub(crate) fn sink_star(
+    n_senders: usize,
+    bottleneck: QueueConfig,
+) -> (
+    Simulator<crate::packet::TagPayload>,
+    Vec<NodeId>,
+    NodeId,
+    ChannelId,
+) {
+    let mut sim = Simulator::new();
+    let link = |queue| LinkSpec::new(Bandwidth::gbps(1), Dur::from_micros(50), queue);
+    let (senders, down) = (link(QueueConfig::default()), link(bottleneck));
+    let net = many_to_one_asym(&mut sim, n_senders, senders, down, |_| {
+        Box::new(crate::agent::SinkAgent::default())
+    });
+    (sim, net.senders, net.front_end, net.bottleneck)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

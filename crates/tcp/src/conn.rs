@@ -328,18 +328,20 @@ impl Conn {
     }
 
     /// Queues `bytes` of application data as one packet train and starts
-    /// transmitting as the window allows.
+    /// transmitting as the window allows. Returns the id the train's
+    /// [`TrainRecord`] will carry once it completes.
     ///
     /// # Panics
     ///
     /// Panics if `bytes` is zero.
-    pub(crate) fn enqueue_train(&mut self, ctx: &mut Ctx<'_, Segment>, bytes: u64) {
+    pub(crate) fn enqueue_train(&mut self, ctx: &mut Ctx<'_, Segment>, bytes: u64) -> u64 {
         assert!(bytes > 0, "empty train");
         let pkts = bytes.div_ceil(self.cfg.mss_bytes as u64);
         let start_seq = self.total_pkts;
         self.total_pkts += pkts;
+        let id = self.next_train_id;
         self.trains.push_back(TrainProgress {
-            id: self.next_train_id,
+            id,
             bytes,
             start_seq,
             end_seq: self.total_pkts,
@@ -348,6 +350,7 @@ impl Conn {
         });
         self.next_train_id += 1;
         self.try_send(ctx);
+        id
     }
 
     /// Transmits as much new data as the window, the probe state, and the
@@ -404,9 +407,10 @@ impl Conn {
         }
     }
 
-    fn transmit(&mut self, ctx: &mut Ctx<'_, Segment>, seq: u64, is_probe: bool) {
+    /// Puts data segment `seq` on the wire: the one place a data packet
+    /// is built, sent, reported to the controller and counted.
+    fn send_segment(&mut self, ctx: &mut Ctx<'_, Segment>, seq: u64, is_probe: bool, is_rtx: bool) {
         let now = ctx.now();
-        let is_rtx = seq < self.max_seq_sent;
         let seg = Segment::data(seq, is_probe, is_rtx, now, self.cc.uses_ecn());
         let pkt = Packet::new(ctx.node(), self.dst, self.flow, self.cfg.mss_bytes, seg);
         ctx.send(pkt);
@@ -415,8 +419,14 @@ impl Conn {
         if is_rtx {
             self.stats.rtx_sent += 1;
         }
+    }
+
+    /// The window-driven send path: new data and go-back-N resends.
+    fn transmit(&mut self, ctx: &mut Ctx<'_, Segment>, seq: u64, is_probe: bool) {
+        let is_rtx = seq < self.max_seq_sent;
+        self.send_segment(ctx, seq, is_probe, is_rtx);
         if !is_rtx {
-            self.note_first_send(seq, now);
+            self.note_first_send(seq, ctx.now());
         }
         if self.rto_timer.is_none() {
             self.arm_rto(ctx);
@@ -493,6 +503,18 @@ impl Conn {
                 self.rto_est.observe(r);
             }
         }
+        // What the controller is told about this ACK, read off the
+        // connection as it stands when the controller is fed.
+        let ack_info = |c: &Conn, newly_acked: u64| AckInfo {
+            now,
+            rtt,
+            newly_acked,
+            ack_seq,
+            next_seq: c.next_seq,
+            flight: c.next_seq - c.high_ack,
+            ece,
+            probe_echo: echo_probe,
+        };
 
         if ack_seq > self.high_ack {
             let newly = ack_seq - self.high_ack;
@@ -524,19 +546,7 @@ impl Conn {
                 }
             } else {
                 self.dup_acks = 0;
-                let info = AckInfo {
-                    now,
-                    rtt,
-                    newly_acked: newly,
-                    ack_seq,
-                    next_seq: self.next_seq,
-                    flight: self.next_seq - self.high_ack,
-                    ece,
-                    probe_echo: echo_probe,
-                };
-                let before = self.win.cwnd;
-                self.cc.on_ack(&mut self.win, &info);
-                self.emit_ack_window(ctx, before, echo_probe);
+                self.feed_controller(ctx, ack_info(self, newly));
             }
             self.complete_trains(now);
             self.rearm_rto(ctx);
@@ -561,19 +571,7 @@ impl Conn {
                     // Still feed the controller: TRIM needs every RTT
                     // sample, DCTCP every ECE, probe echoes may ride on
                     // duplicates.
-                    let info = AckInfo {
-                        now,
-                        rtt,
-                        newly_acked: 0,
-                        ack_seq,
-                        next_seq: self.next_seq,
-                        flight: self.next_seq - self.high_ack,
-                        ece,
-                        probe_echo: echo_probe,
-                    };
-                    let before = self.win.cwnd;
-                    self.cc.on_ack(&mut self.win, &info);
-                    self.emit_ack_window(ctx, before, echo_probe);
+                    self.feed_controller(ctx, ack_info(self, 0));
                 }
             }
         }
@@ -592,6 +590,12 @@ impl Conn {
         self.try_send(ctx);
     }
 
+    fn feed_controller(&mut self, ctx: &mut Ctx<'_, Segment>, info: AckInfo) {
+        let before = self.win.cwnd;
+        self.cc.on_ack(&mut self.win, &info);
+        self.emit_ack_window(ctx, before, info.probe_echo);
+    }
+
     fn enter_fast_recovery(&mut self, ctx: &mut Ctx<'_, Segment>, now: SimTime) {
         self.in_recovery = true;
         self.recover = self.next_seq;
@@ -607,14 +611,10 @@ impl Conn {
         self.rearm_rto(ctx);
     }
 
+    /// The loss-recovery send path: a repair outside the window, whose
+    /// caller owns the RTO.
     fn transmit_rtx(&mut self, ctx: &mut Ctx<'_, Segment>, seq: u64) {
-        let now = ctx.now();
-        let seg = Segment::data(seq, false, true, now, self.cc.uses_ecn());
-        let pkt = Packet::new(ctx.node(), self.dst, self.flow, self.cfg.mss_bytes, seg);
-        ctx.send(pkt);
-        self.cc.note_sent(now);
-        self.stats.pkts_sent += 1;
-        self.stats.rtx_sent += 1;
+        self.send_segment(ctx, seq, false, true);
     }
 
     /// Retransmits the lowest sequence in `[high_ack, recover)` that is

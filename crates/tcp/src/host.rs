@@ -55,6 +55,10 @@ struct ResponseSequence {
     sizes: Vec<u64>,
     think: netsim::time::Dur,
     next: usize,
+    /// `TrainRecord::id` of the response in flight. Only that train's
+    /// completion advances the sequence: the sender may also carry plain
+    /// scheduled trains.
+    outstanding: Option<u64>,
     /// Responses fully acknowledged so far.
     completed: usize,
     /// Whether the session-end event has been emitted.
@@ -221,6 +225,7 @@ impl TcpHost {
             sizes,
             think,
             next: 0,
+            outstanding: None,
             completed: 0,
             ended: false,
             fault_early_end: false,
@@ -340,28 +345,30 @@ impl TcpHost {
         self.seq_by_sender.remove(&idx);
     }
 
-    /// Trains completed on sender `sender_idx`: record the finished
-    /// responses, and if the sequence has responses left, arm the
+    /// Sender `sender_idx` completed the trains after its first
+    /// `already_done`: if the sequence's outstanding response is among
+    /// them, record it, and if the sequence has responses left, arm the
     /// think-time timer for the next one; otherwise close the session.
     fn advance_sequence(
         &mut self,
         ctx: &mut Ctx<'_, Segment>,
         sender_idx: usize,
-        newly_done: usize,
+        already_done: usize,
     ) {
         let Some(&seq_idx) = self.seq_by_sender.get(&sender_idx) else {
             return;
         };
-        let flow = self.flows.get(sender_idx).flow();
+        let conn = self.flows.get(sender_idx);
+        let flow = conn.flow();
         let seq = &mut self.sequences[seq_idx];
-        // Only count completions for responses this sequence issued
-        // (the sender may also carry plain scheduled trains).
-        let credit = newly_done.min(seq.next - seq.completed);
-        for _ in 0..credit {
-            let index = seq.completed as u32;
-            seq.completed += 1;
-            ctx.emit_monitor_with(|| MonitorEvent::ResponseCompleted { flow, index });
+        let newly_done = &conn.completed_trains()[already_done..];
+        if !newly_done.iter().any(|t| Some(t.id) == seq.outstanding) {
+            return;
         }
+        seq.outstanding = None;
+        let index = seq.completed as u32;
+        seq.completed += 1;
+        ctx.emit_monitor_with(|| MonitorEvent::ResponseCompleted { flow, index });
         if seq.next < seq.sizes.len() {
             ctx.set_timer(seq.think, ((seq_idx as u64) << KIND_BITS) | KIND_SEQ);
         } else if seq.completed == seq.sizes.len() && !seq.ended {
@@ -412,7 +419,7 @@ impl Agent<Segment> for TcpHost {
                 conn.on_ack(ctx, ack_seq, echo_ts, echo_probe, echo_rtx, ece, &sack);
                 let after = conn.completed_trains().len();
                 if after > before {
-                    self.advance_sequence(ctx, idx, after - before);
+                    self.advance_sequence(ctx, idx, before);
                 }
             }
         }
@@ -431,7 +438,7 @@ impl Agent<Segment> for TcpHost {
                 }
                 match ev.action {
                     AppAction::Train { bytes } => {
-                        self.flows.get_mut(ev.sender_idx).enqueue_train(ctx, bytes)
+                        self.flows.get_mut(ev.sender_idx).enqueue_train(ctx, bytes);
                     }
                     AppAction::Stop => self.flows.get_mut(ev.sender_idx).truncate_unsent(),
                     AppAction::Teardown => self.teardown_sender(ctx, ev.sender_idx),
@@ -468,7 +475,8 @@ impl Agent<Segment> for TcpHost {
                             completed,
                         });
                     }
-                    self.flows.get_mut(sender).enqueue_train(ctx, bytes);
+                    let id = self.flows.get_mut(sender).enqueue_train(ctx, bytes);
+                    self.sequences[idx].outstanding = Some(id);
                 }
             }
             _ => unreachable!("unknown timer kind {kind}"),

@@ -179,8 +179,9 @@ pub struct SpecTrain {
 /// sequentially on `sender`, each `think_us` after the previous one
 /// completes, starting at `at_us`. At most one session per sender (a
 /// sender's connection carries one response sequence), and a sender
-/// with a session carries no standalone trains — interleaving both on
-/// one connection would corrupt the sequence's completion tracking.
+/// with a session carries no standalone trains: a spec keeps each
+/// connection's workload one kind or the other (`TcpHost` itself can
+/// interleave them).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpecSession {
     /// 0-based sender index.

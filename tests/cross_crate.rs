@@ -65,7 +65,7 @@ fn fat_tree_carries_mixed_protocols() {
             QueueConfig {
                 capacity: QueueCapacity::Bytes(350_000),
                 ecn_threshold: Some(65),
-                aqm: netsim::queue::Aqm::DropTail,
+                aqm: netsim::QueueDiscipline::DropTail,
             },
         ),
         |_| Box::new(TcpHost::new()),

@@ -31,17 +31,6 @@ pub struct TcpConfig {
     pub max_rto: Dur,
     /// Duplicate-ACK threshold for fast retransmit.
     pub dupack_threshold: u32,
-    /// Enable selective acknowledgments (RFC 2018-style): the receiver
-    /// reports out-of-order blocks and the sender repairs exactly the
-    /// holes instead of relying on NewReno partial ACKs / go-back-N.
-    /// Off by default to match the paper's NS2 Reno substrate.
-    pub sack: bool,
-    /// Delayed acknowledgments: coalesce ACKs for up to two in-order
-    /// packets or this timeout, whichever first (RFC 1122). Out-of-order
-    /// data, duplicates, CE-marked packets (DCTCP) and TRIM probe packets
-    /// are always acknowledged immediately. `None` (the default) ACKs
-    /// every packet, matching NS2.
-    pub delayed_ack: Option<Dur>,
 }
 
 impl Default for TcpConfig {
@@ -57,8 +46,6 @@ impl Default for TcpConfig {
             min_rto: Dur::from_millis(200),
             max_rto: Dur::from_secs(60),
             dupack_threshold: 3,
-            sack: false,
-            delayed_ack: None,
         }
     }
 }
@@ -67,18 +54,6 @@ impl TcpConfig {
     /// Sets the minimum retransmission timeout (also the pre-sample RTO).
     pub fn with_min_rto(mut self, rto: Dur) -> Self {
         self.min_rto = rto;
-        self
-    }
-
-    /// Enables selective acknowledgments.
-    pub fn with_sack(mut self) -> Self {
-        self.sack = true;
-        self
-    }
-
-    /// Enables delayed acknowledgments with the given timeout.
-    pub fn with_delayed_ack(mut self, timeout: Dur) -> Self {
-        self.delayed_ack = Some(timeout);
         self
     }
 
@@ -111,9 +86,6 @@ impl TcpConfig {
         }
         if self.dupack_threshold == 0 {
             return Err("dupack_threshold must be positive".into());
-        }
-        if self.delayed_ack == Some(Dur::ZERO) {
-            return Err("delayed_ack timeout must be positive".into());
         }
         Ok(())
     }

@@ -11,13 +11,12 @@
 //! A sender's whole state is one [`Conn`], boxed in its
 //! [`FlowSlab`](crate::slab::FlowSlab) slot. Every ACK touches the
 //! window, the RTO estimator and the sequence cursors, but also the
-//! config, the stats, the SACK scoreboard, the controller, the probe
-//! state and the train queue, so there is no rarely-touched half to
-//! split off. The state machine is `impl Conn`; the public methods are
+//! config, the stats, the controller, the probe state and the train
+//! queue, so there is no rarely-touched half to split off. The state machine is `impl Conn`; the public methods are
 //! the read-only view behind
 //! [`TcpHost::connection`](crate::TcpHost::connection).
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use netsim::prelude::*;
 use netsim::time::{Dur, SimTime};
@@ -25,7 +24,7 @@ use netsim::time::{Dur, SimTime};
 use crate::cc::{AckInfo, CcAlgo, PreSendAction, WindowState};
 use crate::config::TcpConfig;
 use crate::rto::RtoEstimator;
-use crate::segment::{SackBlocks, Segment};
+use crate::segment::Segment;
 
 /// Timer-token kind for retransmission timeouts (dispatched by `TcpHost`).
 pub(crate) const KIND_RTO: u64 = 0;
@@ -35,8 +34,6 @@ pub(crate) const KIND_PROBE: u64 = 1;
 pub(crate) const KIND_APP: u64 = 2;
 /// Timer-token kind for the next train in a response sequence.
 pub(crate) const KIND_SEQ: u64 = 3;
-/// Timer-token kind for a receiver's delayed-ACK timeout.
-pub(crate) const KIND_DELACK: u64 = 4;
 /// Width of the kind field in timer tokens.
 pub(crate) const KIND_BITS: u64 = 3;
 
@@ -103,7 +100,7 @@ struct ProbePending {
 
 /// One sending connection: the per-event working set (window, RTO
 /// estimator, sequence cursors, recovery flags) and everything around it
-/// (config, controller, SACK scoreboard, train queue, stats), boxed per
+/// (config, controller, train queue, stats), boxed per
 /// flow in the [`FlowSlab`](crate::slab::FlowSlab).
 #[derive(Debug)]
 pub struct Conn {
@@ -139,12 +136,6 @@ pub struct Conn {
     pub(crate) local_idx: u64,
 
     probe: Option<ProbePending>,
-
-    /// SACK scoreboard: sequences above `high_ack` the receiver reported
-    /// holding (only populated when `cfg.sack`).
-    sacked: BTreeSet<u64>,
-    /// Holes already retransmitted in the current recovery episode.
-    rtx_this_recovery: BTreeSet<u64>,
 
     trains: VecDeque<TrainProgress>,
     next_train_id: u64,
@@ -187,8 +178,6 @@ pub(crate) fn new_conn(
         cc,
         local_idx: 0,
         probe: None,
-        sacked: BTreeSet::new(),
-        rtx_this_recovery: BTreeSet::new(),
         trains: VecDeque::new(),
         next_train_id: 0,
         completed: Vec::new(),
@@ -360,11 +349,8 @@ impl Conn {
             if self.win.suspended || self.next_seq >= self.total_pkts {
                 break;
             }
-            // With SACK, sacked packets have left the network: they do
-            // not occupy the window (pipe accounting).
-            let flight = (self.next_seq - self.high_ack) - self.sacked.len() as u64;
             let wnd = self.win.cwnd.floor().max(1.0) as u64;
-            if flight >= wnd {
+            if self.flight() >= wnd {
                 break;
             }
             // Algorithm 1 applies only to fresh data, not go-back-N
@@ -469,8 +455,7 @@ impl Conn {
         }
     }
 
-    /// Processes an arriving cumulative ACK (with optional SACK blocks).
-    #[allow(clippy::too_many_arguments)]
+    /// Processes an arriving cumulative ACK.
     pub(crate) fn on_ack(
         &mut self,
         ctx: &mut Ctx<'_, Segment>,
@@ -479,18 +464,8 @@ impl Conn {
         echo_probe: bool,
         echo_rtx: bool,
         ece: bool,
-        sack: &SackBlocks,
     ) {
         let now = ctx.now();
-        if self.cfg.sack {
-            for block in sack.iter().flatten() {
-                for seq in block.0..block.1 {
-                    if seq >= self.high_ack && seq < self.next_seq {
-                        self.sacked.insert(seq);
-                    }
-                }
-            }
-        }
         self.stats.acks_received += 1;
         // Karn's rule: no RTT sample from a retransmitted packet's echo.
         let rtt = if echo_rtx {
@@ -525,20 +500,13 @@ impl Conn {
             self.next_seq = self.next_seq.max(self.high_ack);
             self.max_seq_sent = self.max_seq_sent.max(self.next_seq);
             self.backoff = 1;
-            if !self.sacked.is_empty() {
-                self.sacked = self.sacked.split_off(&self.high_ack);
-            }
             if self.in_recovery {
                 if ack_seq >= self.recover {
                     // Full ACK: leave recovery, deflate to ssthresh.
                     self.in_recovery = false;
                     self.dup_acks = 0;
-                    self.rtx_this_recovery.clear();
                     self.win.cwnd = self.win.ssthresh;
                     self.win.clamp_cwnd();
-                } else if self.cfg.sack {
-                    // SACK recovery: repair the lowest unrepaired hole.
-                    self.retransmit_next_hole(ctx);
                 } else {
                     // NewReno partial ACK: the next hole is lost too.
                     self.transmit_rtx(ctx, self.high_ack);
@@ -556,15 +524,9 @@ impl Conn {
                 self.dup_acks += 1;
                 self.stats.dup_acks_received += 1;
                 if self.in_recovery {
-                    if self.cfg.sack {
-                        // SACK recovery: the scoreboard says what is
-                        // missing; repair it instead of inflating.
-                        self.retransmit_next_hole(ctx);
-                    } else {
-                        // Window inflation keeps the pipe full.
-                        self.win.cwnd += 1.0;
-                        self.win.clamp_cwnd();
-                    }
+                    // Window inflation keeps the pipe full.
+                    self.win.cwnd += 1.0;
+                    self.win.clamp_cwnd();
                 } else if self.dup_acks == self.cfg.dupack_threshold {
                     self.enter_fast_recovery(ctx, now);
                 } else {
@@ -599,8 +561,6 @@ impl Conn {
     fn enter_fast_recovery(&mut self, ctx: &mut Ctx<'_, Segment>, now: SimTime) {
         self.in_recovery = true;
         self.recover = self.next_seq;
-        self.rtx_this_recovery.clear();
-        self.rtx_this_recovery.insert(self.high_ack);
         self.stats.fast_retransmits += 1;
         let flight = self.flight();
         self.cc.on_fast_retransmit(&mut self.win, flight, now);
@@ -615,28 +575,6 @@ impl Conn {
     /// caller owns the RTO.
     fn transmit_rtx(&mut self, ctx: &mut Ctx<'_, Segment>, seq: u64) {
         self.send_segment(ctx, seq, false, true);
-    }
-
-    /// Retransmits the lowest sequence in `[high_ack, recover)` that is
-    /// neither SACKed nor already repaired in this recovery episode and
-    /// that qualifies as lost under RFC 6675's rule: at least
-    /// `dupack_threshold` SACKed sequences lie above it (otherwise the
-    /// packet may simply still be in flight).
-    fn retransmit_next_hole(&mut self, ctx: &mut Ctx<'_, Segment>) {
-        let thresh = self.cfg.dupack_threshold as usize;
-        let mut seq = self.high_ack;
-        while seq < self.recover {
-            if !self.sacked.contains(&seq) && !self.rtx_this_recovery.contains(&seq) {
-                let reported_above = self.sacked.range(seq + 1..).take(thresh).count();
-                if reported_above < thresh {
-                    return; // not yet known lost; wait for more reports
-                }
-                self.rtx_this_recovery.insert(seq);
-                self.transmit_rtx(ctx, seq);
-                return;
-            }
-            seq += 1;
-        }
     }
 
     /// The retransmission timer fired: collapse the window, back off the
@@ -659,8 +597,6 @@ impl Conn {
         }
         self.in_recovery = false;
         self.dup_acks = 0;
-        self.rtx_this_recovery.clear();
-        self.sacked.clear();
         self.backoff = (self.backoff * 2).min(64);
         // Go-back-N: resume from the last cumulative ACK.
         self.next_seq = self.high_ack;

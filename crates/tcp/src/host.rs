@@ -13,9 +13,7 @@ use netsim::time::SimTime;
 
 use crate::cc::CcKind;
 use crate::config::TcpConfig;
-use crate::conn::{
-    new_conn, Conn, KIND_APP, KIND_BITS, KIND_DELACK, KIND_PROBE, KIND_RTO, KIND_SEQ,
-};
+use crate::conn::{new_conn, Conn, KIND_APP, KIND_BITS, KIND_PROBE, KIND_RTO, KIND_SEQ};
 use crate::receiver::Receiver;
 use crate::segment::{SegKind, Segment};
 use crate::slab::{FlowSlab, SlabAudit};
@@ -158,7 +156,7 @@ impl TcpHost {
             self.recv_by_flow.insert(flow.0, idx).is_none(),
             "duplicate receiver for flow {flow}"
         );
-        self.receivers.push(Receiver::new(flow, cfg, idx as u64));
+        self.receivers.push(Receiver::new(flow, cfg));
         idx
     }
 
@@ -409,14 +407,13 @@ impl Agent<Segment> for TcpHost {
                 echo_probe,
                 echo_rtx,
                 ece,
-                sack,
             } => {
                 let Some(&idx) = self.send_by_flow.get(&pkt.flow.0) else {
                     return;
                 };
                 let conn = self.flows.get_mut(idx);
                 let before = conn.completed_trains().len();
-                conn.on_ack(ctx, ack_seq, echo_ts, echo_probe, echo_rtx, ece, &sack);
+                conn.on_ack(ctx, ack_seq, echo_ts, echo_probe, echo_rtx, ece);
                 let after = conn.completed_trains().len();
                 if after > before {
                     self.advance_sequence(ctx, idx, before);
@@ -444,7 +441,6 @@ impl Agent<Segment> for TcpHost {
                     AppAction::Teardown => self.teardown_sender(ctx, ev.sender_idx),
                 }
             }
-            KIND_DELACK => self.receivers[idx].on_delack_timer(ctx),
             KIND_SEQ => {
                 let seq = &mut self.sequences[idx];
                 if self.flows.generation(seq.sender_idx) != seq.generation {

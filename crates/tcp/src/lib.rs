@@ -5,7 +5,8 @@
 //! - packet-granularity sequencing with cumulative ACKs, timestamp echo,
 //!   duplicate-ACK fast retransmit, NewReno partial-ACK recovery, and
 //!   go-back-N RTO recovery ([`conn`]);
-//! - per-packet-ACK receivers with ECN echo ([`receiver`]);
+//! - receivers that ACK every packet, echoing its timestamp, probe flag
+//!   and CE mark ([`receiver`]);
 //! - a host agent multiplexing many connections ([`host`]), their state
 //!   held one boxed [`Conn`] per flow in a recycling flow slab ([`slab`]);
 //! - pluggable congestion control ([`cc`]): Reno, CUBIC, DCTCP, L2DCT, the

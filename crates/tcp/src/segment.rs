@@ -8,10 +8,6 @@
 use netsim::time::SimTime;
 use netsim::Payload;
 
-/// Up to three selective-acknowledgment blocks, each `[start, end)` in
-/// packet sequence numbers, most recently changed block first (RFC 2018).
-pub type SackBlocks = [Option<(u64, u64)>; 3];
-
 /// The transport header of a simulated packet.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Segment {
@@ -52,8 +48,6 @@ pub enum SegKind {
         echo_rtx: bool,
         /// ECN Echo: the triggering data packet arrived CE-marked.
         ece: bool,
-        /// Selective-acknowledgment blocks (empty when SACK is off).
-        sack: SackBlocks,
     },
 }
 
@@ -81,18 +75,6 @@ impl Segment {
         echo_rtx: bool,
         ece: bool,
     ) -> Self {
-        Segment::ack_with_sack(ack_seq, echo_ts, echo_probe, echo_rtx, ece, [None; 3])
-    }
-
-    /// Creates an ACK segment carrying selective-acknowledgment blocks.
-    pub fn ack_with_sack(
-        ack_seq: u64,
-        echo_ts: SimTime,
-        echo_probe: bool,
-        echo_rtx: bool,
-        ece: bool,
-        sack: SackBlocks,
-    ) -> Self {
         Segment {
             kind: SegKind::Ack {
                 ack_seq,
@@ -100,7 +82,6 @@ impl Segment {
                 echo_probe,
                 echo_rtx,
                 ece,
-                sack,
             },
             ect: false,
             ce: false,

@@ -220,163 +220,3 @@ fn loss_patterns_are_reproducible() {
     };
     assert_eq!(run(), run());
 }
-
-// ---- SACK ----
-//
-// These tests give the connection a large initial window so the whole
-// train is transmitted in one burst: channel arrival indices then equal
-// packet sequence numbers exactly, and the injected losses hit the
-// intended packets even after retransmissions begin.
-
-fn one_burst(mut cfg: TcpConfig) -> TcpConfig {
-    cfg.init_cwnd = 128.0;
-    cfg
-}
-
-#[test]
-fn sack_repairs_many_holes_without_rto() {
-    let cfg = one_burst(
-        TcpConfig::default()
-            .with_min_rto(Dur::from_millis(20))
-            .with_sack(),
-    );
-    let (mut sim, tx, data_ch, _) = pair(&CcKind::Reno, cfg, 60 * MSS as u64);
-    // Five scattered losses in flight: NewReno would need one RTT per
-    // hole (or an RTO); SACK repairs them all within recovery.
-    sim.inject_channel_drops(data_ch, [6, 11, 16, 21, 26]);
-    let stats = finish(&mut sim, tx, 60);
-    assert_eq!(stats.timeouts, 0, "{stats:?}");
-    assert_eq!(stats.rtx_sent, 5, "exactly the holes: {stats:?}");
-    assert_eq!(stats.fast_retransmits, 1, "{stats:?}");
-}
-
-#[test]
-fn sack_never_retransmits_delivered_data() {
-    let cfg = one_burst(
-        TcpConfig::default()
-            .with_min_rto(Dur::from_millis(20))
-            .with_sack(),
-    );
-    let (mut sim, tx, data_ch, _) = pair(&CcKind::Reno, cfg, 40 * MSS as u64);
-    sim.inject_channel_drops(data_ch, [5, 6, 7]); // one contiguous hole
-    let stats = finish(&mut sim, tx, 40);
-    assert_eq!(stats.timeouts, 0, "{stats:?}");
-    assert_eq!(
-        stats.rtx_sent, 3,
-        "only the hole is repaired, nothing sacked is resent: {stats:?}"
-    );
-}
-
-#[test]
-fn sack_and_newreno_deliver_identical_data() {
-    let run = |sack: bool| {
-        let mut cfg = one_burst(TcpConfig::default().with_min_rto(Dur::from_millis(20)));
-        if sack {
-            cfg = cfg.with_sack();
-        }
-        let (mut sim, tx, data_ch, _) = pair(&CcKind::Reno, cfg, 80 * MSS as u64);
-        sim.inject_channel_drops(data_ch, [4, 9, 14, 40, 41, 42, 70]);
-        finish(&mut sim, tx, 80)
-    };
-    let newreno = run(false);
-    let sack = run(true);
-    // Same data delivered either way; SACK needs no more (usually fewer)
-    // retransmissions and no more timeouts.
-    assert!(
-        sack.rtx_sent <= newreno.rtx_sent + 1,
-        "{sack:?} vs {newreno:?}"
-    );
-    assert!(sack.timeouts <= newreno.timeouts, "{sack:?} vs {newreno:?}");
-}
-
-#[test]
-fn trim_composes_with_sack() {
-    let cfg = one_burst(
-        TcpConfig::default()
-            .with_min_rto(Dur::from_millis(20))
-            .with_sack(),
-    );
-    let trim = CcKind::trim_with_capacity(1_000_000_000, MSS);
-    let (mut sim, tx, data_ch, _) = pair(&trim, cfg, 50 * MSS as u64);
-    sim.inject_channel_drops(data_ch, [8, 9, 20]);
-    let stats = finish(&mut sim, tx, 50);
-    assert_eq!(stats.timeouts, 0, "{stats:?}");
-    assert_eq!(stats.rtx_sent, 3, "{stats:?}");
-}
-
-// ---- Delayed ACKs ----
-
-#[test]
-fn delayed_acks_halve_the_ack_count() {
-    let run = |delack: bool| {
-        let mut cfg = TcpConfig::default();
-        if delack {
-            cfg = cfg.with_delayed_ack(Dur::from_millis(40));
-        }
-        let (mut sim, tx, _, _) = pair(&CcKind::Reno, cfg, 100 * MSS as u64);
-        sim.run_until(SimTime::from_secs(10));
-        let host: &TcpHost = sim.host(tx);
-        assert!(host.connection(0).is_idle());
-        host.connection(0).stats().acks_received
-    };
-    let every = run(false);
-    let delayed = run(true);
-    assert_eq!(every, 100, "ACK-per-packet baseline");
-    assert!(
-        delayed < 60,
-        "coalescing should roughly halve ACKs: {delayed}"
-    );
-}
-
-#[test]
-fn delayed_acks_do_not_delay_loss_recovery() {
-    let cfg = TcpConfig::default()
-        .with_min_rto(Dur::from_millis(200))
-        .with_delayed_ack(Dur::from_millis(40));
-    let (mut sim, tx, data_ch, _) = pair(&CcKind::Reno, cfg, 30 * MSS as u64);
-    sim.inject_channel_drops(data_ch, [5]);
-    let stats = finish(&mut sim, tx, 30);
-    // Out-of-order arrivals are acked immediately, so fast retransmit
-    // still fires and no RTO is needed.
-    assert_eq!(stats.timeouts, 0, "{stats:?}");
-    assert_eq!(stats.fast_retransmits, 1, "{stats:?}");
-    let host: &TcpHost = sim.host(tx);
-    let ct = host.connection(0).completed_trains()[0]
-        .completion_time()
-        .as_secs_f64();
-    assert!(ct < 0.1, "no delack stall: {ct}s");
-}
-
-#[test]
-fn trim_probes_bypass_ack_delay() {
-    let cfg = TcpConfig::default().with_delayed_ack(Dur::from_millis(40));
-    let trim = CcKind::trim_with_capacity(1_000_000_000, MSS);
-    let mut sim: Simulator<Segment> = Simulator::new();
-    let mut rx = TcpHost::new();
-    rx.add_receiver(FlowId(0), cfg);
-    let rx_node = sim.add_host(Box::new(rx));
-    let mut tx = TcpHost::new();
-    let idx = tx.add_sender(FlowId(0), rx_node, cfg, &trim);
-    tx.schedule_train(idx, SimTime::from_secs_f64(0.001), 10 * MSS as u64);
-    tx.schedule_train(idx, SimTime::from_secs_f64(0.1), 10 * MSS as u64);
-    let tx_node = sim.add_host(Box::new(tx));
-    sim.connect(
-        tx_node,
-        rx_node,
-        Bandwidth::gbps(1),
-        Dur::from_micros(50),
-        QueueConfig::drop_tail(1000),
-    );
-    sim.run_until(SimTime::from_secs(2));
-    let host: &TcpHost = sim.host(tx_node);
-    let conn = host.connection(0);
-    assert!(conn.is_idle());
-    assert_eq!(conn.completed_trains().len(), 2);
-    let stats = conn.stats();
-    assert_eq!(stats.probes_sent, 2, "{stats:?}");
-    assert_eq!(stats.timeouts, 0, "{stats:?}");
-    // The second train completes quickly: the probe ACKs were not held
-    // for the 40 ms delack timer (which would exceed the probe deadline).
-    let second = conn.completed_trains()[1].completion_time().as_secs_f64();
-    assert!(second < 0.01, "probe ACKs immediate: {second}s");
-}

@@ -1,7 +1,8 @@
 //! End-to-end fuzzer checks: a bounded clean run finds nothing, and the
 //! detector self-test re-finds the injected over-admission and shrinks
 //! it to a minimal spec — the debug-mode twin of CI's release-mode
-//! `trim-fuzz --iterations 200 --seed 7` smoke.
+//! `trim-fuzz --iterations 200 --seed 7` smoke. Also: `--replay` turns
+//! an out-of-range spec file into one error line, not a panic.
 
 use trim_fuzz::{check_spec, run_fuzz, FuzzConfig, GenConfig};
 
@@ -88,5 +89,59 @@ fn shrunk_repro_is_locally_minimal_in_fan_in() {
                 "half the fan-in still reproduces; shrinker should have taken it"
             );
         }
+    }
+}
+
+#[test]
+fn replay_rejects_out_of_range_specs_without_panicking() {
+    // Each of these once wrapped time or byte arithmetic, tripped the
+    // TcpConfig constructor panic, or aborted on allocation.
+    let base = [
+        ("senders", "1"),
+        ("link_mbps", "1000"),
+        ("delay_us", "50"),
+        ("buffer_pkts", "64"),
+        ("cc", "reno"),
+        ("min_rto_us", "10000"),
+        ("horizon_ms", "300"),
+        ("train", "0 100 58400"),
+    ];
+    let max = u64::MAX;
+    let cases = [
+        ("delay_us", i64::MAX.to_string()),
+        ("min_rto_us", max.to_string()),
+        ("train", format!("0 100 {max}")),
+        ("horizon_ms", max.to_string()),
+        ("link_mbps", max.to_string()),
+        ("buffer_pkts", max.to_string()),
+        ("senders", "3000000000".to_string()),
+    ];
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("out_of_range_specs");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for (i, (field, bad)) in cases.iter().enumerate() {
+        let text: String = base
+            .iter()
+            .map(|(key, value)| {
+                let value = if key == field { bad.as_str() } else { value };
+                format!("{key} = {value}\n")
+            })
+            .collect();
+        std::fs::write(dir.join(format!("{i}.spec")), text).unwrap();
+    }
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_trim-fuzz"))
+        .arg("--replay")
+        .arg(&dir)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let lines: Vec<&str> = stderr.lines().collect();
+    assert_eq!(lines.len(), cases.len(), "one line per spec: {stderr}");
+    for (i, ((field, _), line)) in cases.iter().zip(&lines).enumerate() {
+        // "<file>: <field> <value> exceeds the ceiling <max>"
+        let named = format!("{i}.spec: {field} ");
+        assert!(line.contains(&named) && line.contains("ceiling"), "{line}");
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The engine schedules two very different event populations: packet and
 //! link events, which are dense in time and short-lived, and per-flow
-//! timers (RTO, delayed-ACK, probe deadlines), which at the million-flow
+//! timers (RTO, probe deadlines), which at the million-flow
 //! scale dominate the event count and are overwhelmingly *cancelled*
 //! before they fire (every ACK re-arms the RTO). A comparison-based heap
 //! pays `O(log n)` per schedule and cannot cancel in place; the wheel

@@ -12,9 +12,9 @@
 //! [`FlowSlab`](crate::slab::FlowSlab) slot. Every ACK touches the
 //! window, the RTO estimator and the sequence cursors, but also the
 //! config, the stats, the controller, the probe state and the train
-//! queue, so there is no rarely-touched half to split off. The state machine is `impl Conn`; the public methods are
-//! the read-only view behind
-//! [`TcpHost::connection`](crate::TcpHost::connection).
+//! queue, so there is no rarely-touched half to split off. The state
+//! machine is `impl Conn`; the public methods are the read-only view
+//! behind [`TcpHost::connection`](crate::TcpHost::connection).
 
 use std::collections::VecDeque;
 

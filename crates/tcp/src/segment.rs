@@ -112,6 +112,14 @@ impl Payload for Segment {
 mod tests {
     use super::*;
 
+    /// A packet is moved by value at every hop: header plus segment must
+    /// stay within one cache line.
+    #[test]
+    fn packet_of_segment_is_one_cache_line() {
+        assert!(std::mem::size_of::<Segment>() <= 32);
+        assert!(std::mem::size_of::<netsim::Packet<Segment>>() <= 64);
+    }
+
     #[test]
     fn data_is_ecn_capable_only_when_ect() {
         let d = Segment::data(0, false, false, SimTime::ZERO, true);

@@ -17,6 +17,16 @@ fn pair(
     cfg: TcpConfig,
     bytes: u64,
 ) -> (Simulator<Segment>, NodeId, ChannelId, ChannelId) {
+    let (sim, tx_node, _, data_ch, ack_ch) = pair_with_rx(cc, cfg, bytes);
+    (sim, tx_node, data_ch, ack_ch)
+}
+
+/// [`pair`], also returning the receiver node (third).
+fn pair_with_rx(
+    cc: &CcKind,
+    cfg: TcpConfig,
+    bytes: u64,
+) -> (Simulator<Segment>, NodeId, NodeId, ChannelId, ChannelId) {
     let mut sim: Simulator<Segment> = Simulator::new();
     let mut rx = TcpHost::new();
     rx.add_receiver(FlowId(0), cfg);
@@ -32,7 +42,7 @@ fn pair(
         Dur::from_micros(50),
         QueueConfig::drop_tail(1000),
     );
-    (sim, tx_node, data_ch, ack_ch)
+    (sim, tx_node, rx_node, data_ch, ack_ch)
 }
 
 fn finish(sim: &mut Simulator<Segment>, tx: NodeId, expect_pkts: u64) -> ConnStats {
@@ -82,6 +92,34 @@ fn two_separated_losses_use_newreno_partial_ack() {
     assert_eq!(stats.fast_retransmits, 1, "{stats:?}");
     assert_eq!(stats.timeouts, 0, "{stats:?}");
     assert_eq!(stats.rtx_sent, 2, "{stats:?}");
+}
+
+#[test]
+fn newreno_repairs_scattered_and_contiguous_holes() {
+    // A window large enough to send the whole train in one burst, so
+    // channel arrival indices equal sequence numbers and the losses hit
+    // the intended packets even after retransmissions begin.
+    let cfg = TcpConfig {
+        init_cwnd: 128.0,
+        ..TcpConfig::default().with_min_rto(Dur::from_millis(20))
+    };
+    let (mut sim, tx, rx, data_ch, _) = pair_with_rx(&CcKind::Reno, cfg, 80 * MSS as u64);
+    sim.inject_channel_drops(data_ch, [4, 9, 14, 40, 41, 42, 70]);
+    let stats = finish(&mut sim, tx, 80);
+    assert!(stats.rtx_sent >= 7, "every hole is resent: {stats:?}");
+    let rx = sim.host::<TcpHost>(rx).receiver(0).stats();
+    assert_eq!(rx.delivered_pkts, 80, "{rx:?}");
+}
+
+#[test]
+fn receiver_acks_every_packet() {
+    let (mut sim, tx, rx, _, _) =
+        pair_with_rx(&CcKind::Reno, TcpConfig::default(), 100 * MSS as u64);
+    let stats = finish(&mut sim, tx, 100);
+    assert_eq!(stats.acks_received, 100, "{stats:?}");
+    let rx = sim.host::<TcpHost>(rx).receiver(0).stats();
+    assert_eq!(rx.acks_sent, rx.pkts_received, "{rx:?}");
+    assert_eq!(rx.pkts_received, 100, "{rx:?}");
 }
 
 #[test]

@@ -159,29 +159,10 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Overrides the front-end link (the bottleneck).
-    pub fn front_end_link(mut self, link: LinkSpec) -> Self {
-        self.front_end_link = link;
-        self
-    }
-
-    /// Sets the switch buffer size in packets on every queue.
-    pub fn buffer_pkts(mut self, pkts: usize) -> Self {
-        self.sender_link.queue = QueueConfig {
-            capacity: QueueCapacity::Packets(pkts),
-            ..self.sender_link.queue
-        };
-        self.front_end_link.queue = QueueConfig {
-            capacity: QueueCapacity::Packets(pkts),
-            ..self.front_end_link.queue
-        };
-        self
-    }
-
     /// Selects the queue discipline (drop-tail, RED, or CoDel) on every
-    /// queue. Per-link overrides go through [`ScenarioBuilder::sender_links`]
-    /// / [`ScenarioBuilder::front_end_link`] with a discipline already set
-    /// on the [`LinkSpec`]'s queue config.
+    /// queue. A per-link override goes through [`ScenarioBuilder::links`] /
+    /// [`ScenarioBuilder::sender_links`] afterwards, with the discipline
+    /// already set on the [`LinkSpec`]'s queue config.
     pub fn queue_discipline(mut self, aqm: netsim::QueueDiscipline) -> Self {
         self.sender_link.queue.aqm = aqm;
         self.front_end_link.queue.aqm = aqm;

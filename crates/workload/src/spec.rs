@@ -26,6 +26,29 @@ use crate::scenario::{Report, Scenario, ScenarioBuilder, TrainSpec};
 /// default MSS; specs do not vary it).
 pub const SPEC_MSS_BYTES: u64 = 1460;
 
+// Ceilings on what a spec may ask for. A spec file can come from outside
+// the generators, so `ScenarioSpec::validate` bounds every magnitude:
+// each us->ns, ms->ns and MSS-padding product then fits `u64`, and no
+// field can size an allocation the replay cannot make. All sit far above
+// anything the generators emit or `corpus/` holds.
+const SPEC_MAX_SENDERS: usize = 10_000;
+const SPEC_MAX_LINK_MBPS: u64 = 400_000;
+const SPEC_MAX_DELAY_US: u64 = 100_000;
+const SPEC_MAX_BUFFER_PKTS: usize = 100_000;
+const SPEC_MAX_HORIZON_MS: u64 = 600_000;
+/// Longest think time or CoDel interval: the longest horizon.
+const SPEC_MAX_SPAN_US: u64 = SPEC_MAX_HORIZON_MS * 1_000;
+/// Largest single train or session response.
+const SPEC_MAX_BYTES: u64 = 1 << 40;
+
+/// `Err` naming `field` when `value` is above its ceiling.
+fn at_most<T: PartialOrd + std::fmt::Display>(field: &str, value: T, max: T) -> Result<(), String> {
+    if value > max {
+        return Err(format!("{field} {value} exceeds the ceiling {max}"));
+    }
+    Ok(())
+}
+
 /// Congestion-control selection for a spec.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SpecCc {
@@ -263,8 +286,18 @@ impl ScenarioSpec {
         if self.horizon_ms == 0 {
             return Err("horizon_ms must be >= 1".into());
         }
-        if let SpecCc::TrimOverrideNs(0) = self.cc {
-            return Err("trim-k override must be >= 1 ns".into());
+        // No timeout floor or RTT threshold above the longest timeout.
+        let max_rto_ns = TcpConfig::default().max_rto.as_nanos();
+        at_most("senders", self.senders, SPEC_MAX_SENDERS)?;
+        at_most("link_mbps", self.link_mbps, SPEC_MAX_LINK_MBPS)?;
+        at_most("delay_us", self.delay_us, SPEC_MAX_DELAY_US)?;
+        at_most("buffer_pkts", self.buffer_pkts, SPEC_MAX_BUFFER_PKTS)?;
+        at_most("min_rto_us", self.min_rto_us, max_rto_ns / 1_000)?;
+        at_most("horizon_ms", self.horizon_ms, SPEC_MAX_HORIZON_MS)?;
+        match self.cc {
+            SpecCc::TrimOverrideNs(0) => return Err("trim-k override must be >= 1 ns".into()),
+            SpecCc::TrimOverrideNs(k) => at_most("trim-k override", k, max_rto_ns)?,
+            SpecCc::Reno | SpecCc::TrimGuideline => {}
         }
         if let Some(SpecFault::QueueOveradmit { extra: 0 }) = self.fault {
             return Err("overadmit extra must be >= 1".into());
@@ -281,6 +314,7 @@ impl ScenarioSpec {
                 if min_th >= max_th {
                     return Err(format!("red min_th {min_th} must be < max_th {max_th}"));
                 }
+                at_most("red max_th", max_th as usize, SPEC_MAX_BUFFER_PKTS)?;
                 if !(1..=1_000).contains(&max_p_milli) {
                     return Err("red max_p_milli must be in 1..=1000".into());
                 }
@@ -302,6 +336,11 @@ impl ScenarioSpec {
                         "codel interval_us {interval_us} must be >= target_us {target_us}"
                     ));
                 }
+                at_most(
+                    "codel interval_us",
+                    u64::from(interval_us),
+                    SPEC_MAX_SPAN_US,
+                )?;
             }
         }
         if let Some(expect) = &self.expect {
@@ -327,9 +366,10 @@ impl ScenarioSpec {
             if t.bytes == 0 {
                 return Err("train bytes must be >= 1".into());
             }
+            at_most("train bytes", t.bytes, SPEC_MAX_BYTES)?;
             if t.at_us >= self.horizon_ms * 1_000 {
                 return Err(format!(
-                    "train at {}us starts at or after the {}ms horizon",
+                    "train at_us {} starts at or after the {}ms horizon",
                     t.at_us, self.horizon_ms
                 ));
             }
@@ -347,9 +387,13 @@ impl ScenarioSpec {
             if s.sizes.contains(&0) {
                 return Err("session response bytes must be >= 1".into());
             }
+            for &bytes in &s.sizes {
+                at_most("session response bytes", bytes, SPEC_MAX_BYTES)?;
+            }
+            at_most("session think_us", s.think_us, SPEC_MAX_SPAN_US)?;
             if s.at_us >= self.horizon_ms * 1_000 {
                 return Err(format!(
-                    "session at {}us starts at or after the {}ms horizon",
+                    "session at_us {} starts at or after the {}ms horizon",
                     s.at_us, self.horizon_ms
                 ));
             }
@@ -984,6 +1028,83 @@ mod tests {
                 "expected parse failure for `{bad_line}`"
             );
         }
+    }
+
+    #[test]
+    fn validate_rejects_out_of_range_magnitudes_by_field_name() {
+        let base = "seed = 0\nsenders = 1\nlink_mbps = 1000\ndelay_us = 50\nbuffer_pkts = 64\n\
+                    cc = reno\nmin_rto_us = 10000\nhorizon_ms = 300\ntrain = 0 100 58400\n";
+        ScenarioSpec::from_text(base).unwrap();
+        let max = u64::MAX;
+        // (key of the line to replace, its replacement, field the error names)
+        for (key, line, field) in [
+            ("delay_us", format!("delay_us = {}", i64::MAX), "delay_us"),
+            ("min_rto_us", format!("min_rto_us = {max}"), "min_rto_us"),
+            ("train", format!("train = 0 100 {max}"), "train bytes"),
+            ("train", format!("train = 0 {max} 58400"), "train at_us"),
+            ("horizon_ms", format!("horizon_ms = {max}"), "horizon_ms"),
+            ("link_mbps", format!("link_mbps = {max}"), "link_mbps"),
+            ("buffer_pkts", format!("buffer_pkts = {max}"), "buffer_pkts"),
+            ("senders", "senders = 3000000000".into(), "senders"),
+            ("cc", format!("cc = trim-k:{max}"), "trim-k"),
+            (
+                "seed",
+                "aqm = red:1:4000000000:100:2000".into(),
+                "red max_th",
+            ),
+            (
+                "seed",
+                "aqm = codel:50:4000000000".into(),
+                "codel interval_us",
+            ),
+            ("train", format!("session = 0 100 {max} 1460"), "think_us"),
+            (
+                "train",
+                format!("session = 0 {max} 0 1460"),
+                "session at_us",
+            ),
+            (
+                "train",
+                format!("session = 0 100 0 1460 {max}"),
+                "response bytes",
+            ),
+        ] {
+            let text: String = base
+                .lines()
+                .map(|l| if l.starts_with(key) { &line } else { l })
+                .flat_map(|l| [l, "\n"])
+                .collect();
+            let err = ScenarioSpec::from_text(&text).unwrap_err();
+            assert!(err.contains(field), "`{line}` -> `{err}`");
+        }
+        // Each ceiling is itself allowed.
+        let at_ceiling = ScenarioSpec {
+            senders: SPEC_MAX_SENDERS,
+            link_mbps: SPEC_MAX_LINK_MBPS,
+            delay_us: SPEC_MAX_DELAY_US,
+            buffer_pkts: SPEC_MAX_BUFFER_PKTS,
+            cc: SpecCc::TrimOverrideNs(TcpConfig::default().max_rto.as_nanos()),
+            min_rto_us: TcpConfig::default().max_rto.as_nanos() / 1_000,
+            horizon_ms: SPEC_MAX_HORIZON_MS,
+            aqm: SpecAqm::Codel {
+                target_us: 50,
+                interval_us: SPEC_MAX_SPAN_US as u32,
+                ecn: false,
+            },
+            trains: vec![SpecTrain {
+                sender: 0,
+                at_us: SPEC_MAX_SPAN_US - 1,
+                bytes: SPEC_MAX_BYTES,
+            }],
+            sessions: vec![SpecSession {
+                sender: 1,
+                at_us: 0,
+                think_us: SPEC_MAX_SPAN_US,
+                sizes: vec![SPEC_MAX_BYTES],
+            }],
+            ..sample()
+        };
+        at_ceiling.validate().unwrap();
     }
 
     #[test]

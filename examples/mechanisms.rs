@@ -40,16 +40,18 @@ fn main() {
     let trace = sim.packet_trace().expect("enabled");
     let mut data_sent = 0;
     for e in trace.events() {
-        match e.kind {
-            PacketEventKind::Dropped { .. } => println!("{:>10}  drop", format!("{}", e.at)),
+        let what = match e.kind {
+            PacketEventKind::Dropped { .. } => "drop",
             PacketEventKind::Sent { node } if node == tx_node => {
                 data_sent += 1;
-                if data_sent > PKTS {
-                    println!("{:>10}  repair sent", format!("{}", e.at));
+                if data_sent <= PKTS {
+                    continue;
                 }
+                "repair sent"
             }
-            _ => {}
-        }
+            _ => continue,
+        };
+        println!("{:>10}  {what}", e.at.to_string());
     }
 
     let host: &TcpHost = sim.host(tx_node);

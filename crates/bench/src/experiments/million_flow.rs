@@ -1,9 +1,9 @@
 //! Extension — the million-flow engine stress point.
 //!
-//! Exercises the hierarchical timing wheel and the per-host
-//! flow slab at depth: single-segment flows packed hundreds-to-thousands
-//! per host fan into one 1 Gbps front-end, a regime dominated by queue
-//! drops and RTO backoff (exactly the timer load the wheel exists for).
+//! Exercises the engine's timer queue and the per-host flow slab at
+//! depth: single-segment flows packed hundreds-to-thousands per host
+//! fan into one 1 Gbps front-end, a regime dominated by queue drops and
+//! RTO backoff (at `--full`, up to 10⁶ armed timers in one queue).
 //! Quick effort runs a packed 5 000-flow point that the golden suite
 //! reproduces byte-for-byte; `--full` adds the 10⁶-flow point, which
 //! CI runs once per push.

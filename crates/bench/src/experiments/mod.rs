@@ -17,7 +17,7 @@
 //! | [`rto_sensitivity`] | extension: RTO_min sweep |
 //! | [`serve`] | extension: web-serving session SLOs + mean-field fast path |
 //! | [`aqm_matrix`] | extension: RED/CoDel tiny-buffer matrix + stability oracle |
-//! | [`million_flow`] | extension: packed incast stressing the wheel + flow slab |
+//! | [`million_flow`] | extension: packed incast stressing the timer queue + flow slab |
 
 pub mod ablation;
 pub mod aqm_matrix;

@@ -153,7 +153,7 @@ pub static ALL: &[ExperimentSpec] = &[
     },
     ExperimentSpec {
         id: "million_flow",
-        title: "ext: packed incast stressing the wheel + flow slab (1M at --full)",
+        title: "ext: packed incast stressing the timer queue + flow slab (1M at --full)",
         campaign: experiments::million_flow::campaign,
         artifacts: &["million_flow"],
     },

@@ -11,7 +11,7 @@
 //! (the RED/CoDel tiny-buffer sweep plus the RED stability
 //! cross-validation — exercises the AQM drop paths and the
 //! oscillation monitors), and `million_flow` (the packed incast with
-//! hundreds of senders per host — drives the timing wheel's RTO storm
+//! hundreds of senders per host — drives the timer queue's RTO storm
 //! path and the flow slab's per-event row lookup). Each
 //! runs at `--jobs 1` and `--jobs 8`; worker count must not leak into
 //! artifacts at all.

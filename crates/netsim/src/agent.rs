@@ -22,9 +22,9 @@ pub trait Agent<P: Payload>: Any {
     /// Called when a packet addressed to this host arrives.
     fn on_packet(&mut self, ctx: &mut Ctx<'_, P>, pkt: Packet<P>);
 
-    /// Called when a timer set via [`Ctx::set_timer`] fires. `token` is the
-    /// value passed when the timer was set; its meaning is private to the
-    /// agent.
+    /// Called when a timer set via [`Ctx::set_timer`] (or moved by
+    /// [`Ctx::rearm_timer`]) fires. `token` is the value passed when the
+    /// timer was last set or moved; its meaning is private to the agent.
     fn on_timer(&mut self, ctx: &mut Ctx<'_, P>, token: u64);
 }
 

@@ -8,12 +8,16 @@
 //! `Ord`). Entries are stored by value — no per-event boxing — and
 //! sifts move small `(key, value)` pairs.
 //!
-//! Each entry carries one integer key, `(time << 64) | seq`, so every
-//! ordering decision is a single `u128` comparison. The engine's heap
-//! is small (tens to a few hundred entries) and lives in cache; what a
-//! pop costs there is the branch on each child comparison, which a
-//! two-word `(time, seq)` tuple compare doubles and a one-word compare
-//! lets `sift_down` replace with selects.
+//! Every ordering decision is a single `u128` comparison of one integer
+//! key, `(time << 64) | seq`. The engine runs two of these queues:
+//! packet events and timers. The packet queue is small (tens to a few
+//! hundred entries) and lives in cache; what a pop costs there is the
+//! branch on each child comparison, which a two-word `(time, seq)` tuple
+//! compare doubles and a one-word compare lets `sift_down` replace with
+//! selects. The timer queue holds one entry per armed timer, 10³–10⁶ of
+//! them, and is bound by memory instead: an entry stores the key as two
+//! `u64` words, so it is 8-aligned and a timer entry is 24 bytes (32
+//! under a 16-aligned `u128`).
 //!
 //! Ordering contract (identical to the `BinaryHeap<EvEntry>` it
 //! replaced): events pop in ascending `(time, seq)` order, where `seq`
@@ -29,20 +33,18 @@ const ARITY: usize = 4;
 
 #[derive(Clone, Debug)]
 struct Entry<T> {
-    /// `(time << 64) | seq`: ascending key order is ascending
-    /// `(time, seq)` order.
-    key: u128,
+    at: u64,
+    seq: u64,
     value: T,
 }
 
-#[inline]
-fn pack(at: SimTime, seq: u64) -> u128 {
-    (u128::from(at.as_nanos()) << 64) | u128::from(seq)
-}
-
-#[inline]
-fn unpack(key: u128) -> (SimTime, u64) {
-    (SimTime::from_nanos((key >> 64) as u64), key as u64)
+impl<T> Entry<T> {
+    /// `(time << 64) | seq`: ascending key order is ascending
+    /// `(time, seq)` order.
+    #[inline]
+    fn key(&self) -> u128 {
+        (u128::from(self.at) << 64) | u128::from(self.seq)
+    }
 }
 
 /// A stable priority queue of timestamped events.
@@ -105,31 +107,27 @@ impl<T> EventQueue<T> {
 
     /// Schedules `value` at `at` under a caller-supplied sequence
     /// number instead of the queue's own counter. The engine uses this
-    /// to merge the queue deterministically with the timing wheel: both
+    /// to merge its packet and timer queues deterministically: both
     /// draw from one global sequence, so `(at, seq)` totally orders
-    /// events across the two structures. Caller-supplied sequences must
-    /// be unique; they do not advance the queue's own counter.
+    /// events across the two. Caller-supplied sequences must be unique;
+    /// they do not advance the queue's own counter.
     #[inline]
     pub fn push_with_seq(&mut self, at: SimTime, seq: u64, value: T) {
         self.heap.push(Entry {
-            key: pack(at, seq),
+            at: at.as_nanos(),
+            seq,
             value,
         });
         self.sift_up(self.heap.len() - 1);
     }
 
-    /// Timestamp of the earliest pending event.
+    /// `(time, seq)` key and value of the earliest pending event, which
+    /// stays queued — what [`Self::pop_with_seq`] would return next.
     #[inline]
-    pub fn peek_at(&self) -> Option<SimTime> {
-        self.heap.first().map(|e| unpack(e.key).0)
-    }
-
-    /// `(time, seq)` key of the earliest pending event — comparable
-    /// against [`crate::wheel::TimerWheel::peek_key`] when both share a
-    /// sequence counter.
-    #[inline]
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        self.heap.first().map(|e| unpack(e.key))
+    pub fn peek(&self) -> Option<(SimTime, u64, &T)> {
+        self.heap
+            .first()
+            .map(|e| (SimTime::from_nanos(e.at), e.seq, &e.value))
     }
 
     /// Removes and returns the earliest event (ties in insertion
@@ -146,15 +144,14 @@ impl<T> EventQueue<T> {
         if last > 0 {
             self.sift_down(0);
         }
-        let (at, seq) = unpack(entry.key);
-        Some((at, seq, entry.value))
+        Some((SimTime::from_nanos(entry.at), entry.seq, entry.value))
     }
 
     #[inline]
     fn sift_up(&mut self, mut i: usize) {
         while i > 0 {
             let parent = (i - 1) / ARITY;
-            if self.heap[parent].key <= self.heap[i].key {
+            if self.heap[parent].key() <= self.heap[i].key() {
                 break;
             }
             self.heap.swap(parent, i);
@@ -172,18 +169,18 @@ impl<T> EventQueue<T> {
                 // a comparison's result, not a branch taken on it —
                 // which child is smallest is close to a coin flip per
                 // level, the worst case for a branch predictor.
-                let key = |j: usize| self.heap[first + j].key;
+                let key = |j: usize| self.heap[first + j].key();
                 let lo = usize::from(key(1) < key(0));
                 let hi = 2 + usize::from(key(3) < key(2));
                 first + if key(hi) < key(lo) { hi } else { lo }
             } else {
                 // The heap's last, partial group — or no child at all.
-                match (first..n).min_by_key(|&c| self.heap[c].key) {
+                match (first..n).min_by_key(|&c| self.heap[c].key()) {
                     Some(c) => c,
                     None => break,
                 }
             };
-            if self.heap[i].key <= self.heap[best].key {
+            if self.heap[i].key() <= self.heap[best].key() {
                 break;
             }
             self.heap.swap(i, best);
@@ -198,6 +195,13 @@ mod tests {
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
+    }
+
+    /// The key is stored as two words, so a timer entry needs no 16-byte
+    /// alignment: 24 bytes, where a `u128` field would make it 32.
+    #[test]
+    fn timer_entry_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Entry<crate::sim::TimerId>>(), 24);
     }
 
     #[test]
@@ -243,12 +247,12 @@ mod tests {
     #[test]
     fn peek_matches_next_pop() {
         let mut q = EventQueue::new();
-        assert_eq!(q.peek_at(), None);
-        q.push(t(9), ());
-        q.push(t(4), ());
-        assert_eq!(q.peek_at(), Some(t(4)));
+        assert_eq!(q.peek(), None);
+        q.push(t(9), 'b');
+        q.push(t(4), 'a');
+        assert_eq!(q.peek(), Some((t(4), 2, &'a')));
         q.pop();
-        assert_eq!(q.peek_at(), Some(t(9)));
+        assert_eq!(q.peek(), Some((t(9), 1, &'b')));
     }
 
     #[test]
@@ -267,7 +271,7 @@ mod tests {
         q.push_with_seq(t(7), 10, "b");
         q.push_with_seq(t(7), 3, "a");
         q.push_with_seq(t(2), 99, "first");
-        assert_eq!(q.peek_key(), Some((t(2), 99)));
+        assert_eq!(q.peek(), Some((t(2), 99, &"first")));
         assert_eq!(q.pop(), Some((t(2), "first")));
         assert_eq!(q.pop(), Some((t(7), "a")));
         assert_eq!(q.pop(), Some((t(7), "b")));

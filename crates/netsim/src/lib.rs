@@ -16,7 +16,10 @@
 //!   throughput/series tracing ([`trace`]).
 //!
 //! Determinism: event ordering is exact (`(time, insertion-sequence)`
-//! keys), so a simulation is a pure function of its inputs.
+//! keys), so a simulation is a pure function of its inputs. Packet events
+//! and timers wait in two instances of one heap ([`eventq`]) that draw
+//! from one sequence counter, and [`sim`]'s run loop pops whichever holds
+//! the smaller key.
 //!
 //! ## Example
 //!
@@ -64,7 +67,6 @@ pub mod time;
 pub mod topology;
 pub mod trace;
 pub mod units;
-pub mod wheel;
 
 pub use agent::{Agent, SinkAgent};
 pub use arena::{PacketArena, PacketRef};
@@ -77,7 +79,6 @@ pub use sim::{Ctx, Simulator, TimerId};
 pub use time::{Dur, SimTime};
 pub use trace::{PacketEvent, PacketEventKind, PacketTrace, Series, ThroughputMeter};
 pub use units::{Bandwidth, QueueCapacity};
-pub use wheel::TimerWheel;
 
 /// Convenient glob import for simulator users.
 pub mod prelude {

@@ -14,6 +14,12 @@
 //!
 //! - events live in an indexed 4-ary min-heap ([`crate::eventq`]) of small
 //!   `Copy` records — packets are *not* stored in the heap;
+//! - timers live in a second such heap, of [`TimerId`]s, beside a slab
+//!   of timer slots: a cancel bumps the slot's generation and leaves the
+//!   dead entry to be dropped when it surfaces, and a re-arm to a later
+//!   deadline only moves the slot's key. The run loop pops whichever heap
+//!   holds the smaller `(time, seq)` key; both draw `seq` from one
+//!   counter, so the merged order is the one a single queue would give;
 //! - in-flight packets live in a slab [`crate::arena::PacketArena`] and
 //!   events carry a 4-byte [`PacketRef`], so steady-state simulation
 //!   allocates zero per-packet heap memory;
@@ -51,20 +57,49 @@ use crate::route::{NodeKind, RouteTable};
 use crate::time::{Dur, SimTime};
 use crate::trace::PacketTrace;
 use crate::units::Bandwidth;
-use crate::wheel::TimerWheel;
 
-/// Handle to a pending timer, used for cancellation. Wraps the timing
-/// wheel's generational handle, so a stale id (already fired or already
-/// cancelled) is always a harmless no-op even after its internal slot
-/// has been recycled for a newer timer.
+/// Handle to a pending timer, for [`Ctx::cancel_timer`] and
+/// [`Ctx::rearm_timer`]: `generation << 32 | slot` into the engine's
+/// timer slots. A slot's generation moves on when its timer fires or is
+/// cancelled, so a stale id (already fired or already cancelled) is
+/// always a harmless no-op, even after its slot has been recycled for a
+/// newer timer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TimerId(u64);
+
+impl TimerId {
+    fn new(slot: usize, gen: u32) -> Self {
+        TimerId((u64::from(gen) << 32) | slot as u64)
+    }
+
+    fn slot(self) -> usize {
+        (self.0 & 0xFFFF_FFFF) as usize
+    }
+
+    fn gen(self) -> u32 {
+        (self.0 >> 32) as u32
+    }
+}
+
+/// One timer: whom it wakes, with which token, and the `(time, seq)` key
+/// it fires under. A re-arm to a later key rewrites the key here and
+/// leaves the queued entry where it is.
+#[derive(Clone, Copy, Debug)]
+struct TimerSlot {
+    /// Moves on when the timer fires or is cancelled: a [`TimerId`] or
+    /// a queued entry of an older generation is dead.
+    gen: u32,
+    node: NodeId,
+    token: u64,
+    at: SimTime,
+    seq: u64,
+}
 
 /// An engine event. Deliberately small and `Copy`: packets referenced by
 /// `Arrival` live in the packet arena, not in the event queue, so heap
 /// sifts move 24-byte records regardless of the payload type. Timers do
-/// not appear here — they live in the [`TimerWheel`] and merge with this
-/// queue by `(time, seq)` in the run loop.
+/// not appear here — they have a queue of their own (`Core::timers`)
+/// and merge with this one by `(time, seq)` in the run loop.
 #[derive(Clone, Copy, Debug)]
 enum Ev {
     /// Packet finishes propagation and arrives at a node.
@@ -81,13 +116,19 @@ enum Ev {
 struct Core<P: Payload> {
     now: SimTime,
     events: EventQueue<Ev>,
-    /// Timer events, keyed by `(deadline, seq)` like the event queue.
-    /// Timers dominate the event population at high flow counts and are
-    /// overwhelmingly cancelled before firing (every ACK re-arms the
-    /// RTO), which is exactly the workload a wheel handles in O(1).
-    wheel: TimerWheel<(NodeId, u64)>,
-    /// Global insertion sequence shared by `events` and `wheel`; makes
-    /// `(time, seq)` a total order across both structures, so the merged
+    /// Timer fires, keyed by `(deadline, seq)` like `events`, each entry
+    /// the id of the timer it was pushed for. A queue of its own because
+    /// armed timers (one RTO per flow with data in flight) outnumber
+    /// pending packet events by orders of magnitude at high flow counts,
+    /// and in `events` every one of them would deepen each packet push
+    /// and pop. Not every entry is a fire: see [`Core::next_timer`].
+    timers: EventQueue<TimerId>,
+    /// The timers themselves, indexed by [`TimerId`]'s slot half.
+    timer_slots: Vec<TimerSlot>,
+    /// Slots whose timer fired or was cancelled, for reuse.
+    free_timers: Vec<u32>,
+    /// Global insertion sequence shared by `events` and `timers`; makes
+    /// `(time, seq)` a total order across both queues, so the merged
     /// stream is identical to what a single queue would produce.
     seq: u64,
     /// Sequence number of the event being dispatched. With `now` it is
@@ -166,10 +207,81 @@ impl<P: Payload> Core<P> {
 
     fn set_timer(&mut self, node: NodeId, delay: Dur, token: u64) -> TimerId {
         self.seq += 1;
-        TimerId(
-            self.wheel
-                .schedule(self.now + delay, self.seq, (node, token)),
-        )
+        let (at, seq) = (self.now + delay, self.seq);
+        let timer = |gen| TimerSlot {
+            gen,
+            node,
+            token,
+            at,
+            seq,
+        };
+        let id = match self.free_timers.pop() {
+            Some(slot) => {
+                let s = &mut self.timer_slots[slot as usize];
+                *s = timer(s.gen);
+                TimerId::new(slot as usize, s.gen)
+            }
+            None => {
+                self.timer_slots.push(timer(0));
+                TimerId::new(self.timer_slots.len() - 1, 0)
+            }
+        };
+        self.timers.push_with_seq(at, seq, id);
+        id
+    }
+
+    fn cancel_timer(&mut self, id: TimerId) {
+        if let Some(s) = self.timer_slots.get_mut(id.slot()) {
+            if s.gen == id.gen() {
+                s.gen = s.gen.wrapping_add(1);
+                self.free_timers.push(id.slot() as u32);
+            }
+        }
+    }
+
+    /// [`Ctx::rearm_timer`]. A new key at or after the live timer's
+    /// current one sorts after its queued entry too (keys only ever move
+    /// later), so only the slot changes; an earlier key, or a stale `id`,
+    /// takes the cancel + set it stands for.
+    fn rearm_timer(&mut self, id: TimerId, node: NodeId, delay: Dur, token: u64) -> TimerId {
+        let at = self.now + delay;
+        match self.timer_slots.get_mut(id.slot()) {
+            Some(s) if s.gen == id.gen() && at >= s.at => {
+                self.seq += 1;
+                *s = TimerSlot {
+                    node,
+                    token,
+                    at,
+                    seq: self.seq,
+                    ..*s
+                };
+                id
+            }
+            _ => {
+                self.cancel_timer(id);
+                self.set_timer(node, delay, token)
+            }
+        }
+    }
+
+    /// `(time, seq)` key of the earliest live timer. Entries on top of
+    /// the timer queue that are not a fire go first, uncounted and
+    /// without a clock step: a dead one (its timer was cancelled) is
+    /// dropped, and one whose timer was re-armed since is pushed again
+    /// under the slot's key.
+    fn next_timer(&mut self) -> Option<(SimTime, u64)> {
+        while let Some((at, seq, &id)) = self.timers.peek() {
+            let s = &self.timer_slots[id.slot()];
+            let live = s.gen == id.gen();
+            if live && s.seq == seq {
+                return Some((at, seq));
+            }
+            self.timers.pop_with_seq();
+            if live {
+                self.timers.push_with_seq(s.at, s.seq, id);
+            }
+        }
+        None
     }
 
     /// The per-event bookkeeping the run loop performs before handling
@@ -318,15 +430,30 @@ impl<P: Payload> Ctx<'_, P> {
     }
 
     /// Schedules `on_timer(token)` after `delay`. Returns a handle for
-    /// [`Ctx::cancel_timer`].
+    /// [`Ctx::cancel_timer`] and [`Ctx::rearm_timer`].
     pub fn set_timer(&mut self, delay: Dur, token: u64) -> TimerId {
         self.core.set_timer(self.node, delay, token)
     }
 
-    /// Cancels a pending timer. Cancelling an already-fired timer is a
-    /// harmless no-op.
+    /// Cancels a pending timer. Cancelling an already-fired or
+    /// already-cancelled timer is a harmless no-op.
     pub fn cancel_timer(&mut self, id: TimerId) {
-        self.core.wheel.cancel(id.0);
+        self.core.cancel_timer(id);
+    }
+
+    /// Moves a timer: observably identical to [`Ctx::cancel_timer`] on
+    /// `id` followed by [`Ctx::set_timer`]`(delay, token)`. It draws the
+    /// same sequence number, fires under the same `(time, seq)` key and
+    /// counts as the same one event; a stale `id` makes it a plain
+    /// `set_timer`. Only the returned id is valid afterwards — `id` may
+    /// still name the moved timer, so it must not be used again.
+    ///
+    /// Cheaper than the pair when the new deadline is no earlier than
+    /// the pending one, as with an RTO re-armed by each ACK: the timer
+    /// keeps its queue entry, which is re-pushed under the new key only
+    /// when it surfaces.
+    pub fn rearm_timer(&mut self, id: TimerId, delay: Dur, token: u64) -> TimerId {
+        self.core.rearm_timer(id, self.node, delay, token)
     }
 }
 
@@ -381,7 +508,9 @@ impl<P: Payload> Simulator<P> {
             core: Core {
                 now: SimTime::ZERO,
                 events: EventQueue::new(),
-                wheel: TimerWheel::new(),
+                timers: EventQueue::new(),
+                timer_slots: Vec::new(),
+                free_timers: Vec::new(),
                 seq: 0,
                 cur_seq: 0,
                 arena: PacketArena::new(),
@@ -641,36 +770,24 @@ impl<P: Payload> Simulator<P> {
     /// Processes every event with timestamp `<= horizon`, then advances the
     /// clock to `horizon` (when finite) so statistics settle consistently.
     ///
-    /// Events come from two sources — the event queue (packets, links)
-    /// and the timing wheel (timers) — merged by `(time, seq)`. Both
-    /// draw sequence numbers from one global counter, so the merge is a
-    /// total order identical to the single-queue engine's pop order.
-    /// Each iteration pops and dispatches the one event with the smaller
-    /// key.
+    /// Events come from two queues — packets and links in one, timers in
+    /// the other — merged by `(time, seq)`. Both draw sequence numbers
+    /// from one global counter, so the merge is a total order identical
+    /// to the single-queue engine's pop order. Each iteration pops and
+    /// dispatches the one event with the smaller key.
     pub fn run_until(&mut self, horizon: SimTime) {
         self.ensure_ready();
         loop {
-            let timer_first = match (self.core.events.peek_key(), self.core.wheel.peek_key()) {
+            let packet = self.core.events.peek().map(|(at, seq, _)| (at, seq));
+            let ((at, _), timer_first) = match (packet, self.core.next_timer()) {
+                (Some(p), Some(t)) if t < p => (t, true),
+                (Some(p), _) => (p, false),
+                (None, Some(t)) => (t, true),
                 (None, None) => break,
-                (Some(e), None) => {
-                    if e.0 > horizon {
-                        break;
-                    }
-                    false
-                }
-                (None, Some(w)) => {
-                    if w.0 > horizon {
-                        break;
-                    }
-                    true
-                }
-                (Some(e), Some(w)) => {
-                    if e.0.min(w.0) > horizon {
-                        break;
-                    }
-                    w < e
-                }
             };
+            if at > horizon {
+                break;
+            }
             if timer_first {
                 self.fire_timer();
             } else {
@@ -692,11 +809,16 @@ impl<P: Payload> Simulator<P> {
         }
     }
 
-    /// Pops and dispatches the minimal timer.
+    /// Pops and dispatches the minimal timer, which
+    /// [`Core::next_timer`] has just brought to the top of its queue.
     fn fire_timer(&mut self) {
-        let Some((at, seq, (node, token))) = self.core.wheel.pop() else {
+        let Some((at, seq, id)) = self.core.timers.pop_with_seq() else {
             return;
         };
+        let TimerSlot { node, token, .. } = self.core.timer_slots[id.slot()];
+        // A fired timer is retired like a cancelled one, before its
+        // handler can arm a timer into the slot or cancel its stale id.
+        self.core.cancel_timer(id);
         self.core.step_clock(at, seq);
         let agent = self.agents[node.index()]
             .as_mut()
@@ -713,9 +835,6 @@ impl<P: Payload> Simulator<P> {
         let Some((at, seq, ev)) = self.core.events.pop_with_seq() else {
             return;
         };
-        // Timers are strictly later than this event, so the wheel's
-        // placement windows can advance to the present.
-        self.core.wheel.advance_to(at);
         self.core.step_clock(at, seq);
         match ev {
             Ev::TxDone { ch } => self.core.on_tx_done(ch),
@@ -1077,7 +1196,7 @@ mod tests {
     }
 
     /// Cancels a handle whose timer already fired, after a later timer
-    /// has been armed (which may recycle the fired timer's wheel slot).
+    /// has been armed (which may recycle the fired timer's slot).
     #[derive(Debug, Default)]
     struct StaleCancelAgent {
         first: Option<TimerId>,
@@ -1102,7 +1221,7 @@ mod tests {
 
     /// Regression for the stale-cancel edge at the engine level: a stale
     /// `TimerId` (its timer already fired) must not kill a newly armed
-    /// timer that recycled the wheel slot.
+    /// timer that recycled the timer slot.
     #[test]
     fn stale_cancel_cannot_kill_recycled_timer() {
         let mut sim: Simulator<TagPayload> = Simulator::new();
@@ -1257,7 +1376,7 @@ mod tests {
         }
     }
 
-    /// The two schedulers merge on `(time, seq)` within one instant:
+    /// The two queues merge on `(time, seq)` within one instant:
     /// with timers and arrivals for one host due at the same time and
     /// interleaved in sequence, an arrival with the smaller key goes
     /// before the next timer (T, P, T) and a timer with the smaller key
@@ -1269,7 +1388,7 @@ mod tests {
             let mut sim: Simulator<TagPayload> = Simulator::new();
             let h = sim.add_host(Box::new(CallbackLog::default()));
             sim.ensure_ready();
-            // Scheduled straight into the two structures, so the global
+            // Scheduled straight into the two queues, so the global
             // sequence numbers are 1, 2, 3 in `kinds` order and nothing
             // else is ever pending.
             for (i, kind) in kinds.into_iter().enumerate() {
@@ -1557,5 +1676,161 @@ mod tests {
         assert_eq!(seen, &vec![(6_000, 1), (6_000, 2)]);
         let stats = sim.queue_stats(up);
         assert_eq!((stats.enqueued, stats.dequeued, stats.max_len), (2, 2, 1));
+    }
+
+    #[test]
+    fn timer_slot_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<TimerSlot>(), 32);
+    }
+
+    /// Arms one timer with the first delay, then moves it to each later
+    /// one, by `rearm_timer` or by cancel + set; records `(ns, token)` of
+    /// every fire.
+    #[derive(Debug, Default)]
+    struct MovingTimer {
+        delays_us: Vec<u64>,
+        lazy: bool,
+        fired: Vec<(u64, u64)>,
+    }
+    impl Agent<TagPayload> for MovingTimer {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, TagPayload>) {
+            let mut id = ctx.set_timer(Dur::from_micros(self.delays_us[0]), 0);
+            for (token, &d) in (1..).zip(&self.delays_us[1..]) {
+                let delay = Dur::from_micros(d);
+                id = if self.lazy {
+                    ctx.rearm_timer(id, delay, token)
+                } else {
+                    ctx.cancel_timer(id);
+                    ctx.set_timer(delay, token)
+                };
+            }
+        }
+        fn on_packet(&mut self, _ctx: &mut Ctx<'_, TagPayload>, _pkt: Packet<TagPayload>) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, TagPayload>, token: u64) {
+            self.fired.push((ctx.now().as_nanos(), token));
+        }
+    }
+
+    /// Runs a [`MovingTimer`]: timer-queue entries once it has armed,
+    /// its fires, and the events dispatched.
+    fn run_moving(delays_us: &[u64], lazy: bool) -> (usize, Vec<(u64, u64)>, u64) {
+        let mut sim: Simulator<TagPayload> = Simulator::new();
+        let h = sim.add_host(Box::new(MovingTimer {
+            delays_us: delays_us.to_vec(),
+            lazy,
+            ..Default::default()
+        }));
+        sim.ensure_ready();
+        let queued = sim.core.timers.len();
+        sim.run();
+        assert!(sim.core.timers.is_empty());
+        let fired = sim.host::<MovingTimer>(h).fired.clone();
+        (queued, fired, sim.events_processed())
+    }
+
+    /// Re-armed to later keys, a timer keeps its one queue entry however
+    /// often it moves, and fires once, at the last key.
+    #[test]
+    fn rearm_to_a_later_key_moves_the_one_entry() {
+        let delays = [10, 20, 20, 35, 40];
+        let (queued, fired, events) = run_moving(&delays, true);
+        assert_eq!(queued, 1);
+        assert_eq!(fired, vec![(40_000, 4)]);
+        assert_eq!(events, 1);
+        let (queued, eager, events) = run_moving(&delays, false);
+        assert_eq!((queued, eager, events), (5, fired, 1));
+    }
+
+    /// Re-armed to an earlier key, a timer fires there, and the entry it
+    /// left behind never fires.
+    #[test]
+    fn rearm_to_an_earlier_key_fires_early_and_once() {
+        let (queued, fired, events) = run_moving(&[40, 10], true);
+        assert_eq!(queued, 2, "the earlier key took a fresh entry");
+        assert_eq!(fired, vec![(10_000, 1)]);
+        assert_eq!(events, 1);
+    }
+
+    /// Re-arms its first timer's id after that timer fired, once the
+    /// slot behind the id has gone to another timer.
+    #[derive(Debug, Default)]
+    struct RearmFired {
+        first: Option<TimerId>,
+        fired: Vec<(u64, u64)>,
+    }
+    impl Agent<TagPayload> for RearmFired {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, TagPayload>) {
+            self.first = Some(ctx.set_timer(Dur::from_micros(10), 0));
+        }
+        fn on_packet(&mut self, _ctx: &mut Ctx<'_, TagPayload>, _pkt: Packet<TagPayload>) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, TagPayload>, token: u64) {
+            self.fired.push((ctx.now().as_nanos(), token));
+            if let Some(stale) = self.first.take() {
+                ctx.set_timer(Dur::from_micros(50), 2);
+                ctx.rearm_timer(stale, Dur::from_micros(5), 1);
+            }
+        }
+    }
+
+    /// Re-arming an already-fired id is a plain `set_timer`: it arms a
+    /// new timer and leaves the one that recycled the slot alone.
+    #[test]
+    fn rearm_of_a_fired_id_is_set_timer() {
+        let mut sim: Simulator<TagPayload> = Simulator::new();
+        let h = sim.add_host(Box::new(RearmFired::default()));
+        sim.run();
+        assert_eq!(
+            sim.host::<RearmFired>(h).fired,
+            vec![(10_000, 0), (15_000, 1), (60_000, 2)]
+        );
+        assert_eq!(sim.events_processed(), 3);
+    }
+
+    /// A re-armed timer ties with an arrival due at the same instant
+    /// exactly as cancel + set would: by the sequence number the re-arm
+    /// drew, not the one its queued entry still carries.
+    #[test]
+    fn rearmed_timer_ties_with_an_arrival_like_cancel_and_set() {
+        let at = Dur::from_micros(10);
+        // `arrival_first`: the arrival is scheduled between the timer's
+        // set and its re-arm, so it sorts between the two keys.
+        let run = |arrival_first: bool, lazy: bool| {
+            let mut sim: Simulator<TagPayload> = Simulator::new();
+            let h = sim.add_host(Box::new(CallbackLog::default()));
+            sim.ensure_ready();
+            let core = &mut sim.core;
+            let arrival = |core: &mut Core<TagPayload>| {
+                let pkt = Packet::new(h, h, FlowId(7), 100, TagPayload(0));
+                let pkt = core.arena.alloc(pkt);
+                core.pending_arrivals += 1;
+                core.schedule(SimTime::ZERO + at, Ev::Arrival { node: h, pkt });
+            };
+            let id = core.set_timer(h, at, 1);
+            if arrival_first {
+                arrival(core);
+            }
+            if lazy {
+                core.rearm_timer(id, h, at, 2);
+            } else {
+                core.cancel_timer(id);
+                core.set_timer(h, at, 2);
+            }
+            if !arrival_first {
+                arrival(core);
+            }
+            sim.run();
+            assert_eq!(sim.events_processed(), 2);
+            sim.host::<CallbackLog>(h).calls.clone()
+        };
+        for arrival_first in [true, false] {
+            let lazy = run(arrival_first, true);
+            assert_eq!(lazy, run(arrival_first, false));
+            let want = if arrival_first {
+                vec![('P', 7), ('T', 2)]
+            } else {
+                vec![('T', 2), ('P', 7)]
+            };
+            assert_eq!(lazy, want);
+        }
     }
 }

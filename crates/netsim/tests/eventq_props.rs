@@ -55,7 +55,10 @@ proptest! {
                 prop_assert_eq!(q.pop(), model.pop());
             }
             prop_assert_eq!(q.len(), model.heap.len());
-            prop_assert_eq!(q.peek_at(), model.heap.peek().map(|Reverse((at, ..))| *at));
+            prop_assert_eq!(
+                q.peek().map(|(at, _, &v)| (at, v)),
+                model.heap.peek().map(|&Reverse((at, _, v))| (at, v))
+            );
         }
         loop {
             let (got, want) = (q.pop(), model.pop());
@@ -90,9 +93,10 @@ proptest! {
         prop_assert_eq!(tied, (0..n as u64).collect::<Vec<_>>());
     }
 
-    /// Timer-style schedule/cancel/reschedule (lazy deletion through a
-    /// cancelled set, exactly as `sim.rs` implements `cancel_timer`)
-    /// yields the same delivered-timer stream on both implementations.
+    /// Timer-style schedule/cancel/reschedule (lazy deletion: a cancelled
+    /// entry stays queued and is skipped when it pops, as in the engine's
+    /// timer queue) yields the same delivered-timer stream on both
+    /// implementations.
     #[test]
     fn schedule_cancel_reschedule_matches_reference(
         ops in proptest::collection::vec((0u8..3, 0u64..500), 1..300),
@@ -122,7 +126,7 @@ proptest! {
                 }
                 _ => {
                     // Reschedule = cancel + schedule under a fresh id,
-                    // which is how the engine re-arms timers.
+                    // what the engine's `rearm_timer` is observably.
                     if let Some(id) = live.pop_front() {
                         cancelled.insert(id);
                     }

@@ -63,7 +63,7 @@ impl TcpConfig {
     ///
     /// Returns a message naming the offending field when a parameter is
     /// out of range.
-    // `!(x >= 1.0)` deliberately rejects NaN, unlike `x < 1.0`.
+    // `!(x >= y)` deliberately rejects NaN, unlike `x < y`.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
     pub fn validate(&self) -> Result<(), String> {
         if self.mss_bytes == 0 {
@@ -75,11 +75,17 @@ impl TcpConfig {
         if !(self.min_cwnd >= 1.0) {
             return Err(format!("min_cwnd must be >= 1, got {}", self.min_cwnd));
         }
-        if self.init_cwnd < self.min_cwnd || self.restart_cwnd < 1.0 {
+        if !(self.init_cwnd >= self.min_cwnd && self.restart_cwnd >= 1.0) {
             return Err("initial/restart windows must respect the floor".into());
         }
-        if self.max_cwnd < self.init_cwnd {
+        if !(self.max_cwnd >= self.init_cwnd) {
             return Err("max_cwnd below init_cwnd".into());
+        }
+        if !(self.init_ssthresh >= 1.0) {
+            return Err(format!(
+                "init_ssthresh must be >= 1, got {}",
+                self.init_ssthresh
+            ));
         }
         if self.min_rto == Dur::ZERO || self.max_rto < self.min_rto {
             return Err("RTO bounds invalid".into());
@@ -113,6 +119,36 @@ mod tests {
         c.min_cwnd = 2.0;
         c.max_rto = Dur::from_millis(1);
         assert!(c.validate().is_err());
+
+        // NaN windows fail every comparison, so each must be rejected
+        // explicitly; an unbounded ceiling or threshold stays legal.
+        let nan = [
+            TcpConfig {
+                init_cwnd: f64::NAN,
+                ..TcpConfig::default()
+            },
+            TcpConfig {
+                max_cwnd: f64::NAN,
+                ..TcpConfig::default()
+            },
+            TcpConfig {
+                restart_cwnd: f64::NAN,
+                ..TcpConfig::default()
+            },
+            TcpConfig {
+                init_ssthresh: f64::NAN,
+                ..TcpConfig::default()
+            },
+        ];
+        for c in nan {
+            assert!(c.validate().is_err(), "{c:?}");
+        }
+        let unbounded = TcpConfig {
+            max_cwnd: f64::INFINITY,
+            init_ssthresh: f64::INFINITY,
+            ..TcpConfig::default()
+        };
+        unbounded.validate().unwrap();
     }
 
     #[test]

@@ -197,11 +197,6 @@ impl Conn {
         self.cc.name()
     }
 
-    /// The controller itself, for algorithm-specific inspection.
-    pub fn cc(&self) -> &dyn CcAlgo {
-        self.cc.as_ref()
-    }
-
     /// Current congestion window in packets.
     pub fn cwnd(&self) -> f64 {
         self.win.cwnd
@@ -433,13 +428,16 @@ impl Conn {
         }
     }
 
-    fn arm_rto(&mut self, ctx: &mut Ctx<'_, Segment>) {
-        let rto = self
-            .rto_est
+    /// The backed-off retransmission timeout.
+    fn rto(&self) -> Dur {
+        self.rto_est
             .rto()
             .mul_f64(self.backoff as f64)
-            .min(self.cfg.max_rto);
-        self.rto_timer = Some(ctx.set_timer(rto, self.token(KIND_RTO)));
+            .min(self.cfg.max_rto)
+    }
+
+    fn arm_rto(&mut self, ctx: &mut Ctx<'_, Segment>) {
+        self.rto_timer = Some(ctx.set_timer(self.rto(), self.token(KIND_RTO)));
     }
 
     fn cancel_rto(&mut self, ctx: &mut Ctx<'_, Segment>) {
@@ -448,9 +446,15 @@ impl Conn {
         }
     }
 
+    /// Restarts the RTO for the data still in flight, or stops it when
+    /// none is. Runs on every advancing ACK, so an armed timer is moved
+    /// (`rearm_timer`), not cancelled and set again.
     fn rearm_rto(&mut self, ctx: &mut Ctx<'_, Segment>) {
-        self.cancel_rto(ctx);
-        if self.flight() > 0 {
+        if self.flight() == 0 {
+            self.cancel_rto(ctx);
+        } else if let Some(t) = self.rto_timer {
+            self.rto_timer = Some(ctx.rearm_timer(t, self.rto(), self.token(KIND_RTO)));
+        } else {
             self.arm_rto(ctx);
         }
     }

@@ -1,0 +1,31 @@
+//! The per-host structs of a large incast, pinned at their sizes.
+//!
+//! `incast_storm` builds 100 001 hosts, 200 002 channels and 100 000
+//! connections, so a byte on one of these structs is paid for 10⁵ times
+//! over. DESIGN.md's footprint table is built from these numbers: a
+//! change that moves one updates the table and the pin together.
+
+use std::mem::size_of;
+
+use netsim::channel::Channel;
+use trim_tcp::{Conn, Receiver, Segment, TcpHost};
+
+#[test]
+fn channel_of_segment_is_336_bytes() {
+    assert_eq!(size_of::<Channel<Segment>>(), 336);
+}
+
+#[test]
+fn conn_is_424_bytes() {
+    assert_eq!(size_of::<Conn>(), 424);
+}
+
+#[test]
+fn tcp_host_is_272_bytes() {
+    assert_eq!(size_of::<TcpHost>(), 272);
+}
+
+#[test]
+fn receiver_is_112_bytes() {
+    assert_eq!(size_of::<Receiver>(), 112);
+}

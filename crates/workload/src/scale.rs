@@ -66,10 +66,10 @@ impl ScaleConfig {
 
     /// The million-flow stress point: 10⁶ single-segment flows packed
     /// 1 000 to a host (1 000 sender hosts + the front-end), the
-    /// headline workload for the timing-wheel + flow-slab engine. The
+    /// headline workload for the engine's timer queue and flow slab. The
     /// 1 Gbps bottleneck cannot drain 10⁶ segments inside the horizon,
-    /// so the run is dominated by queue drops and RTO backoff — exactly
-    /// the timer-heavy regime the hierarchical wheel exists for;
+    /// so the run is dominated by queue drops and RTO backoff, with up
+    /// to 10⁶ timers armed at once — the deepest the timer queue gets;
     /// `completed` reports the flows that made it.
     pub fn million_flow() -> Self {
         ScaleConfig {

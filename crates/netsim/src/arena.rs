@@ -27,14 +27,6 @@ use crate::packet::Packet;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct PacketRef(u32);
 
-impl PacketRef {
-    /// Raw slot index (diagnostics only).
-    #[inline]
-    pub fn index(self) -> u32 {
-        self.0
-    }
-}
-
 /// Slab of in-flight packets with freelist recycling.
 #[derive(Clone, Debug)]
 pub struct PacketArena<P> {
@@ -96,14 +88,6 @@ impl<P> PacketArena<P> {
         pkt
     }
 
-    /// Read access to a live packet.
-    #[inline]
-    pub fn get(&self, r: PacketRef) -> &Packet<P> {
-        self.slots[r.0 as usize]
-            .as_ref()
-            .expect("PacketRef dangling: slot already freed") // trim-lint: allow(no-panic-in-library, reason = "documented panic: a dangling ref means the engine lost a packet")
-    }
-
     /// Number of packets currently allocated.
     #[inline]
     pub fn live(&self) -> usize {
@@ -145,8 +129,6 @@ mod tests {
         let r1 = a.alloc(pkt(1));
         let r2 = a.alloc(pkt(2));
         assert_eq!(a.live(), 2);
-        assert_eq!(a.get(r1).uid, 1);
-        assert_eq!(a.get(r2).uid, 2);
         assert_eq!(a.free(r1).uid, 1);
         assert_eq!(a.free(r2).uid, 2);
         assert_eq!(a.live(), 0);

@@ -52,14 +52,4 @@ impl<P: crate::packet::Payload> Channel<P> {
             tx_armed: false,
         }
     }
-
-    /// The node this channel delivers to.
-    pub fn destination(&self) -> NodeId {
-        self.to
-    }
-
-    /// The channel's transmission rate.
-    pub fn bandwidth(&self) -> Bandwidth {
-        self.bandwidth
-    }
 }

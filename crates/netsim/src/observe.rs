@@ -283,10 +283,30 @@ mod tests {
         }
     }
 
+    /// Records every monitor event into a log the test keeps a handle to.
+    #[derive(Debug, Default)]
+    struct RecordingMonitor(Rc<RefCell<Vec<MonitorEvent>>>);
+    impl InvariantMonitor for RecordingMonitor {
+        fn name(&self) -> &'static str {
+            "recording"
+        }
+        fn observe(&mut self, _at: SimTime, ev: &MonitorEvent) {
+            self.0.borrow_mut().push(ev.clone());
+        }
+        fn violations(&self) -> &[Violation] {
+            &[]
+        }
+    }
+
+    /// Ten packets from two senders cross two hops each. Every packet
+    /// gets its own uid, is injected and delivered once, and at each hop
+    /// is enqueued then dequeued on one channel — whether it found the
+    /// transmitter idle or waited.
     #[test]
     fn monitors_see_every_packet_event_and_uids_are_unique() {
         let (mut sim, senders, dst, _) = star(2);
-        sim.attach_monitor(Box::new(CountingMonitor::default()));
+        let log = Rc::new(RefCell::new(Vec::new()));
+        sim.attach_monitor(Box::new(RecordingMonitor(Rc::clone(&log))));
         assert!(sim.monitors_enabled());
         for (i, &s) in senders.iter().enumerate() {
             for _ in 0..5 {
@@ -297,15 +317,51 @@ mod tests {
             }
         }
         sim.run();
-        // Monitors are boxed inside the simulator; inspect through the
-        // audit and violation APIs plus the engine counters.
-        let audit = sim.audit_stats();
-        assert_eq!(audit.injected, 10);
-        assert_eq!(audit.delivered, 10);
-        assert_eq!(audit.dropped, 0);
-        assert_eq!(audit.in_flight(), 0);
-        assert!(sim.violations().is_empty());
         sim.assert_no_violations();
+        let log = log.borrow();
+
+        let injected: Vec<u64> = log
+            .iter()
+            .filter_map(|ev| match *ev {
+                MonitorEvent::Injected { uid, .. } => Some(uid),
+                _ => None,
+            })
+            .collect();
+        let uids: std::collections::BTreeSet<u64> = injected.iter().copied().collect();
+        assert_eq!((injected.len(), uids.len()), (10, 10), "one uid per packet");
+
+        for &uid in &uids {
+            let mut delivered = 0;
+            // The packet's queue events, in order: ('E' | 'D', channel).
+            let mut hops = Vec::new();
+            for ev in log.iter() {
+                match *ev {
+                    MonitorEvent::Delivered { uid: u, .. } if u == uid => delivered += 1,
+                    MonitorEvent::Enqueued {
+                        uid: u, channel, ..
+                    } if u == uid => hops.push(('E', channel)),
+                    MonitorEvent::Dequeued {
+                        uid: u, channel, ..
+                    } if u == uid => hops.push(('D', channel)),
+                    _ => {}
+                }
+            }
+            assert_eq!(delivered, 1, "uid {uid} delivered once");
+            assert_eq!(hops.len(), 4, "uid {uid}: two hops, {hops:?}");
+            for hop in hops.chunks(2) {
+                assert_eq!((hop[0].0, hop[1].0), ('E', 'D'), "uid {uid}: {hops:?}");
+                assert_eq!(hop[0].1, hop[1].1, "uid {uid}: one channel per hop");
+            }
+            assert_ne!(hops[0].1, hops[2].1, "uid {uid}: two different hops");
+        }
+        let count = |want: fn(&MonitorEvent) -> bool| log.iter().filter(|ev| want(ev)).count();
+        let enqueued = count(|ev| matches!(ev, MonitorEvent::Enqueued { .. }));
+        let dequeued = count(|ev| matches!(ev, MonitorEvent::Dequeued { .. }));
+        assert_eq!(
+            (enqueued, dequeued),
+            (20, 20),
+            "no queue event of another uid"
+        );
     }
 
     #[test]

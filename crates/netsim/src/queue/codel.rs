@@ -87,6 +87,11 @@ impl<P: Payload> CoDelState<P> {
         }
     }
 
+    /// What [`Self::dequeue`] does when it hands out the only packet.
+    pub(super) fn reset(&mut self) {
+        (self.first_above, self.dropping) = (None, false);
+    }
+
     /// One head pop: returns the head (if any) and whether the
     /// sojourn-time state machine permits dropping it.
     fn pop(&mut self, now: SimTime, fifo: &mut Fifo<P>) -> (Option<Entry<P>>, bool) {

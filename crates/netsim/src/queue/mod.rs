@@ -107,7 +107,7 @@ impl Default for QueueConfig {
 ///
 /// The occupancy integral enables the paper's *average queue length* metric
 /// (Fig. 9(b)): `AQL = integral / observed span`.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Packets accepted into the queue (or straight into the transmitter).
     pub enqueued: u64,
@@ -182,12 +182,13 @@ impl<P> Fifo<P> {
 }
 
 /// The running state of a queue's discipline, built from
-/// [`QueueConfig::aqm`].
+/// [`QueueConfig::aqm`]. An AQM's state is boxed, so a drop-tail queue
+/// is not sized by it.
 #[derive(Debug)]
 enum Discipline<P> {
     DropTail,
-    Red(RedState),
-    CoDel(CoDelState<P>),
+    Red(Box<RedState>),
+    CoDel(Box<CoDelState<P>>),
 }
 
 /// Injected faults of one queue; allocated on first injection.
@@ -241,8 +242,8 @@ impl<P: Payload> DropTailQueue<P> {
             ecn_threshold: config.ecn_threshold,
             discipline: match config.aqm {
                 QueueDiscipline::DropTail => Discipline::DropTail,
-                QueueDiscipline::Red(red) => Discipline::Red(RedState::new(red)),
-                QueueDiscipline::CoDel(codel) => Discipline::CoDel(CoDelState::new(codel)),
+                QueueDiscipline::Red(red) => Discipline::Red(RedState::new(red).into()),
+                QueueDiscipline::CoDel(codel) => Discipline::CoDel(CoDelState::new(codel).into()),
             },
             fifo: Fifo {
                 items: VecDeque::new(),
@@ -333,14 +334,54 @@ impl<P: Payload> DropTailQueue<P> {
 
     /// Offers a packet. On acceptance the packet may be CE-marked per the
     /// RED/ECN configuration. Statistics are updated either way.
-    pub fn enqueue(&mut self, now: SimTime, mut pkt: Packet<P>) -> EnqueueOutcome {
+    pub fn enqueue(&mut self, now: SimTime, pkt: Packet<P>) -> EnqueueOutcome {
+        match self.admit(now, pkt) {
+            Ok(pkt) => {
+                self.fifo.push(now, pkt);
+                self.stats.enqueued += 1;
+                self.stats.max_len = self.stats.max_len.max(self.fifo.len());
+                self.record(now);
+                EnqueueOutcome::Accepted
+            }
+            Err(dropped) => dropped,
+        }
+    }
+
+    /// Offers a packet to an empty queue whose transmitter is idle and
+    /// hands it back to transmit if admitted (a drop is the error).
+    /// Observably [`Self::enqueue`] then [`Self::dequeue`] at `now`, but
+    /// the packet never enters the ring, so a queue that nothing waits
+    /// in never allocates one.
+    pub(crate) fn bypass(
+        &mut self,
+        now: SimTime,
+        pkt: Packet<P>,
+    ) -> Result<Packet<P>, EnqueueOutcome> {
+        debug_assert!(self.is_empty(), "an idle transmitter has nothing queued");
+        let pkt = self.admit(now, pkt)?;
+        self.stats.enqueued += 1;
+        self.stats.dequeued += 1;
+        self.stats.dequeued_bytes += pkt.size as u64;
+        self.stats.max_len = self.stats.max_len.max(1);
+        if let Some(rec) = &mut self.recorder {
+            rec.extend([1, 0].map(|len| QueueSample { at: now, len }));
+        }
+        if let Discipline::CoDel(codel) = &mut self.discipline {
+            codel.reset();
+        }
+        Ok(pkt)
+    }
+
+    /// The admission step of every arrival: injected faults, capacity,
+    /// RED and ECN marking. Returns the packet to store or the drop.
+    fn admit(&mut self, now: SimTime, mut pkt: Packet<P>) -> Result<Packet<P>, EnqueueOutcome> {
         self.advance_clock(now);
         let arrival = self.arrivals;
         self.arrivals += 1;
         if let Some(faults) = &mut self.faults {
             if faults.forced_drops.remove(&arrival) {
                 self.stats.dropped += 1;
-                return EnqueueOutcome::Dropped;
+                return Err(EnqueueOutcome::Dropped);
             }
         }
         if !self
@@ -352,10 +393,10 @@ impl<P: Payload> DropTailQueue<P> {
                 // and ECN steps) so the queue-bound monitor has something
                 // real to catch.
                 faults.overadmit_budget -= 1;
-                return self.admit(now, pkt);
+                return Ok(pkt);
             }
             self.stats.dropped += 1;
-            return EnqueueOutcome::Dropped;
+            return Err(EnqueueOutcome::Dropped);
         }
         if let Discipline::Red(red) = &mut self.discipline {
             match red.on_arrival(self.fifo.len(), pkt.payload.ecn_capable()) {
@@ -368,7 +409,7 @@ impl<P: Payload> DropTailQueue<P> {
                 RedVerdict::EarlyDrop { avg } => {
                     self.stats.red_events += 1;
                     self.stats.dropped += 1;
-                    return EnqueueOutcome::EarlyDropped { avg_queue: avg };
+                    return Err(EnqueueOutcome::EarlyDropped { avg_queue: avg });
                 }
             }
         }
@@ -378,15 +419,7 @@ impl<P: Payload> DropTailQueue<P> {
                 self.stats.ecn_marked += 1;
             }
         }
-        self.admit(now, pkt)
-    }
-
-    fn admit(&mut self, now: SimTime, pkt: Packet<P>) -> EnqueueOutcome {
-        self.fifo.push(now, pkt);
-        self.stats.enqueued += 1;
-        self.stats.max_len = self.stats.max_len.max(self.fifo.len());
-        self.record(now);
-        EnqueueOutcome::Accepted
+        Ok(pkt)
     }
 
     /// Removes the packet at the head, if any. Under CoDel this may first
@@ -588,5 +621,219 @@ mod tests {
         q.enqueue(t(0), pkt(100));
         assert_eq!(q.stats().ecn_marked, 0);
         assert!(!q.dequeue(t(1)).unwrap().payload.is_ce());
+    }
+
+    /// A queue whose every packet finds the transmitter idle never
+    /// allocates its ring; in a 100k-host star that is most queues.
+    #[test]
+    fn bypass_only_queue_keeps_a_zero_capacity_ring() {
+        let mut q = DropTailQueue::new(QueueConfig::drop_tail(10));
+        for i in 0..100 {
+            assert!(q.bypass(t(i), pkt(100)).is_ok());
+        }
+        assert_eq!(q.fifo.items.capacity(), 0);
+        assert_eq!((q.stats().enqueued, q.stats().dequeued), (100, 100));
+        assert_eq!(q.enqueue(t(100), pkt(100)), EnqueueOutcome::Accepted);
+        assert!(q.fifo.items.capacity() > 0, "a packet that waits is stored");
+    }
+
+    /// ECN-capable or not, per packet, so one stream sees marks and drops.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    struct Ect {
+        capable: bool,
+        ce: bool,
+    }
+    impl Payload for Ect {
+        fn ecn_capable(&self) -> bool {
+            self.capable
+        }
+        fn mark_ce(&mut self) {
+            self.ce = true;
+        }
+        fn is_ce(&self) -> bool {
+            self.ce
+        }
+    }
+
+    /// A packet handed out by a twin, as `(uid, size, payload)`.
+    type Out = Option<(u64, u32, Ect)>;
+
+    fn out(pkt: Option<Packet<Ect>>) -> Out {
+        pkt.map(|p| (p.uid, p.size, p.payload))
+    }
+
+    /// Sojourn drops as `(uid, sojourn)`.
+    fn drained(q: &mut DropTailQueue<Ect>) -> Vec<(u64, Dur)> {
+        let drops = q.take_sojourn_drops();
+        drops.iter().map(|d| (d.pkt.uid, d.sojourn)).collect()
+    }
+
+    /// What the streams of one configuration exercised, summed over runs.
+    #[derive(Debug, Default)]
+    struct Seen {
+        idle: u64,
+        idle_refused: u64,
+        idle_behind_sojourn_drops: u64,
+        stats: QueueStats,
+    }
+
+    /// Drives twin queues built from `cfg` (and `setup`, for faults)
+    /// through pseudo-random streams that alternate filling and
+    /// draining stretches. An offer to an empty queue finds the
+    /// transmitter idle two times in three: one twin then takes
+    /// `bypass`, the other `enqueue` + `dequeue`. Every result,
+    /// `stats()`, `len()`, `bytes()`, `samples()`, the pending sojourn
+    /// drops and the discipline's whole state (RED's average, count and
+    /// PRNG position; CoDel's control law) must agree after every
+    /// operation.
+    fn differential(name: &str, cfg: QueueConfig, setup: fn(&mut DropTailQueue<Ect>)) -> Seen {
+        let mut seen = Seen::default();
+        for (seed, recording) in (1..=8).zip([false, true].into_iter().cycle()) {
+            let mut fast = DropTailQueue::new(cfg);
+            let mut twin = DropTailQueue::new(cfg);
+            for q in [&mut fast, &mut twin] {
+                setup(q);
+                if recording {
+                    q.enable_recording();
+                }
+            }
+            let mut rng = seed;
+            let mut next = |n: u64| {
+                rng = crate::hash::mix64(rng);
+                rng % n
+            };
+            let mut now = SimTime::ZERO;
+            for step in 0..1_500u64 {
+                let at = format!("{name}, seed {seed}, step {step}");
+                now += Dur::from_nanos(next(4) * 700);
+                let filling = (step / 60) % 2 == 0;
+                let roll = next(100);
+                if roll < if filling { 65 } else { 30 } {
+                    let ect = Ect {
+                        capable: next(2) == 0,
+                        ce: false,
+                    };
+                    let size = 40 + next(1_461) as u32;
+                    let mut pkt = Packet::new(NodeId(0), NodeId(1), FlowId(0), size, ect);
+                    pkt.uid = step;
+                    if fast.is_empty() && next(3) > 0 {
+                        seen.idle += 1;
+                        seen.idle_behind_sojourn_drops += u64::from(fast.has_sojourn_drops());
+                        let got = fast.bypass(now, pkt.clone());
+                        let want = match twin.enqueue(now, pkt) {
+                            EnqueueOutcome::Accepted => Ok(out(twin.dequeue(now))),
+                            dropped => Err(dropped),
+                        };
+                        seen.idle_refused += u64::from(got.is_err());
+                        assert_eq!(got.map(|p| out(Some(p))), want, "{at}");
+                    } else {
+                        let got = fast.enqueue(now, pkt.clone());
+                        assert_eq!(got, twin.enqueue(now, pkt), "{at}");
+                    }
+                } else if roll < 90 {
+                    assert_eq!(out(fast.dequeue(now)), out(twin.dequeue(now)), "{at}");
+                } else {
+                    assert_eq!(drained(&mut fast), drained(&mut twin), "{at}");
+                }
+                assert_eq!(fast.stats(), twin.stats(), "{at}");
+                assert_eq!(
+                    (fast.len(), fast.bytes()),
+                    (twin.len(), twin.bytes()),
+                    "{at}"
+                );
+                let samples = |q: &DropTailQueue<Ect>| q.samples().map(<[_]>::len);
+                assert_eq!(samples(&fast), samples(&twin), "{at}");
+                assert_eq!(fast.has_sojourn_drops(), twin.has_sojourn_drops(), "{at}");
+                let aqm = |q: &DropTailQueue<Ect>| format!("{:?}", q.discipline);
+                assert_eq!(aqm(&fast), aqm(&twin), "{at}");
+            }
+            assert_eq!(fast.samples(), twin.samples(), "{name}, seed {seed}");
+            // Whatever state the stream left behind drains identically.
+            while !twin.is_empty() {
+                now += Dur::from_micros(3);
+                assert_eq!(out(fast.dequeue(now)), out(twin.dequeue(now)), "{name}");
+            }
+            assert_eq!(drained(&mut fast), drained(&mut twin), "{name}");
+            assert_eq!(fast.stats(), twin.stats(), "{name}");
+            let s = fast.stats();
+            seen.stats.dropped += s.dropped;
+            seen.stats.ecn_marked += s.ecn_marked;
+            seen.stats.red_events += s.red_events;
+            seen.stats.sojourn_events += s.sojourn_events;
+            seen.stats.max_len = seen.stats.max_len.max(s.max_len);
+        }
+        seen
+    }
+
+    /// A packet that finds the transmitter idle, passed straight
+    /// through, is exactly an enqueue followed by a dequeue: same
+    /// outcome, same packet, same statistics, samples and AQM state for
+    /// every later operation, under every discipline and fault.
+    #[test]
+    fn bypass_is_exactly_an_enqueue_then_a_dequeue() {
+        let red = RedConfig {
+            min_th: 0.5,
+            max_th: 4.0,
+            max_p: 0.5,
+            wq: 0.5,
+            ecn: true,
+            seed: 9,
+        };
+        let codel = CoDelConfig {
+            target: Dur::from_micros(2),
+            interval: Dur::from_micros(8),
+            ecn: false,
+        };
+        let bytes = QueueConfig {
+            capacity: QueueCapacity::Bytes(4_000),
+            ..QueueConfig::default()
+        };
+        type Setup = fn(&mut DropTailQueue<Ect>);
+        let cases: [(&str, QueueConfig, Setup); 9] = [
+            ("drop-tail packets", QueueConfig::drop_tail(6), |_| {}),
+            ("drop-tail bytes", bytes, |_| {}),
+            (
+                "ecn threshold 0",
+                QueueConfig::drop_tail(8).with_ecn_threshold(0),
+                |_| {},
+            ),
+            (
+                "ecn threshold 2",
+                QueueConfig::drop_tail(8).with_ecn_threshold(2),
+                |_| {},
+            ),
+            ("red", QueueConfig::drop_tail(16).with_red(red), |_| {}),
+            (
+                "codel",
+                QueueConfig::drop_tail(64).with_codel(codel),
+                |_| {},
+            ),
+            (
+                "codel ecn",
+                QueueConfig::drop_tail(64).with_codel(CoDelConfig { ecn: true, ..codel }),
+                |_| {},
+            ),
+            ("forced drops", QueueConfig::drop_tail(6), |q| {
+                q.inject_drops((0..1_500).step_by(5));
+            }),
+            ("over-admit", QueueConfig::drop_tail(0), |q| {
+                q.inject_overadmit(150)
+            }),
+        ];
+        for (name, cfg, setup) in cases {
+            let seen = differential(name, cfg, setup);
+            assert!(seen.idle > 500, "{name}: {seen:?}");
+            let s = seen.stats;
+            let exercised = match name {
+                "drop-tail packets" | "drop-tail bytes" => s.dropped > 0,
+                "ecn threshold 0" | "ecn threshold 2" => s.ecn_marked > 0,
+                "red" => s.red_events > s.ecn_marked && s.ecn_marked > 0 && seen.idle_refused > 0,
+                "codel" => s.sojourn_events > 0 && seen.idle_behind_sojourn_drops > 0,
+                "codel ecn" => s.sojourn_events > s.ecn_marked && s.ecn_marked > 0,
+                "forced drops" => seen.idle_refused > 0,
+                _ => s.max_len > 0 && seen.idle_refused > 0,
+            };
+            assert!(exercised, "{name}: the streams missed the case, {seen:?}");
+        }
     }
 }

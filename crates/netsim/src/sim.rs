@@ -305,30 +305,35 @@ impl<P: Payload> Core<P> {
     fn channel_send(&mut self, ch: ChannelId, now: SimTime, pkt: Packet<P>) {
         let meta = PacketMeta::of(&pkt);
         let c = &mut self.channels[ch.index()];
-        let was_idle = (c.free_at, c.free_seq) <= (now, self.cur_seq);
-        // A packet offered to an idle channel passes through the queue
-        // too, so that enqueued/dequeued reflect every packet offered to
-        // the channel. The enqueue can still fail (zero capacity,
-        // injected fault).
-        let cause = match c.queue.enqueue(now, pkt) {
-            EnqueueOutcome::Accepted => None,
-            EnqueueOutcome::Dropped => Some(DropCause::Tail),
-            EnqueueOutcome::EarlyDropped { avg_queue } => Some(DropCause::Early { avg_queue }),
+        // An idle transmitter has nothing queued behind it: a packet it
+        // admits leaves at once, counted as an enqueue and a dequeue.
+        let admitted = if (c.free_at, c.free_seq) <= (now, self.cur_seq) {
+            c.queue.bypass(now, pkt).map(Some)
+        } else {
+            match c.queue.enqueue(now, pkt) {
+                EnqueueOutcome::Accepted => Ok(None),
+                dropped => Err(dropped),
+            }
         };
-        if let Some(cause) = cause {
-            self.obs.dropped(now, ch, meta, cause);
-            return;
-        }
+        let head = match admitted {
+            Ok(head) => head,
+            Err(dropped) => {
+                let cause = match dropped {
+                    EnqueueOutcome::EarlyDropped { avg_queue } => DropCause::Early { avg_queue },
+                    _ => DropCause::Tail,
+                };
+                self.obs.dropped(now, ch, meta, cause);
+                return;
+            }
+        };
         // The queue's configuration is read only for a monitor.
         if self.obs.monitors_enabled() {
-            let (len, capacity) = (c.queue.len(), c.queue.config().capacity);
+            let len = c.queue.len() + usize::from(head.is_some());
+            let capacity = c.queue.config().capacity;
             self.obs.enqueued(now, ch, meta, len, capacity);
         }
-        if was_idle {
-            // CoDel never drops the last remaining packet, so the dequeue
-            // directly after a successful enqueue always yields one.
-            let head = c.queue.dequeue(now).expect("just enqueued"); // trim-lint: allow(no-panic-in-library, reason = "dequeue directly follows the enqueue in this call")
-            self.transmit(ch, now, head);
+        if let Some(pkt) = head {
+            self.transmit(ch, now, pkt);
         } else if !c.tx_armed {
             // First packet to wait behind the transmission in progress:
             // its wake-up becomes an event, under the key it drew.

@@ -8,7 +8,7 @@
 //!
 //! ## State layout
 //!
-//! A sender's whole state is one [`Conn`], boxed in its
+//! A sender's whole state is one [`Conn`], held inline in its
 //! [`FlowSlab`](crate::slab::FlowSlab) slot. Every ACK touches the
 //! window, the RTO estimator and the sequence cursors, but also the
 //! config, the stats, the controller, the probe state and the train
@@ -100,7 +100,7 @@ struct ProbePending {
 
 /// One sending connection: the per-event working set (window, RTO
 /// estimator, sequence cursors, recovery flags) and everything around it
-/// (config, controller, train queue, stats), boxed per
+/// (config, controller, train queue, stats), held inline per
 /// flow in the [`FlowSlab`](crate::slab::FlowSlab).
 #[derive(Debug)]
 pub struct Conn {
@@ -152,15 +152,10 @@ pub struct Conn {
 /// # Panics
 ///
 /// Panics if `cfg` fails validation.
-pub(crate) fn new_conn(
-    flow: FlowId,
-    dst: NodeId,
-    cfg: TcpConfig,
-    cc: Box<dyn CcAlgo>,
-) -> Box<Conn> {
+pub(crate) fn new_conn(flow: FlowId, dst: NodeId, cfg: TcpConfig, cc: Box<dyn CcAlgo>) -> Conn {
     cfg.validate()
         .unwrap_or_else(|e| panic!("invalid TcpConfig: {e}")); // trim-lint: allow(no-panic-in-library, reason = "constructor contract: configs are validated at build time")
-    Box::new(Conn {
+    Conn {
         win: WindowState::new(cfg.init_cwnd, cfg.init_ssthresh, cfg.min_cwnd, cfg.max_cwnd),
         rto_est: RtoEstimator::new(cfg.min_rto, cfg.max_rto),
         next_seq: 0,
@@ -183,7 +178,7 @@ pub(crate) fn new_conn(
         completed: Vec::new(),
         stats: ConnStats::default(),
         cwnd_series: None,
-    })
+    }
 }
 
 impl Conn {

@@ -8,7 +8,7 @@
 //! - receivers that ACK every packet, echoing its timestamp, probe flag
 //!   and CE mark ([`receiver`]);
 //! - a host agent multiplexing many connections ([`host`]), their state
-//!   held one boxed [`Conn`] per flow in a recycling flow slab ([`slab`]);
+//!   held one [`Conn`] per flow, inline in a recycling flow slab ([`slab`]);
 //! - pluggable congestion control ([`cc`]): Reno, CUBIC, DCTCP, L2DCT, the
 //!   GIP-style restart baseline, and **TCP-TRIM** (embedding
 //!   [`trim_core::Trim`]).

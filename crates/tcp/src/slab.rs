@@ -1,10 +1,11 @@
 //! The flow slab: the sender state of every connection on a host, keyed
 //! by dense flow id.
 //!
-//! Each slot holds one `Box<Conn>`: the whole sender state of the flow.
-//! An event borrows its flow's connection in place (`get_mut`); there is
-//! no second copy of it anywhere, so a reader between events sees
-//! exactly the state the next event will act on.
+//! Each slot holds one `Conn` inline: the whole sender state of the
+//! flow, one load from the table. An event borrows its flow's
+//! connection in place (`get_mut`); there is no second copy of it
+//! anywhere, so a reader between events sees exactly the state the next
+//! event will act on.
 //!
 //! Slots are recycled through a freelist with generation counters and
 //! allocated/freed accounting, so teardown at scale reuses ids instead
@@ -29,9 +30,8 @@ pub struct SlabAudit {
 /// Slab of sender state, keyed by dense flow id.
 #[derive(Debug, Default)]
 pub struct FlowSlab {
-    /// One boxed connection per slot; `None` marks a vacant (or leaked)
-    /// slot.
-    conns: Vec<Option<Box<Conn>>>,
+    /// One connection per slot; `None` marks a vacant (or leaked) slot.
+    conns: Vec<Option<Conn>>,
     /// Slot birth count: bumped on every removal, so tests can observe
     /// id reuse.
     generation: Vec<u32>,
@@ -103,7 +103,7 @@ impl FlowSlab {
     /// Inserts a connection; returns its dense flow id and stamps it
     /// into the connection's `local_idx` (timer tokens embed it). Vacated
     /// ids are reused before the table grows.
-    pub(crate) fn insert(&mut self, mut conn: Box<Conn>) -> usize {
+    pub(crate) fn insert(&mut self, mut conn: Conn) -> usize {
         self.allocated += 1;
         self.high_water = self.high_water.max(self.allocated - self.freed);
         if let Some(id) = self.freelist.pop() {
@@ -126,7 +126,7 @@ impl FlowSlab {
     /// # Panics
     ///
     /// Panics if `id` is not live.
-    pub(crate) fn remove(&mut self, id: usize) -> Box<Conn> {
+    pub(crate) fn remove(&mut self, id: usize) -> Conn {
         let conn = self.conns[id].take().expect("removed a vacant flow slot"); // trim-lint: allow(no-panic-in-library, reason = "double-free of a flow id is a host bug, not a recoverable state")
         self.freed += 1;
         self.generation[id] += 1;
@@ -187,7 +187,7 @@ impl FlowSlab {
     ///
     /// Panics if `id` is not live.
     pub(crate) fn get(&self, id: usize) -> &Conn {
-        self.conns[id].as_deref().expect("vacant flow slot") // trim-lint: allow(no-panic-in-library, reason = "reading a freed flow id is a host bug")
+        self.conns[id].as_ref().expect("vacant flow slot") // trim-lint: allow(no-panic-in-library, reason = "reading a freed flow id is a host bug")
     }
 
     /// Mutably borrows the connection of live flow `id`, in place.
@@ -196,7 +196,7 @@ impl FlowSlab {
     ///
     /// Panics if `id` is not live.
     pub(crate) fn get_mut(&mut self, id: usize) -> &mut Conn {
-        self.conns[id].as_deref_mut().expect("vacant flow slot") // trim-lint: allow(no-panic-in-library, reason = "reading a freed flow id is a host bug")
+        self.conns[id].as_mut().expect("vacant flow slot") // trim-lint: allow(no-panic-in-library, reason = "reading a freed flow id is a host bug")
     }
 
     /// Ids of live flows, ascending.
@@ -225,7 +225,7 @@ mod tests {
         sim.add_switch()
     }
 
-    fn entry(flow: u64, cfg: TcpConfig) -> Box<Conn> {
+    fn entry(flow: u64, cfg: TcpConfig) -> Conn {
         new_conn(FlowId(flow), dst(), cfg, CcKind::Reno.build())
     }
 

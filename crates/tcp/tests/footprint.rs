@@ -11,8 +11,8 @@ use netsim::channel::Channel;
 use trim_tcp::{Conn, Receiver, Segment, TcpHost};
 
 #[test]
-fn channel_of_segment_is_336_bytes() {
-    assert_eq!(size_of::<Channel<Segment>>(), 336);
+fn channel_of_segment_is_272_bytes() {
+    assert_eq!(size_of::<Channel<Segment>>(), 272);
 }
 
 #[test]

@@ -178,13 +178,13 @@ pub fn campaign(_effort: Effort) -> Campaign {
         let cc = v.cc.clone();
         c.table_job(
             format!("imp_{}", v.name),
-            &[("variant", v.name.to_string())],
+            [("variant", v.name.to_string())],
             move |_seed| impairment_table(impairment_cell(&cc)),
         );
         let cc = v.cc.clone();
         c.table_job(
             format!("conc_{}", v.name),
-            &[("variant", v.name.to_string())],
+            [("variant", v.name.to_string())],
             move |_seed| {
                 let cell = concurrency::run_cell(&cc, 8, 2);
                 let mut t = Table::new("cell", &["spt_act", "spt_max", "timeouts"]);
@@ -200,7 +200,7 @@ pub fn campaign(_effort: Effort) -> Campaign {
     for (name, cc, q) in aqm_rows() {
         c.table_job(
             format!("aqm_{name}"),
-            &[("setup", name.to_string())],
+            [("setup", name.to_string())],
             move |_seed| impairment_table(impairment_cell_with_queue(&cc, q)),
         );
     }

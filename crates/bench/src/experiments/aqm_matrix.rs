@@ -437,14 +437,14 @@ fn stability_table(row: &StabilityRow) -> Table {
 pub fn campaign(_effort: Effort) -> Campaign {
     let mut c = Campaign::new("aqm_matrix", 0xA9_11);
     for (key, aqm, buffer_pkts, senders, cc) in matrix_cells() {
-        c.table_job(format!("m_{key}"), &[("cell", key.clone())], move |_seed| {
+        c.table_job(format!("m_{key}"), [("cell", key.clone())], move |_seed| {
             cell_table(&run_cell(aqm, buffer_pkts, senders, cc))
         });
     }
     for inst in stability_instances() {
         c.table_job(
             format!("s_{}", inst.name),
-            &[("instance", inst.name.to_string())],
+            [("instance", inst.name.to_string())],
             move |_seed| stability_table(&run_stability_instance(&inst)),
         );
     }

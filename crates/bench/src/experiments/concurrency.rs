@@ -134,7 +134,7 @@ pub fn campaign(effort: Effort) -> Campaign {
             c.table_job_seeded(
                 format!("tcp_n{n}_l{l}"),
                 format!("n{n}_l{l}"),
-                &[
+                [
                     ("protocol", "tcp".to_string()),
                     ("n_spt", n.to_string()),
                     ("n_lpt", l.to_string()),
@@ -145,7 +145,7 @@ pub fn campaign(effort: Effort) -> Campaign {
         c.table_job_seeded(
             format!("trim_n{n}_l2"),
             format!("n{n}_l2"),
-            &[
+            [
                 ("protocol", "trim".to_string()),
                 ("n_spt", n.to_string()),
                 ("n_lpt", "2".to_string()),

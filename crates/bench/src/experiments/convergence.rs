@@ -135,7 +135,7 @@ fn protocol_job(cc: &CcKind) -> Artifacts {
 pub fn campaign(_effort: Effort) -> Campaign {
     let mut c = Campaign::new("convergence", 0xF1A);
     for proto in ["tcp", "trim"] {
-        c.job(proto, &[("protocol", proto.to_string())], move |_seed| {
+        c.job(proto, [("protocol", proto.to_string())], move |_seed| {
             let cc = if proto == "trim" {
                 CcKind::trim_with_capacity(1_000_000_000, 1460)
             } else {

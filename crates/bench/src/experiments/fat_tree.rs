@@ -104,7 +104,7 @@ pub fn campaign(effort: Effort) -> Campaign {
                 c.table_job_seeded(
                     format!("k{k}_{name}_r{r}"),
                     format!("k{k}_r{r}"),
-                    &[
+                    [
                         ("pods", k.to_string()),
                         ("protocol", name.clone()),
                         ("rep", r.to_string()),

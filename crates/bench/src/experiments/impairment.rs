@@ -134,7 +134,7 @@ pub fn campaign(_effort: Effort) -> Campaign {
     let mut c = Campaign::new("impairment", 42);
     for cc in protocols() {
         let name = cc.name().to_string();
-        c.job(name.clone(), &[("protocol", name)], move |seed| {
+        c.job(name.clone(), [("protocol", name)], move |seed| {
             protocol_job(&cc, seed)
         });
     }

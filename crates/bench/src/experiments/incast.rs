@@ -36,7 +36,7 @@ pub fn campaign(effort: Effort) -> Campaign {
             c.table_job_seeded(
                 format!("f{n}_{proto}"),
                 format!("f{n}"),
-                &[("workers", n.to_string()), ("protocol", proto.to_string())],
+                [("workers", n.to_string()), ("protocol", proto.to_string())],
                 move |seed| {
                     let cfg = QueryConfig {
                         workers: n,

@@ -91,7 +91,7 @@ pub fn campaign(_effort: Effort) -> Campaign {
     let counts = [2usize, 5, 10];
 
     let mut c = Campaign::new("kmodel", 0x4B);
-    c.job("analytic", &[], |_seed| {
+    c.job("analytic", [], |_seed| {
         vec![
             ("guideline".to_string(), guideline_table()),
             ("steady_state".to_string(), steady_state_table()),
@@ -100,7 +100,7 @@ pub fn campaign(_effort: Effort) -> Campaign {
     for &n in &counts {
         c.table_job(
             format!("validation_n{n}"),
-            &[("n_lpts", n.to_string())],
+            [("n_lpts", n.to_string())],
             move |_seed| {
                 let mut t = Table::new("goodput", &["guideline_mbps", "tiny_k_mbps"]);
                 t.row(&[

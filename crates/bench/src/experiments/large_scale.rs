@@ -134,7 +134,7 @@ pub fn campaign(effort: Effort) -> Campaign {
                     c.table_job_seeded(
                         format!("{label}_s{s}_{proto}_r{r}"),
                         format!("{label}_s{s}_r{r}"),
-                        &[
+                        [
                             ("spread", label.to_string()),
                             ("switches", s.to_string()),
                             ("protocol", proto.to_string()),
@@ -207,7 +207,7 @@ pub fn campaign_100k(effort: Effort) -> Campaign {
         for proto in ["tcp", "trim"] {
             c.table_job(
                 format!("f{flows}_{proto}"),
-                &[
+                [
                     ("flows", flows.to_string()),
                     ("protocol", proto.to_string()),
                 ],

@@ -36,7 +36,7 @@ pub fn campaign(effort: Effort) -> Campaign {
         for proto in ["tcp", "trim"] {
             c.table_job(
                 format!("f{flows}_{proto}"),
-                &[
+                [
                     ("flows", flows.to_string()),
                     ("per_host", per_host.to_string()),
                     ("protocol", proto.to_string()),

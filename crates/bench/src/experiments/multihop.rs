@@ -92,7 +92,7 @@ pub fn campaign(_effort: Effort) -> Campaign {
         CcKind::trim_with_capacity(10_000_000_000, 1460),
     ] {
         let name = cc.name().to_string();
-        c.table_job(name.clone(), &[("protocol", name)], move |_seed| {
+        c.table_job(name.clone(), [("protocol", name)], move |_seed| {
             let (a, b, g_c) = run_once(&cc);
             let mut t = Table::new("groups", &["group_a", "group_b", "group_c"]);
             t.row(&[num(a), num(b), num(g_c)]);

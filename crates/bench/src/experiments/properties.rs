@@ -130,7 +130,7 @@ pub fn campaign(effort: Effort) -> Campaign {
     for proto in ["tcp", "trim"] {
         c.table_job(
             format!("series_{proto}"),
-            &[("protocol", proto.to_string()), ("n_lpts", "5".to_string())],
+            [("protocol", proto.to_string()), ("n_lpts", "5".to_string())],
             move |_seed| {
                 let cc = if proto == "trim" {
                     CcKind::trim_with_capacity(1_000_000_000, 1460)
@@ -145,7 +145,7 @@ pub fn campaign(effort: Effort) -> Campaign {
         for proto in ["tcp", "trim"] {
             c.table_job(
                 format!("sweep_n{n}_{proto}"),
-                &[("protocol", proto.to_string()), ("n_pts", n.to_string())],
+                [("protocol", proto.to_string()), ("n_pts", n.to_string())],
                 move |_seed| {
                     let cc = if proto == "trim" {
                         CcKind::trim_with_capacity(1_000_000_000, 1460)

@@ -32,7 +32,7 @@ pub fn campaign(effort: Effort) -> Campaign {
             c.table_job_seeded(
                 format!("rto{ms}_{proto}"),
                 "cell",
-                &[
+                [
                     ("rto_min_ms", ms.to_string()),
                     ("protocol", proto.to_string()),
                 ],

@@ -123,7 +123,7 @@ fn serve_campaign(
         c.table_job_seeded(
             proto,
             "workload",
-            &[("protocol", proto.to_string())],
+            [("protocol", proto.to_string())],
             move |seed| {
                 let r = serve_once(proto, seed, sessions, window_ms);
                 let headers = [SLO_COLUMNS, &QUEUE_COLUMNS[1..]].concat();
@@ -233,7 +233,7 @@ fn fluid_point(proto: &str, n: u64) -> fluid::FluidOutcome {
 /// plus the fleet-scale fluid sweep. Effort-independent.
 pub fn campaign_meanfield(_effort: Effort) -> Campaign {
     let mut c = Campaign::new("serve_meanfield", 0x005E_55F1);
-    c.table_job("crossval", &[], |_seed| {
+    c.table_job("crossval", [], |_seed| {
         let mut t = Table::new(
             "run",
             &[
@@ -256,7 +256,7 @@ pub fn campaign_meanfield(_effort: Effort) -> Campaign {
         }
         t
     });
-    c.table_job("sweep", &[], |_seed| {
+    c.table_job("sweep", [], |_seed| {
         let mut t = Table::new(
             "run",
             &[

@@ -71,7 +71,7 @@ pub fn campaign(effort: Effort) -> Campaign {
     let mut c = Campaign::new("trace", 0x7217);
     c.job(
         "synthesize",
-        &[("trains", trains.to_string())],
+        [("trains", trains.to_string())],
         move |seed| trace_job(seed, trains),
     );
     c.reduce(|records| {

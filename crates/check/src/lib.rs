@@ -123,6 +123,25 @@ mod tests {
         }
     }
 
+    /// Every built-in monitor names the event kinds it reads, so the
+    /// engine can skip it for the rest (the clock of every dispatched
+    /// event, above all).
+    #[test]
+    fn built_in_monitors_declare_their_interests() {
+        let mut all = standard_monitors();
+        all.extend(stability_monitors(StabilityConfig::default()));
+        for m in &all {
+            let mask = m.interests();
+            assert!(mask != 0 && mask.count_ones() <= 4, "{}", m.name());
+        }
+        let clock_readers: Vec<&str> = all
+            .iter()
+            .filter(|m| m.interests() & netsim::monitor::interest::CLOCK != 0)
+            .map(|m| m.name())
+            .collect();
+        assert_eq!(clock_readers, ["monotonic-time"]);
+    }
+
     #[test]
     fn attach_standard_monitors_a_clean_sim_without_violations() {
         let mut sim: Simulator<TagPayload> = Simulator::new();

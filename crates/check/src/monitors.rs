@@ -8,7 +8,9 @@
 use std::collections::VecDeque;
 
 use netsim::hash::FastHashMap;
-use netsim::monitor::{AuditStats, InvariantMonitor, MonitorEvent, ProbeTransition, Violation};
+use netsim::monitor::{
+    interest, AuditStats, InvariantMonitor, MonitorEvent, ProbeTransition, Violation,
+};
 use netsim::{ChannelId, Dur, FlowId, SimTime};
 
 /// Slack for floating-point window comparisons: windows are `f64`
@@ -62,6 +64,10 @@ impl PacketConservation {
 impl InvariantMonitor for PacketConservation {
     fn name(&self) -> &'static str {
         "packet-conservation"
+    }
+
+    fn interests(&self) -> u32 {
+        interest::INJECTED | interest::DELIVERED | interest::DROPPED
     }
 
     fn observe(&mut self, at: SimTime, ev: &MonitorEvent) {
@@ -165,6 +171,10 @@ impl InvariantMonitor for QueueBound {
         "queue-bound"
     }
 
+    fn interests(&self) -> u32 {
+        interest::ENQUEUED | interest::AQM_EARLY_DROP
+    }
+
     fn observe(&mut self, at: SimTime, ev: &MonitorEvent) {
         match ev {
             MonitorEvent::Enqueued {
@@ -174,7 +184,9 @@ impl InvariantMonitor for QueueBound {
                 cap_pkts: Some(cap),
                 ..
             } => {
-                self.caps.insert(*channel, *cap);
+                if self.caps.get(channel) != Some(cap) {
+                    self.caps.insert(*channel, *cap);
+                }
                 if len_after > cap {
                     self.violations.push(Violation {
                         at,
@@ -245,6 +257,10 @@ impl FifoOrder {
 impl InvariantMonitor for FifoOrder {
     fn name(&self) -> &'static str {
         "fifo-order"
+    }
+
+    fn interests(&self) -> u32 {
+        interest::ENQUEUED | interest::DEQUEUED | interest::SOJOURN_DROP
     }
 
     fn observe(&mut self, at: SimTime, ev: &MonitorEvent) {
@@ -333,6 +349,10 @@ impl InvariantMonitor for MonotonicTime {
         "monotonic-time"
     }
 
+    fn interests(&self) -> u32 {
+        interest::CLOCK
+    }
+
     fn observe(&mut self, at: SimTime, ev: &MonitorEvent) {
         if let MonitorEvent::Clock { to } = ev {
             if let Some(last) = self.last {
@@ -376,6 +396,10 @@ impl CwndRange {
 impl InvariantMonitor for CwndRange {
     fn name(&self) -> &'static str {
         "cwnd-range"
+    }
+
+    fn interests(&self) -> u32 {
+        interest::CWND_UPDATE
     }
 
     fn observe(&mut self, at: SimTime, ev: &MonitorEvent) {
@@ -428,6 +452,10 @@ impl ProbeLegality {
 impl InvariantMonitor for ProbeLegality {
     fn name(&self) -> &'static str {
         "probe-legality"
+    }
+
+    fn interests(&self) -> u32 {
+        interest::PROBE_TRANSITION
     }
 
     fn observe(&mut self, at: SimTime, ev: &MonitorEvent) {
@@ -490,6 +518,10 @@ impl InvariantMonitor for AckReductionBound {
         "ack-reduction-bound"
     }
 
+    fn interests(&self) -> u32 {
+        interest::ACK_WINDOW
+    }
+
     fn observe(&mut self, at: SimTime, ev: &MonitorEvent) {
         if let MonitorEvent::AckWindow {
             flow,
@@ -544,6 +576,10 @@ impl ProbeWindow {
 impl InvariantMonitor for ProbeWindow {
     fn name(&self) -> &'static str {
         "probe-window"
+    }
+
+    fn interests(&self) -> u32 {
+        interest::PROBE_TRANSITION | interest::CWND_UPDATE
     }
 
     fn observe(&mut self, at: SimTime, ev: &MonitorEvent) {
@@ -622,6 +658,13 @@ impl SessionConservation {
 impl InvariantMonitor for SessionConservation {
     fn name(&self) -> &'static str {
         "session-conservation"
+    }
+
+    fn interests(&self) -> u32 {
+        interest::SESSION_STARTED
+            | interest::REQUEST_ISSUED
+            | interest::RESPONSE_COMPLETED
+            | interest::SESSION_ENDED
     }
 
     fn observe(&mut self, at: SimTime, ev: &MonitorEvent) {
@@ -863,6 +906,10 @@ impl InvariantMonitor for CwndLimitCycle {
         "cwnd-limit-cycle"
     }
 
+    fn interests(&self) -> u32 {
+        interest::CWND_UPDATE
+    }
+
     fn observe(&mut self, at: SimTime, ev: &MonitorEvent) {
         let MonitorEvent::CwndUpdate { flow, cwnd, .. } = ev else {
             return;
@@ -1006,6 +1053,10 @@ impl InvariantMonitor for StandingQueue {
         "standing-queue"
     }
 
+    fn interests(&self) -> u32 {
+        interest::ENQUEUED | interest::DEQUEUED | interest::SOJOURN_DROP
+    }
+
     fn observe(&mut self, at: SimTime, ev: &MonitorEvent) {
         let cfg = self.config();
         match ev {
@@ -1124,6 +1175,10 @@ impl RedStability {
 impl InvariantMonitor for RedStability {
     fn name(&self) -> &'static str {
         "red-stability"
+    }
+
+    fn interests(&self) -> u32 {
+        self.cycle.interests()
     }
 
     fn observe(&mut self, at: SimTime, ev: &MonitorEvent) {

@@ -171,7 +171,7 @@ fn run_one(
     force: bool,
 ) -> Result<JobRecord, RunError> {
     let key = job.key.clone();
-    let seed = crate::job::derive_seed(campaign_seed, &job.seed_key);
+    let seed = crate::job::seed_of_hash(campaign_seed, job.seed_hash);
 
     if force {
         store.clear_job(campaign, &key).map_err(RunError::Io)?;

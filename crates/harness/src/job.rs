@@ -13,14 +13,36 @@ use crate::{fnv1a, splitmix64};
 /// the artifact's CSV file stem.
 pub type Artifacts = Vec<(String, Table)>;
 
+/// A job's `(name, value)` parameters, recorded in the manifest. An
+/// array is moved into the job; a borrowed one is cloned.
+pub trait JobParams {
+    /// The parameters, owned.
+    fn into_params(self) -> Vec<(&'static str, String)>;
+}
+
+impl<const N: usize> JobParams for [(&'static str, String); N] {
+    fn into_params(self) -> Vec<(&'static str, String)> {
+        Vec::from(self)
+    }
+}
+
+impl<const N: usize> JobParams for &[(&'static str, String); N] {
+    fn into_params(self) -> Vec<(&'static str, String)> {
+        self.to_vec()
+    }
+}
+
 /// One independent unit of work in a campaign.
 pub struct Job {
     pub(crate) key: String,
-    /// Seed derivation key; defaults to `key`. Jobs that compare
-    /// protocols on the *same* random workload share a seed key so the
-    /// comparison stays paired.
-    pub(crate) seed_key: String,
-    pub(crate) params: Vec<(String, String)>,
+    /// FNV-1a hash of `key`, compared before the key itself when
+    /// checking for duplicates.
+    key_hash: u64,
+    /// FNV-1a hash of the seed derivation key, which defaults to `key`.
+    /// Jobs that compare protocols on the *same* random workload share a
+    /// seed key so the comparison stays paired.
+    pub(crate) seed_hash: u64,
+    pub(crate) params: Vec<(&'static str, String)>,
     pub(crate) run: Box<dyn FnOnce(u64) -> Artifacts + Send>,
 }
 
@@ -49,7 +71,7 @@ pub struct JobRecord {
     /// The derived per-job seed.
     pub seed: u64,
     /// The job's parameters, for the manifest.
-    pub params: Vec<(String, String)>,
+    pub params: Vec<(&'static str, String)>,
     /// Whether the artifacts were loaded from a previous run.
     pub skipped: bool,
     /// Wall-clock time executing the job (0 when skipped).
@@ -173,12 +195,12 @@ impl Campaign {
     pub fn job(
         &mut self,
         key: impl Into<String>,
-        params: &[(&str, String)],
+        params: impl JobParams,
         run: impl FnOnce(u64) -> Artifacts + Send + 'static,
     ) -> &mut Self {
         let key = key.into();
-        let seed_key = key.clone();
-        self.push_job(key, seed_key, params, run)
+        let key_hash = fnv1a(key.as_bytes());
+        self.push_job(key, key_hash, key_hash, params.into_params(), run)
     }
 
     /// Like [`Campaign::job`] but deriving the seed from `seed_key`
@@ -188,32 +210,36 @@ impl Campaign {
     pub fn job_seeded(
         &mut self,
         key: impl Into<String>,
-        seed_key: impl Into<String>,
-        params: &[(&str, String)],
+        seed_key: impl AsRef<str>,
+        params: impl JobParams,
         run: impl FnOnce(u64) -> Artifacts + Send + 'static,
     ) -> &mut Self {
-        self.push_job(key.into(), seed_key.into(), params, run)
+        let key = key.into();
+        let key_hash = fnv1a(key.as_bytes());
+        let seed_hash = fnv1a(seed_key.as_ref().as_bytes());
+        self.push_job(key, key_hash, seed_hash, params.into_params(), run)
     }
 
     fn push_job(
         &mut self,
         key: String,
-        seed_key: String,
-        params: &[(&str, String)],
+        key_hash: u64,
+        seed_hash: u64,
+        params: Vec<(&'static str, String)>,
         run: impl FnOnce(u64) -> Artifacts + Send + 'static,
     ) -> &mut Self {
         assert!(
-            self.jobs.iter().all(|j| j.key != key),
+            self.jobs
+                .iter()
+                .all(|j| j.key_hash != key_hash || j.key != key),
             "duplicate job key '{key}' in campaign '{}'",
             self.id
         );
         self.jobs.push(Job {
             key,
-            seed_key,
-            params: params
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect(),
+            key_hash,
+            seed_hash,
+            params,
             run: Box::new(run),
         });
         self
@@ -224,7 +250,7 @@ impl Campaign {
     pub fn table_job(
         &mut self,
         key: impl Into<String>,
-        params: &[(&str, String)],
+        params: impl JobParams,
         run: impl FnOnce(u64) -> Table + Send + 'static,
     ) -> &mut Self {
         self.job(key, params, move |seed| {
@@ -237,8 +263,8 @@ impl Campaign {
     pub fn table_job_seeded(
         &mut self,
         key: impl Into<String>,
-        seed_key: impl Into<String>,
-        params: &[(&str, String)],
+        seed_key: impl AsRef<str>,
+        params: impl JobParams,
         run: impl FnOnce(u64) -> Table + Send + 'static,
     ) -> &mut Self {
         self.job_seeded(key, seed_key, params, move |seed| {
@@ -256,19 +282,23 @@ impl Campaign {
     /// function of `(campaign seed, seed key)`, where the seed key
     /// defaults to the job key.
     pub fn job_seed(&self, key: &str) -> u64 {
-        let seed_key = self
+        let seed_hash = self
             .jobs
             .iter()
             .find(|j| j.key == key)
-            .map(|j| j.seed_key.as_str())
-            .unwrap_or(key);
-        derive_seed(self.seed, seed_key)
+            .map_or_else(|| fnv1a(key.as_bytes()), |j| j.seed_hash);
+        seed_of_hash(self.seed, seed_hash)
     }
 }
 
 /// Derives a job seed from a campaign seed and a job key.
 pub fn derive_seed(campaign_seed: u64, key: &str) -> u64 {
-    splitmix64(campaign_seed ^ fnv1a(key.as_bytes()))
+    seed_of_hash(campaign_seed, fnv1a(key.as_bytes()))
+}
+
+/// [`derive_seed`] from the FNV-1a hash of the key.
+pub(crate) fn seed_of_hash(campaign_seed: u64, key_hash: u64) -> u64 {
+    splitmix64(campaign_seed ^ key_hash)
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@ pub mod table;
 
 pub use cli::CliArgs;
 pub use engine::{execute, CampaignOutcome, ExecConfig};
-pub use job::{record_for, Artifacts, Campaign, Job, JobRecord};
+pub use job::{record_for, Artifacts, Campaign, Job, JobParams, JobRecord};
 pub use store::ResultStore;
 pub use table::Table;
 

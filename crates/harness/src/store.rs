@@ -398,7 +398,7 @@ mod tests {
         let rec = JobRecord {
             key: "k1".into(),
             seed: 7,
-            params: vec![("n".into(), "5".into())],
+            params: vec![("n", "5".into())],
             skipped: false,
             wall_ms: 12.5,
             artifacts: vec![("data".into(), one_row_table())],

@@ -10,6 +10,10 @@
 //! Cost when disabled: every emission site first checks whether any
 //! monitor is attached and returns immediately otherwise, so the
 //! overhead of an unmonitored simulation is one branch per event.
+//! When enabled, each monitor receives only the kinds of event its
+//! [`InvariantMonitor::interests`] mask names (all of them by default):
+//! the engine skips a monitor whose mask lacks the event's bit without
+//! calling it.
 //!
 //! The built-in monitors (packet conservation, queue bounds, per-port
 //! FIFO order, clock monotonicity, cwnd range, and TRIM probe-machine
@@ -236,6 +240,68 @@ pub enum MonitorEvent {
     },
 }
 
+/// Interest masks: one bit per [`MonitorEvent`] variant, for
+/// [`InvariantMonitor::interests`]. Combine them with `|`.
+pub mod interest {
+    /// [`MonitorEvent::Clock`](super::MonitorEvent::Clock).
+    pub const CLOCK: u32 = 1 << 0;
+    /// [`MonitorEvent::Injected`](super::MonitorEvent::Injected).
+    pub const INJECTED: u32 = 1 << 1;
+    /// [`MonitorEvent::Delivered`](super::MonitorEvent::Delivered).
+    pub const DELIVERED: u32 = 1 << 2;
+    /// [`MonitorEvent::Dropped`](super::MonitorEvent::Dropped).
+    pub const DROPPED: u32 = 1 << 3;
+    /// [`MonitorEvent::AqmEarlyDrop`](super::MonitorEvent::AqmEarlyDrop).
+    pub const AQM_EARLY_DROP: u32 = 1 << 4;
+    /// [`MonitorEvent::SojournDrop`](super::MonitorEvent::SojournDrop).
+    pub const SOJOURN_DROP: u32 = 1 << 5;
+    /// [`MonitorEvent::Enqueued`](super::MonitorEvent::Enqueued).
+    pub const ENQUEUED: u32 = 1 << 6;
+    /// [`MonitorEvent::Dequeued`](super::MonitorEvent::Dequeued).
+    pub const DEQUEUED: u32 = 1 << 7;
+    /// [`MonitorEvent::CwndUpdate`](super::MonitorEvent::CwndUpdate).
+    pub const CWND_UPDATE: u32 = 1 << 8;
+    /// [`MonitorEvent::AckWindow`](super::MonitorEvent::AckWindow).
+    pub const ACK_WINDOW: u32 = 1 << 9;
+    /// [`MonitorEvent::ProbeTransition`](super::MonitorEvent::ProbeTransition).
+    pub const PROBE_TRANSITION: u32 = 1 << 10;
+    /// [`MonitorEvent::SessionStarted`](super::MonitorEvent::SessionStarted).
+    pub const SESSION_STARTED: u32 = 1 << 11;
+    /// [`MonitorEvent::RequestIssued`](super::MonitorEvent::RequestIssued).
+    pub const REQUEST_ISSUED: u32 = 1 << 12;
+    /// [`MonitorEvent::ResponseCompleted`](super::MonitorEvent::ResponseCompleted).
+    pub const RESPONSE_COMPLETED: u32 = 1 << 13;
+    /// [`MonitorEvent::SessionEnded`](super::MonitorEvent::SessionEnded).
+    pub const SESSION_ENDED: u32 = 1 << 14;
+    /// Every kind, present and future: the default.
+    pub const ALL: u32 = u32::MAX;
+}
+
+impl MonitorEvent {
+    /// This event's bit in an [`InvariantMonitor::interests`] mask.
+    // `Self::` rather than `MonitorEvent::` patterns: this plumbing is
+    // not a consumer in trim-lint's monitor-coverage sense.
+    pub fn kind_bit(&self) -> u32 {
+        match self {
+            Self::Clock { .. } => interest::CLOCK,
+            Self::Injected { .. } => interest::INJECTED,
+            Self::Delivered { .. } => interest::DELIVERED,
+            Self::Dropped { .. } => interest::DROPPED,
+            Self::AqmEarlyDrop { .. } => interest::AQM_EARLY_DROP,
+            Self::SojournDrop { .. } => interest::SOJOURN_DROP,
+            Self::Enqueued { .. } => interest::ENQUEUED,
+            Self::Dequeued { .. } => interest::DEQUEUED,
+            Self::CwndUpdate { .. } => interest::CWND_UPDATE,
+            Self::AckWindow { .. } => interest::ACK_WINDOW,
+            Self::ProbeTransition { .. } => interest::PROBE_TRANSITION,
+            Self::SessionStarted { .. } => interest::SESSION_STARTED,
+            Self::RequestIssued { .. } => interest::REQUEST_ISSUED,
+            Self::ResponseCompleted { .. } => interest::RESPONSE_COMPLETED,
+            Self::SessionEnded { .. } => interest::SESSION_ENDED,
+        }
+    }
+}
+
 /// A recorded invariant violation: which monitor, when (simulation
 /// time), which flow (when attributable), and a human-readable detail.
 #[derive(Clone, Debug, PartialEq)]
@@ -310,7 +376,15 @@ pub trait InvariantMonitor {
     /// A short stable name, used in violation reports.
     fn name(&self) -> &'static str;
 
-    /// Called for every [`MonitorEvent`], with the simulation time at
+    /// The kinds of [`MonitorEvent`] this monitor reads, as a mask of
+    /// [`interest`] bits; the engine hands it no other kind. Read once,
+    /// when the monitor is attached. Defaults to every kind.
+    fn interests(&self) -> u32 {
+        interest::ALL
+    }
+
+    /// Called for every [`MonitorEvent`] whose kind is in
+    /// [`InvariantMonitor::interests`], with the simulation time at
     /// which it occurred.
     fn observe(&mut self, at: SimTime, ev: &MonitorEvent);
 

@@ -8,7 +8,8 @@
 //! [`InvariantMonitor`]s. Nothing here feeds back into the simulation.
 //!
 //! Cost when nothing is attached: a counter bump, one branch on the
-//! trace and one on a cached monitor flag.
+//! trace and one on a cached monitor flag. When monitors are attached,
+//! each event goes only to those whose interest mask holds its kind.
 
 use crate::monitor::{AuditStats, InvariantMonitor, MonitorEvent, Violation};
 use crate::packet::{ChannelId, FlowId, NodeId, Packet};
@@ -62,7 +63,9 @@ pub(crate) struct Observer {
     pub(crate) dropped: u64,
     pub(crate) events_processed: u64,
     pub(crate) ptrace: Option<PacketTrace>,
-    monitors: Vec<Box<dyn InvariantMonitor>>,
+    /// Each attached monitor behind its [`InvariantMonitor::interests`]
+    /// mask, read once at attach time.
+    monitors: Vec<(u32, Box<dyn InvariantMonitor>)>,
     /// Cached `!monitors.is_empty()`; the one branch every emission site
     /// pays when monitoring is detached.
     on: bool,
@@ -74,9 +77,18 @@ impl Observer {
     #[inline]
     pub(crate) fn emit_with(&mut self, now: SimTime, f: impl FnOnce() -> MonitorEvent) {
         if self.on {
-            let ev = f();
-            for m in &mut self.monitors {
-                m.observe(now, &ev);
+            self.fan_out(now, &f());
+        }
+    }
+
+    /// Hands `ev` to every monitor interested in its kind, in attach
+    /// order. Out of line, so emission sites inline only the branch.
+    #[inline(never)]
+    fn fan_out(&mut self, now: SimTime, ev: &MonitorEvent) {
+        let bit = ev.kind_bit();
+        for (interests, m) in &mut self.monitors {
+            if *interests & bit != 0 {
+                m.observe(now, ev);
             }
         }
     }
@@ -209,13 +221,13 @@ impl Observer {
 
     /// End of a `run_until`: every monitor checks the engine's audit.
     pub(crate) fn finalize(&mut self, now: SimTime, audit: &AuditStats) {
-        for m in &mut self.monitors {
+        for (_, m) in &mut self.monitors {
             m.finalize(now, audit);
         }
     }
 
     pub(crate) fn attach_monitor(&mut self, monitor: Box<dyn InvariantMonitor>) {
-        self.monitors.push(monitor);
+        self.monitors.push((monitor.interests(), monitor));
         self.on = true;
     }
 
@@ -226,7 +238,7 @@ impl Observer {
     pub(crate) fn violations(&self) -> Vec<&Violation> {
         self.monitors
             .iter()
-            .flat_map(|m| m.violations().iter())
+            .flat_map(|(_, m)| m.violations().iter())
             .collect()
     }
 }
@@ -235,6 +247,7 @@ impl Observer {
 mod tests {
     use super::*;
     use crate::agent::{Agent, SinkAgent};
+    use crate::monitor::interest;
     use crate::packet::TagPayload;
     use crate::queue::{CoDelConfig, QueueConfig, RedConfig};
     use crate::sim::{Ctx, Simulator};
@@ -283,12 +296,16 @@ mod tests {
         }
     }
 
-    /// Records every monitor event into a log the test keeps a handle to.
-    #[derive(Debug, Default)]
-    struct RecordingMonitor(Rc<RefCell<Vec<MonitorEvent>>>);
+    /// Records every monitor event of the kinds in its mask into a log
+    /// the test keeps a handle to.
+    #[derive(Debug)]
+    struct RecordingMonitor(Rc<RefCell<Vec<MonitorEvent>>>, u32);
     impl InvariantMonitor for RecordingMonitor {
         fn name(&self) -> &'static str {
             "recording"
+        }
+        fn interests(&self) -> u32 {
+            self.1
         }
         fn observe(&mut self, _at: SimTime, ev: &MonitorEvent) {
             self.0.borrow_mut().push(ev.clone());
@@ -296,6 +313,34 @@ mod tests {
         fn violations(&self) -> &[Violation] {
             &[]
         }
+    }
+
+    /// A monitor declaring two kinds sees every event of those kinds and
+    /// nothing else, in emission order: exactly the full stream with the
+    /// other kinds filtered out.
+    #[test]
+    fn a_monitor_sees_only_the_kinds_it_declares() {
+        let (mut sim, senders, dst, _) = sink_star(3, QueueConfig::drop_tail(4));
+        let all = Rc::new(RefCell::new(Vec::new()));
+        let some = Rc::new(RefCell::new(Vec::new()));
+        let mask = interest::ENQUEUED | interest::DROPPED;
+        sim.attach_monitor(Box::new(RecordingMonitor(Rc::clone(&all), interest::ALL)));
+        sim.attach_monitor(Box::new(RecordingMonitor(Rc::clone(&some), mask)));
+        for &s in &senders {
+            for _ in 0..10 {
+                let flow = FlowId(s.index() as u64);
+                sim.inject(s, Packet::new(s, dst, flow, 1460, TagPayload(0)));
+            }
+        }
+        sim.run();
+        let all = all.borrow();
+        let some = some.borrow();
+        let expected: Vec<&MonitorEvent> =
+            all.iter().filter(|ev| ev.kind_bit() & mask != 0).collect();
+        assert_eq!(some.iter().collect::<Vec<_>>(), expected);
+        let kinds = |bit: u32| some.iter().filter(|ev| ev.kind_bit() == bit).count();
+        assert!(kinds(interest::ENQUEUED) > 0 && kinds(interest::DROPPED) > 0);
+        assert!(all.len() > some.len(), "the other kinds were emitted");
     }
 
     /// Ten packets from two senders cross two hops each. Every packet
@@ -306,7 +351,7 @@ mod tests {
     fn monitors_see_every_packet_event_and_uids_are_unique() {
         let (mut sim, senders, dst, _) = star(2);
         let log = Rc::new(RefCell::new(Vec::new()));
-        sim.attach_monitor(Box::new(RecordingMonitor(Rc::clone(&log))));
+        sim.attach_monitor(Box::new(RecordingMonitor(Rc::clone(&log), interest::ALL)));
         assert!(sim.monitors_enabled());
         for (i, &s) in senders.iter().enumerate() {
             for _ in 0..5 {

@@ -449,6 +449,57 @@ mod tests {
         assert!(report.bottleneck.enqueued > 0);
     }
 
+    /// Advancing a run in slices changes nothing: the Fig. 13(a) runs
+    /// stop early by checking between 100 ms slices, which is only sound
+    /// if slicing is unobservable.
+    #[test]
+    fn a_sliced_run_matches_one_run() {
+        let run = |slice: Option<Dur>| {
+            let link = LinkSpec::new(
+                Bandwidth::mbps(100),
+                Dur::from_micros(100),
+                QueueConfig::drop_tail(100),
+            );
+            let mut sc = ScenarioBuilder::many_to_one(3).links(link).build();
+            sc.send_train(0, TrainSpec::at_secs(0.0, 2_000_000_000));
+            sc.send_train(1, TrainSpec::at_secs(0.0, 2_000_000_000));
+            let sizes = (1..=40).map(|i| i * 7_000).collect();
+            sc.send_session(2, SimTime::from_secs_f64(0.1), sizes, Dur::from_millis(2));
+            let end = SimTime::from_secs_f64(2.0);
+            match slice {
+                None => sc.sim_mut().run_until(end),
+                Some(step) => {
+                    let mut t = SimTime::ZERO;
+                    while t < end {
+                        t = (t + step).min(end);
+                        sc.sim_mut().run_until(t);
+                    }
+                }
+            }
+            let audit = sc.sim_mut().audit_stats();
+            (sc.report(), audit)
+        };
+        let (whole, whole_audit) = run(None);
+        let (sliced, sliced_audit) = run(Some(Dur::from_millis(100)));
+        let trains = |s: &SenderReport| -> Vec<_> {
+            s.trains
+                .iter()
+                .map(|t| {
+                    let times = (t.enqueued_at, t.first_sent_at, t.completed_at);
+                    (t.id, t.bytes, t.pkts, times)
+                })
+                .collect()
+        };
+        assert!(whole.senders[2].trains.len() > 10, "responses complete");
+        for (w, s) in whole.senders.iter().zip(&sliced.senders) {
+            assert_eq!(trains(w), trains(s), "sender {}", w.sender);
+            assert_eq!(w.stats, s.stats, "sender {}", w.sender);
+        }
+        assert_eq!(whole.bottleneck, sliced.bottleneck);
+        assert_eq!(whole_audit, sliced_audit);
+        assert_eq!(whole.at, sliced.at);
+    }
+
     #[test]
     fn asymmetric_links_build() {
         let sc = ScenarioBuilder::many_to_one(5)

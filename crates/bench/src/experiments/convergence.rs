@@ -64,7 +64,7 @@ pub fn jain_index(shares: &[f64]) -> f64 {
     let n = shares.len() as f64;
     let sum: f64 = shares.iter().sum();
     let sum_sq: f64 = shares.iter().map(|x| x * x).sum();
-    // trim-lint: allow(no-float-eq, reason = "exact-zero guard before division; any nonzero sum of squares is fine")
+    // An exact-zero guard before division: any nonzero sum of squares is fine.
     if sum_sq == 0.0 {
         return 1.0;
     }
@@ -178,6 +178,7 @@ pub fn campaign(_effort: Effort) -> Campaign {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact values are the expected results")]
 mod tests {
     use super::*;
 

@@ -16,9 +16,9 @@ pub struct ExperimentSpec {
     /// Builds the experiment's campaign at the given effort.
     pub campaign: fn(Effort) -> Campaign,
     /// Stems of the top-level `results/*.csv` goldens this experiment
-    /// reduces to. `trim-lint --artifacts` statically cross-checks this
-    /// list against the committed CSVs, the EXPERIMENTS.md narrative,
-    /// and the reduce code in the experiment's module.
+    /// reduces to. The root package's `tests/hygiene.rs` cross-checks
+    /// this list against the committed CSVs, the EXPERIMENTS.md
+    /// narrative, and the reduce code in the experiment's module.
     pub artifacts: &'static [&'static str],
 }
 

@@ -38,9 +38,10 @@ impl Tolerance {
     };
 
     /// Whether two already-parsed numbers match under this tolerance.
-    // Exact equality IS the identity fast path of the tolerance itself
-    // (it also makes inf == inf match, which the epsilon form cannot).
-    #[allow(clippy::float_cmp)]
+    #[expect(
+        clippy::float_cmp,
+        reason = "exact equality is the identity fast path of the tolerance itself, and makes inf == inf match, which the epsilon form cannot"
+    )]
     pub fn matches(&self, x: f64, y: f64) -> bool {
         if x == y {
             return true;

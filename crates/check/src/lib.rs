@@ -21,10 +21,17 @@
 //! monitored, while release-mode experiment campaigns pay only a
 //! disabled-check branch per event.
 
-#![forbid(unsafe_code)]
 #![cfg_attr(
     not(test),
-    deny(clippy::dbg_macro, clippy::print_stdout, clippy::float_cmp)
+    deny(
+        clippy::dbg_macro,
+        clippy::print_stdout,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
 )]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -103,6 +110,7 @@ impl std::fmt::Display for OracleFailure {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::monitor::interest;
     use netsim::prelude::*;
 
     #[test]
@@ -136,10 +144,43 @@ mod tests {
         }
         let clock_readers: Vec<&str> = all
             .iter()
-            .filter(|m| m.interests() & netsim::monitor::interest::CLOCK != 0)
+            .filter(|m| m.interests() & interest::CLOCK != 0)
             .map(|m| m.name())
             .collect();
         assert_eq!(clock_readers, ["monotonic-time"]);
+
+        // Monitor coverage: every event kind has a reader. A kind that
+        // no built-in monitor reads is listed here with the test that
+        // reads it. trim-workload's `tests/monitor_masks.rs` checks the
+        // other half, that the engine emits every kind read here.
+        const READ_BY_TESTS: &[(u32, &str)] = &[];
+        let every_kind = [
+            interest::CLOCK,
+            interest::INJECTED,
+            interest::DELIVERED,
+            interest::DROPPED,
+            interest::AQM_EARLY_DROP,
+            interest::SOJOURN_DROP,
+            interest::ENQUEUED,
+            interest::DEQUEUED,
+            interest::CWND_UPDATE,
+            interest::ACK_WINDOW,
+            interest::PROBE_TRANSITION,
+            interest::SESSION_STARTED,
+            interest::REQUEST_ISSUED,
+            interest::RESPONSE_COMPLETED,
+            interest::SESSION_ENDED,
+        ]
+        .into_iter()
+        .fold(0, |acc, kind| acc | kind);
+        let read = all.iter().map(|m| m.interests()).fold(0, |acc, m| acc | m)
+            | READ_BY_TESTS.iter().fold(0, |acc, &(kind, _)| acc | kind);
+        assert_eq!(
+            read,
+            every_kind,
+            "kinds without a reader: {:#x}",
+            every_kind & !read
+        );
     }
 
     #[test]

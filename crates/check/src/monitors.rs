@@ -667,6 +667,10 @@ impl InvariantMonitor for SessionConservation {
             | interest::SESSION_ENDED
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "each `expect` follows the check that its session is present"
+    )]
     fn observe(&mut self, at: SimTime, ev: &MonitorEvent) {
         match *ev {
             MonitorEvent::SessionStarted {
@@ -711,7 +715,6 @@ impl InvariantMonitor for SessionConservation {
                     );
                 }
                 let _ = bytes;
-                // trim-lint: allow(no-panic-in-library, reason = "key checked present just above")
                 self.sessions.get_mut(&flow).expect("present above").issued += 1;
             }
             MonitorEvent::ResponseCompleted { flow, index } => {
@@ -740,7 +743,7 @@ impl InvariantMonitor for SessionConservation {
                 }
                 self.sessions
                     .get_mut(&flow)
-                    .expect("present above") // trim-lint: allow(no-panic-in-library, reason = "key checked present just above")
+                    .expect("present above")
                     .completed += 1;
             }
             MonitorEvent::SessionEnded {
@@ -780,7 +783,6 @@ impl InvariantMonitor for SessionConservation {
                         ),
                     );
                 }
-                // trim-lint: allow(no-panic-in-library, reason = "key checked present just above")
                 self.sessions.get_mut(&flow).expect("present above").ended = true;
             }
             _ => {}
@@ -1027,12 +1029,12 @@ impl StandingQueue {
         self.cfg.unwrap_or_default()
     }
 
+    #[expect(clippy::expect_used, reason = "entry pushed on the line above")]
     fn state(&mut self, ch: ChannelId) -> &mut ChannelOccupancy {
         if let Some(i) = self.channels.iter().position(|&(c, _)| c == ch) {
             return &mut self.channels[i].1;
         }
         self.channels.push((ch, ChannelOccupancy::default()));
-        // trim-lint: allow(no-panic-in-library, reason = "entry pushed on the line above")
         &mut self.channels.last_mut().expect("just pushed").1
     }
 

@@ -26,10 +26,10 @@
 //! - Default case count is 64 (upstream: 256); override per block with
 //!   `#![proptest_config(ProptestConfig::with_cases(n))]`.
 
-#![forbid(unsafe_code)]
-#![cfg_attr(
-    not(test),
-    deny(clippy::dbg_macro, clippy::print_stdout, clippy::float_cmp)
+#![cfg_attr(not(test), deny(clippy::dbg_macro, clippy::print_stdout))]
+#![expect(
+    clippy::allow_attributes,
+    reason = "macro expansions allow lints that only some expansions trigger"
 )]
 #![warn(missing_docs)]
 
@@ -227,7 +227,7 @@ macro_rules! tuple_strategy {
     ($($name:ident),+) => {
         impl<$($name: Strategy),+> Strategy for ($($name,)+) {
             type Value = ($($name::Value,)+);
-            #[allow(non_snake_case)]
+            #[allow(non_snake_case, reason = "the tuple's type parameters name its bindings")]
             fn generate(&self, rng: &mut StdRng) -> Self::Value {
                 let ($($name,)+) = self;
                 ($($name.generate(rng),)+)
@@ -459,12 +459,11 @@ macro_rules! proptest {
                 &config,
                 |rng| $crate::Strategy::generate(&strategy, rng),
                 |input| {
-                    #[allow(unused_parens)]
                     let ($(ref $arg,)+) = *input;
                     $(let $arg = ::core::clone::Clone::clone($arg);)+
                     (|| -> ::core::result::Result<(), $crate::TestCaseError> {
                         $body
-                        #[allow(unreachable_code)]
+                        #[allow(unreachable_code, reason = "a body may end in an early return")]
                         ::core::result::Result::Ok(())
                     })()
                 },
@@ -561,6 +560,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the case closure is shared; a RefCell collects what it sees"
+    )]
     fn run_cases_generates_an_identical_sequence_per_name() {
         use std::cell::RefCell;
         let collect = |name: &str| {

@@ -68,9 +68,10 @@ impl TrimConfig {
     /// Returns a message naming the offending field when a parameter is out
     /// of range (`alpha` outside `(0, 1]`, non-positive windows or factors,
     /// zero probe count, non-positive capacity).
-    // Negated comparisons are deliberate: `!(x >= 1.0)` rejects NaN,
-    // which `x < 1.0` would accept.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    #[expect(
+        clippy::neg_cmp_op_on_partial_ord,
+        reason = "deliberate: `!(x >= 1.0)` rejects NaN, which `x < 1.0` would accept"
+    )]
     pub fn validate(&self) -> Result<(), String> {
         if !(self.alpha > 0.0 && self.alpha <= 1.0) {
             return Err(format!("alpha must be in (0, 1], got {}", self.alpha));
@@ -110,6 +111,7 @@ impl TrimConfig {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact values are the expected results")]
 mod tests {
     use super::*;
 

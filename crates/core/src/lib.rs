@@ -44,10 +44,17 @@
 //! # Ok::<(), String>(())
 //! ```
 
-#![forbid(unsafe_code)]
 #![cfg_attr(
     not(test),
-    deny(clippy::dbg_macro, clippy::print_stdout, clippy::float_cmp)
+    deny(
+        clippy::dbg_macro,
+        clippy::print_stdout,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
 )]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

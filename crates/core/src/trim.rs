@@ -248,10 +248,14 @@ impl Trim {
                     let probe_rtt = *rtt_sum_ns as f64 / *acked as f64;
                     let saved = *saved_cwnd;
                     self.phase = Phase::Normal;
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "observe() on this sample guarantees a minimum exists"
+                    )]
                     let min = self
                         .rtt
                         .min_ns()
-                        .expect("observe() above guarantees a minimum") // trim-lint: allow(no-panic-in-library, reason = "observe() on this sample guarantees a minimum exists")
+                        .expect("observe() above guarantees a minimum")
                         as f64;
                     // Eq. 1: cwnd = s_cwnd * (1 - (probe_RTT - min)/min),
                     // clamped to [min_cwnd, s_cwnd] per Section III.C.
@@ -325,6 +329,7 @@ impl Trim {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact values are the expected results")]
 mod tests {
     use super::*;
 

@@ -23,8 +23,6 @@
 //! mode, whose findings are often legitimate Reno sawtooths rather than
 //! engine bugs, so it is not part of the clean-run CI gate.
 
-#![forbid(unsafe_code)]
-
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 

@@ -2,7 +2,8 @@
 //! a spec with an `expect = monitor:<name>` / `oracle:<name>` line must
 //! reproduce exactly that verdict, fault-carrying repros must still trip
 //! `queue-bound`, clean specs must stay clean under the full monitor +
-//! oracle suite, and replays must be deterministic.
+//! oracle suite, every spec must round-trip through `to_text` /
+//! `from_text`, and replays must be deterministic.
 
 use std::path::PathBuf;
 
@@ -32,6 +33,9 @@ fn every_corpus_spec_replays_with_its_expected_outcome() {
         let text = std::fs::read_to_string(&path).unwrap();
         let spec = ScenarioSpec::from_text(&text)
             .unwrap_or_else(|e| panic!("parse {}: {e}", path.display()));
+        let again = ScenarioSpec::from_text(&spec.to_text())
+            .unwrap_or_else(|e| panic!("re-parse {}: {e}", path.display()));
+        assert_eq!(again, spec, "{}: to_text round trip", path.display());
         let verdict = check_spec(&spec).unwrap();
         let expected: Option<String> = spec
             .expect

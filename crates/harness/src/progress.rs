@@ -102,6 +102,7 @@ fn fmt_ms(ms: f64) -> String {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact values are the expected results")]
 mod tests {
     use super::*;
 

@@ -236,6 +236,7 @@ pub fn fmt_pct(x: f64) -> String {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact values are the expected results")]
 mod tests {
     use super::*;
 

@@ -2,6 +2,11 @@
 //! byte-identical regardless of worker count, resume skips completed
 //! jobs without changing outputs, and `--force` recomputes.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the test counts job executions across the harness's worker threads"
+)]
+
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};

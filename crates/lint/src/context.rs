@@ -1,368 +1,107 @@
-//! Per-file context: what role a file plays, which byte ranges are test
-//! code, and which diagnostics the author has suppressed inline.
+//! Which code is test code.
 //!
-//! Context is what separates this analyzer from `grep`: `unwrap()` is
-//! fine in a `#[cfg(test)]` module, `Instant::now()` in a string literal
-//! is not a wall-clock read, and a suppression comment must carry a
-//! reason or it does not count.
+//! An outer attribute marks a test item when it is `#[test]` or a
+//! `#[cfg(…)]` whose predicate names `test` outside any `not(…)`:
+//! `#[cfg(test)]` and `#[cfg(any(test, …))]` do, `#[cfg(not(test))]`
+//! (code that exists only in real builds) does not. The item runs from
+//! its first attribute through the matching `}` of its body, or through
+//! the `;` that ends a bodiless item.
 
-use crate::lexer::{lex, Token, TokenKind};
-
-/// How a file participates in the build, which decides rule defaults
-/// (panics are legal in tests and binaries, not in libraries).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FileRole {
-    /// Library source: part of a crate other code links against.
-    Lib,
-    /// Binary source (`src/main.rs`, `src/bin/*.rs`).
-    Bin,
-    /// Integration tests, benches, examples, fixtures.
-    TestLike,
-}
-
-/// One parsed `// trim-lint: allow(...)` comment.
-#[derive(Clone, Debug)]
-pub struct Suppression {
-    /// The rule name being allowed (e.g. `no-wall-clock`).
-    pub rule: String,
-    /// `allow-file(...)` covers the whole file; `allow(...)` covers one
-    /// line.
-    pub file_scope: bool,
-    /// The mandatory justification. `None` means the suppression is
-    /// invalid: it is reported (TL007) and does **not** suppress.
-    pub reason: Option<String>,
-    /// Line of the comment itself.
-    pub comment_line: u32,
-    /// The line whose diagnostics this suppression covers: the comment's
-    /// own line when it trails code, otherwise the next code line.
-    pub target_line: u32,
-    /// Set when a diagnostic was actually suppressed; unused valid
-    /// suppressions are themselves reported (TL008).
-    pub used: bool,
-}
-
-/// A lexed source file plus everything rules need to judge it.
-#[derive(Debug)]
-pub struct SourceFile {
-    /// Workspace-relative path with `/` separators (stable across OSes
-    /// for diagnostics and config matching).
-    pub rel_path: String,
-    /// The raw source.
-    pub src: String,
-    /// Lossless token stream.
-    pub tokens: Vec<Token>,
-    /// Indices into `tokens` of the non-trivia tokens.
-    pub sig: Vec<usize>,
-    /// Build role.
-    pub role: FileRole,
-    /// Byte ranges covered by `#[test]` / `#[cfg(test)]` items.
-    pub test_regions: Vec<(usize, usize)>,
-    /// Parsed suppression comments, in file order.
-    pub suppressions: Vec<Suppression>,
-}
-
-impl SourceFile {
-    /// Lexes and analyzes one file under its default role.
-    pub fn analyze(rel_path: &str, src: String) -> Self {
-        Self::analyze_as(rel_path, src, classify_role(rel_path))
-    }
-
-    /// Lexes and analyzes one file with an explicit role (fixture tests
-    /// exercise library-only rules on files stored under `tests/`).
-    pub fn analyze_as(rel_path: &str, src: String, role: FileRole) -> Self {
-        let tokens = lex(&src);
-        let sig: Vec<usize> = (0..tokens.len())
-            .filter(|&i| !tokens[i].is_trivia())
-            .collect();
-        let test_regions = find_test_regions(&src, &tokens, &sig);
-        let suppressions = parse_suppressions(&src, &tokens);
-        SourceFile {
-            rel_path: rel_path.to_string(),
-            src,
-            tokens,
-            sig,
-            role,
-            test_regions,
-            suppressions,
-        }
-    }
-
-    /// Text of a token.
-    pub fn text(&self, t: &Token) -> &str {
-        &self.src[t.start..t.end]
-    }
-
-    /// Whether byte offset `pos` falls inside test-only code.
-    pub fn in_test_region(&self, pos: usize) -> bool {
-        self.test_regions.iter().any(|&(s, e)| pos >= s && pos < e)
-    }
-
-    /// Whether this file is a crate root (`src/lib.rs` or `src/main.rs`
-    /// directly under a package's `src/`), where inner attributes like
-    /// `#![forbid(unsafe_code)]` must live.
-    pub fn is_crate_root(&self) -> bool {
-        self.rel_path.ends_with("src/lib.rs") || self.rel_path.ends_with("src/main.rs")
-    }
-}
-
-/// Classifies a workspace-relative path into a [`FileRole`].
-pub fn classify_role(rel_path: &str) -> FileRole {
-    let p = rel_path;
-    if p.contains("/tests/")
-        || p.starts_with("tests/")
-        || p.contains("/benches/")
-        || p.starts_with("benches/")
-        || p.contains("/examples/")
-        || p.starts_with("examples/")
-    {
-        return FileRole::TestLike;
-    }
-    if p.contains("/src/bin/") || p.ends_with("src/main.rs") || p.ends_with("build.rs") {
-        return FileRole::Bin;
-    }
-    FileRole::Lib
-}
-
-/// One-byte punct check: token `i` is exactly the ASCII byte `b`.
-fn is_punct(src: &str, t: &Token, b: u8) -> bool {
-    t.kind == TokenKind::Punct && t.end - t.start == 1 && src.as_bytes()[t.start] == b
-}
-
-/// Finds the byte ranges of items gated to test builds.
-///
-/// The scan walks significant tokens looking for outer attributes
-/// (`#[…]`). An attribute marks a test item when its tokens contain the
-/// identifier `test` *outside* any `not(…)` group — this accepts
-/// `#[test]`, `#[cfg(test)]`, and `#[cfg(any(test, …))]`, while leaving
-/// `#[cfg(not(test))]` (code that exists only in real builds) alone. The
-/// region extends from the attribute through the item's body: the
-/// matching `}` of the first `{` after the attributes, or the
-/// terminating `;` for bodiless items.
-fn find_test_regions(src: &str, tokens: &[Token], sig: &[usize]) -> Vec<(usize, usize)> {
-    let mut regions = Vec::new();
-    let mut k = 0usize;
-    while k < sig.len() {
-        if !is_attr_start(src, tokens, sig, k) {
-            k += 1;
+/// `code` (from [`code_only`](crate::lexer::code_only)) with every test
+/// item blanked to spaces, newlines kept.
+pub fn non_test(code: &str) -> String {
+    let b = code.as_bytes();
+    let mut out = b.to_vec();
+    let mut from = 0;
+    while let Some(at) = code[from..].find("#[").map(|k| from + k) {
+        let close = matching(b, at + 1, b'[', b']');
+        if !is_test_attr(&code[at + 2..close]) {
+            from = close;
             continue;
         }
-        let (attr_end_k, is_test) = scan_attr(src, tokens, sig, k);
-        if is_test {
-            if let Some(end) = item_end(src, tokens, sig, attr_end_k + 1) {
-                regions.push((tokens[sig[k]].start, end));
-                // Skip the whole region: attributes inside the body are
-                // already covered.
-                while k < sig.len() && tokens[sig[k]].start < end {
-                    k += 1;
-                }
-                continue;
+        let end = item_end(b, close + 1);
+        for c in &mut out[at..end] {
+            if *c != b'\n' {
+                *c = b' ';
             }
         }
-        k = attr_end_k + 1;
+        from = end;
     }
-    regions
+    String::from_utf8(out).expect("only ASCII bytes are blanked")
 }
 
-/// True when `sig[k]` begins an outer attribute `#[` (inner attributes
-/// `#![…]` have a `!` between and do not match).
-fn is_attr_start(src: &str, tokens: &[Token], sig: &[usize], k: usize) -> bool {
-    k + 1 < sig.len()
-        && is_punct(src, &tokens[sig[k]], b'#')
-        && is_punct(src, &tokens[sig[k + 1]], b'[')
-}
-
-/// Scans the attribute starting at `sig[k]` (the `#`), returning the sig
-/// index of its closing `]` and whether the attribute gates test code.
-fn scan_attr(src: &str, tokens: &[Token], sig: &[usize], k: usize) -> (usize, bool) {
-    let mut depth = 0i32;
-    let mut saw_test = false;
-    let mut not_depth: Option<i32> = None;
-    let mut prev_was_not = false;
-    let mut j = k + 1; // at `[`
-    while j < sig.len() {
-        let t = &tokens[sig[j]];
-        if is_punct(src, t, b'[') {
+/// The index of the `close` that balances the `open` at `b[at]`, or the
+/// end of the input.
+fn matching(b: &[u8], at: usize, open: u8, close: u8) -> usize {
+    let mut depth = 0;
+    for (i, &c) in b.iter().enumerate().skip(at) {
+        if c == open {
             depth += 1;
-        } else if is_punct(src, t, b']') {
+        } else if c == close {
             depth -= 1;
             if depth == 0 {
-                return (j, saw_test);
-            }
-        } else if is_punct(src, t, b'(') {
-            if prev_was_not && not_depth.is_none() {
-                not_depth = Some(depth);
-            }
-            depth += 1;
-        } else if is_punct(src, t, b')') {
-            depth -= 1;
-            if not_depth == Some(depth) {
-                not_depth = None;
+                return i;
             }
         }
-        if t.kind == TokenKind::Ident {
-            let text = &src[t.start..t.end];
-            prev_was_not = text == "not";
-            if text == "test" && not_depth.is_none() {
-                saw_test = true;
-            }
-        } else {
-            prev_was_not = false;
-        }
-        j += 1;
     }
-    (j.saturating_sub(1), saw_test)
+    b.len()
 }
 
-/// Byte offset one past the end of the item following an attribute:
-/// the matching `}` of the first `{`, or the first `;` before any `{`.
-fn item_end(src: &str, tokens: &[Token], sig: &[usize], mut k: usize) -> Option<usize> {
-    // Skip further attributes stacked between the test attribute and the
-    // item itself.
-    while k < sig.len() && is_attr_start(src, tokens, sig, k) {
-        let (end_k, _) = scan_attr(src, tokens, sig, k);
-        k = end_k + 1;
-    }
-    let mut j = k;
-    while j < sig.len() {
-        let t = &tokens[sig[j]];
-        if is_punct(src, t, b';') {
-            return Some(t.end);
+/// One past the end of the item that starts at `b[from]`: its body's
+/// closing `}`, or the `;` at bracket depth 0, whichever comes first.
+fn item_end(b: &[u8], from: usize) -> usize {
+    let mut depth = 0usize;
+    for (i, &c) in b.iter().enumerate().skip(from) {
+        match c {
+            b'(' | b'[' | b'{' => depth += 1,
+            b')' | b']' => depth = depth.saturating_sub(1),
+            b'}' if depth <= 1 => return i + usize::from(depth == 1),
+            b'}' => depth -= 1,
+            b';' if depth == 0 => return i + 1,
+            _ => {}
         }
-        if is_punct(src, t, b'{') {
-            let mut depth = 0i32;
-            while j < sig.len() {
-                let t = &tokens[sig[j]];
-                if is_punct(src, t, b'{') {
-                    depth += 1;
-                } else if is_punct(src, t, b'}') {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some(t.end);
-                    }
-                }
-                j += 1;
-            }
-            return None;
-        }
-        j += 1;
     }
-    None
+    b.len()
 }
 
-/// Parses every `// trim-lint: allow(rule[, reason = "…"])` and
-/// `// trim-lint: allow-file(rule, reason = "…")` comment.
-fn parse_suppressions(src: &str, tokens: &[Token]) -> Vec<Suppression> {
-    let mut out = Vec::new();
-    for (idx, t) in tokens.iter().enumerate() {
-        if t.kind != TokenKind::LineComment {
+/// Whether the attribute body `attr` (between `#[` and `]`) gates an
+/// item on `test`.
+fn is_test_attr(attr: &str) -> bool {
+    let squeezed: String = attr.split_whitespace().collect();
+    if squeezed == "test" {
+        return true;
+    }
+    let Some(pred) = squeezed.strip_prefix("cfg(") else {
+        return false;
+    };
+    // Drop every `not(…)` group, then look for the word `test`.
+    let mut kept = String::new();
+    let mut rest = pred;
+    while let Some(k) = rest.find("not(") {
+        let word_start = k == 0 || matches!(rest.as_bytes()[k - 1], b'(' | b',');
+        kept.push_str(&rest[..k]);
+        if !word_start {
+            kept.push_str("not(");
+            rest = &rest[k + 4..];
             continue;
         }
-        let text = &src[t.start..t.end];
-        let Some(body) = text
-            .trim_start_matches('/')
-            .trim()
-            .strip_prefix("trim-lint:")
-        else {
-            continue;
-        };
-        let body = body.trim();
-        let (file_scope, rest) = if let Some(r) = body.strip_prefix("allow-file") {
-            (true, r)
-        } else if let Some(r) = body.strip_prefix("allow") {
-            (false, r)
-        } else {
-            // `trim-lint:` followed by anything else is a typo that must
-            // fail loudly, not silently not-suppress.
-            out.push(Suppression {
-                rule: body.split(['(', ' ']).next().unwrap_or("").to_string(),
-                file_scope: false,
-                reason: None,
-                comment_line: t.line,
-                target_line: t.line,
-                used: false,
-            });
-            continue;
-        };
-        let inner = rest
-            .trim()
-            .strip_prefix('(')
-            .and_then(|r| r.rfind(')').map(|i| &r[..i]));
-        let (rule, reason) = match inner {
-            Some(inner) => parse_allow_args(inner),
-            None => (String::new(), None),
-        };
-        // A comment trailing code on its own line covers that line;
-        // a comment alone on a line covers the next code line.
-        let trails_code = tokens[..idx]
-            .iter()
-            .any(|p| !p.is_trivia() && line_of_end(src, p) == t.line);
-        let target_line = if trails_code {
-            t.line
-        } else {
-            tokens[idx + 1..]
-                .iter()
-                .find(|n| !n.is_trivia())
-                .map(|n| n.line)
-                .unwrap_or(t.line)
-        };
-        out.push(Suppression {
-            rule,
-            file_scope,
-            reason,
-            comment_line: t.line,
-            target_line,
-            used: false,
-        });
+        let close = matching(rest.as_bytes(), k + 3, b'(', b')');
+        rest = &rest[(close + 1).min(rest.len())..];
     }
-    out
-}
-
-/// Line on which a token *ends* (tokens can span lines).
-fn line_of_end(src: &str, t: &Token) -> u32 {
-    t.line + src[t.start..t.end].matches('\n').count() as u32
-}
-
-/// Splits `rule, reason = "…"` into its parts. An empty reason string
-/// counts as missing: "because" is not a justification.
-fn parse_allow_args(inner: &str) -> (String, Option<String>) {
-    let mut parts = inner.splitn(2, ',');
-    let rule = parts.next().unwrap_or("").trim().to_string();
-    let reason = parts.next().and_then(|r| {
-        let r = r.trim();
-        let r = r.strip_prefix("reason")?.trim_start();
-        let r = r.strip_prefix('=')?.trim_start();
-        let r = r.strip_prefix('"')?;
-        let end = r.rfind('"')?;
-        let val = r[..end].to_string();
-        if val.is_empty() {
-            None
-        } else {
-            Some(val)
-        }
-    });
-    (rule, reason)
+    kept.push_str(rest);
+    kept.split(|c: char| !c.is_ascii_alphanumeric() && c != '_')
+        .any(|word| word == "test")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::code_only;
 
-    #[test]
-    fn role_classification() {
-        assert_eq!(classify_role("crates/netsim/src/queue.rs"), FileRole::Lib);
-        assert_eq!(classify_role("crates/bench/src/bin/x.rs"), FileRole::Bin);
-        assert_eq!(classify_role("crates/fuzz/src/main.rs"), FileRole::Bin);
-        assert_eq!(
-            classify_role("crates/bench/tests/golden.rs"),
-            FileRole::TestLike
-        );
-        assert_eq!(classify_role("tests/cross_crate.rs"), FileRole::TestLike);
-        assert_eq!(classify_role("examples/incast.rs"), FileRole::TestLike);
-        assert_eq!(
-            classify_role("crates/bench/benches/micro.rs"),
-            FileRole::TestLike
-        );
-        assert_eq!(classify_role("src/lib.rs"), FileRole::Lib);
+    /// Whether the first occurrence of `needle` in `src` is test code.
+    fn in_test(src: &str, needle: &str) -> bool {
+        let at = src.find(needle).expect("needle in source");
+        non_test(&code_only(src))[at..].starts_with(' ')
     }
 
     #[test]
@@ -370,72 +109,43 @@ mod tests {
         let src = "fn live() { x.unwrap(); }\n\
                    #[cfg(test)]\nmod tests {\n  fn t() { y.unwrap(); }\n}\n\
                    fn after() {}\n";
-        let f = SourceFile::analyze("crates/x/src/lib.rs", src.to_string());
-        assert_eq!(f.test_regions.len(), 1);
-        let live = src.find("x.unwrap").unwrap();
-        let test = src.find("y.unwrap").unwrap();
-        let after = src.find("after").unwrap();
-        assert!(!f.in_test_region(live));
-        assert!(f.in_test_region(test));
-        assert!(!f.in_test_region(after));
+        assert!(!in_test(src, "x.unwrap"));
+        assert!(in_test(src, "y.unwrap"));
+        assert!(in_test(src, "mod tests"));
+        assert!(!in_test(src, "after"));
+        assert_eq!(non_test(src).lines().count(), src.lines().count());
     }
 
     #[test]
     fn test_region_covers_test_fn_and_stacked_attrs() {
-        let src = "#[test]\n#[should_panic]\nfn boom() { panic!(\"x\") }\nfn fine() {}\n";
-        let f = SourceFile::analyze("crates/x/src/lib.rs", src.to_string());
-        assert!(f.in_test_region(src.find("panic!").unwrap()));
-        assert!(!f.in_test_region(src.find("fine").unwrap()));
+        let src =
+            "#[test]\n#[should_panic]\nfn boom() -> [u8; 2] { panic!(\"x\") }\nfn fine() {}\n";
+        assert!(in_test(src, "should_panic"));
+        assert!(in_test(src, "panic!"));
+        assert!(!in_test(src, "fine"));
     }
 
     #[test]
     fn cfg_not_test_is_not_a_test_region() {
-        let src = "#[cfg(not(test))]\nfn real() { x.unwrap(); }\n";
-        let f = SourceFile::analyze("crates/x/src/lib.rs", src.to_string());
-        assert!(f.test_regions.is_empty());
+        let src = "#[cfg(not(test))]\nfn real() { x.unwrap(); }\n#[cfg(any(unix, not(test)))]\nfn also() {}\n";
+        assert_eq!(non_test(src), src);
     }
 
     #[test]
     fn cfg_any_with_test_is_a_test_region() {
-        let src = "#[cfg(any(test, feature = \"slow\"))]\nmod helpers { fn h() {} }\n";
-        let f = SourceFile::analyze("crates/x/src/lib.rs", src.to_string());
-        assert_eq!(f.test_regions.len(), 1);
+        let src =
+            "#[cfg(any(test, feature = \"slow\"))]\nmod helpers { fn h() {} }\nfn after() {}\n";
+        assert!(in_test(src, "helpers"));
+        assert!(!in_test(src, "after"));
+        // `test` must be a whole word, not part of one.
+        let src = "#[cfg(my_test)]\nfn f() {}\n#[cfg_attr(test, derive(Debug))]\nstruct S;\n";
+        assert_eq!(non_test(src), src);
     }
 
     #[test]
     fn bodiless_test_gated_item_ends_at_semicolon() {
         let src = "#[cfg(test)]\nuse std::collections::HashMap;\nfn after() {}\n";
-        let f = SourceFile::analyze("crates/x/src/lib.rs", src.to_string());
-        assert!(f.in_test_region(src.find("HashMap").unwrap()));
-        assert!(!f.in_test_region(src.find("after").unwrap()));
-    }
-
-    #[test]
-    fn suppression_trailing_and_preceding() {
-        let src = "let a = f(); // trim-lint: allow(no-float-eq, reason = \"exact guard\")\n\
-                   // trim-lint: allow(no-wall-clock, reason = \"progress only\")\n\
-                   let b = g();\n";
-        let f = SourceFile::analyze("crates/x/src/lib.rs", src.to_string());
-        assert_eq!(f.suppressions.len(), 2);
-        assert_eq!(f.suppressions[0].rule, "no-float-eq");
-        assert_eq!(f.suppressions[0].target_line, 1);
-        assert_eq!(f.suppressions[0].reason.as_deref(), Some("exact guard"));
-        assert_eq!(f.suppressions[1].rule, "no-wall-clock");
-        assert_eq!(f.suppressions[1].target_line, 3);
-    }
-
-    #[test]
-    fn suppression_without_reason_is_invalid() {
-        let src = "// trim-lint: allow(no-panic-in-library)\nlet a = x.unwrap();\n";
-        let f = SourceFile::analyze("crates/x/src/lib.rs", src.to_string());
-        assert_eq!(f.suppressions.len(), 1);
-        assert!(f.suppressions[0].reason.is_none());
-    }
-
-    #[test]
-    fn allow_file_scope() {
-        let src = "// trim-lint: allow-file(no-unordered-iteration, reason = \"defines FastHashMap\")\nuse std::collections::HashMap;\n";
-        let f = SourceFile::analyze("crates/x/src/lib.rs", src.to_string());
-        assert!(f.suppressions[0].file_scope);
+        assert!(in_test(src, "HashMap"));
+        assert!(!in_test(src, "after"));
     }
 }

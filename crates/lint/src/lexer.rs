@@ -1,416 +1,163 @@
-//! A lossless Rust lexer.
+//! Lexical scanning without a token stream.
 //!
-//! The analyzer never needs a full parse: every rule in this crate is a
-//! pattern over *tokens in context* (is this identifier inside a string?
-//! a comment? a `#[cfg(test)]` region?). So the lexer's contract is
-//! deliberately minimal and checkable:
-//!
-//! 1. **Lossless** — concatenating the text of every token reproduces
-//!    the input byte-for-byte (asserted in tests and cheap enough to
-//!    assert in release runs too).
-//! 2. **Classification-accurate** — comments, string/char literals,
-//!    lifetimes, numbers, identifiers and punctuation are distinguished
-//!    well enough that no rule can be fooled by an `Instant::now` inside
-//!    a doc comment or a `"HashMap"` inside a string literal.
-//!
-//! The lexer handles the full literal grammar the workspace uses: nested
-//! block comments, raw strings (`r#"…"#`), byte and raw-byte strings,
-//! raw identifiers (`r#type`), char-vs-lifetime disambiguation, and
-//! numeric literals with underscores, exponents and type suffixes.
+//! [`code_only`] blanks comments, string literals and char literals to
+//! spaces, keeping every newline, so the text left is code and a byte
+//! offset or line number in it is the same in the source. Lifetimes
+//! (`'a`) and raw identifiers (`r#type`) stay code. [`decimal_ints`]
+//! then finds the decimal integer literals in that code.
 
-/// What a token is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TokenKind {
-    /// Horizontal and vertical whitespace.
-    Whitespace,
-    /// `// …` to end of line (doc comments included).
-    LineComment,
-    /// `/* … */`, nesting tracked.
-    BlockComment,
-    /// Identifier or keyword (raw identifiers included).
-    Ident,
-    /// `'a`, `'_`, `'static` — a lifetime, not a char literal.
-    Lifetime,
-    /// Integer literal, any base, with suffix.
-    Int,
-    /// Float literal (decimal point, exponent, or `f32`/`f64` suffix).
-    Float,
-    /// String literal of any flavor (`"…"`, `r#"…"#`, `b"…"`, `c"…"`).
-    Str,
-    /// Char or byte-char literal (`'x'`, `b'\n'`).
-    Char,
-    /// One punctuation token; multi-char operators (`::`, `==`, `!=`,
-    /// `->`, …) are a single token.
-    Punct,
-}
-
-/// One token: a classified byte range of the source.
-#[derive(Clone, Copy, Debug)]
-pub struct Token {
-    /// Classification.
-    pub kind: TokenKind,
-    /// Byte offset of the first byte.
-    pub start: usize,
-    /// Byte offset one past the last byte.
-    pub end: usize,
-    /// 1-based line number of the token's first byte.
-    pub line: u32,
-}
-
-impl Token {
-    /// Whether the token carries no syntactic weight.
-    pub fn is_trivia(&self) -> bool {
-        matches!(
-            self.kind,
-            TokenKind::Whitespace | TokenKind::LineComment | TokenKind::BlockComment
-        )
-    }
-}
-
-/// Multi-character punctuation, longest first so greedy matching is
-/// correct. Single characters fall through to a one-byte `Punct`.
-const MULTI_PUNCT: &[&str] = &[
-    "<<=", ">>=", "..=", "...", "::", "->", "=>", "==", "!=", "<=", ">=", "&&", "||", "..", "<<",
-    ">>", "+=", "-=", "*=", "/=", "%=", "^=", "&=", "|=",
-];
-
-fn is_ident_start(c: char) -> bool {
-    c.is_alphabetic() || c == '_'
-}
-
-fn is_ident_continue(c: char) -> bool {
-    c.is_alphanumeric() || c == '_'
-}
-
-struct Cursor<'a> {
-    src: &'a str,
-    pos: usize,
-    line: u32,
-}
-
-impl<'a> Cursor<'a> {
-    fn peek(&self) -> Option<char> {
-        self.src[self.pos..].chars().next()
-    }
-
-    fn peek_at(&self, n: usize) -> Option<char> {
-        self.src[self.pos..].chars().nth(n)
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek()?;
-        if c == '\n' {
-            self.line += 1;
-        }
-        self.pos += c.len_utf8();
-        Some(c)
-    }
-
-    fn eat_while(&mut self, pred: impl Fn(char) -> bool) {
-        while let Some(c) = self.peek() {
-            if !pred(c) {
-                break;
+/// `src` with comments, string literals and char literals blanked to
+/// spaces, newlines kept. An unterminated literal or comment is blanked
+/// to the end of the input.
+pub fn code_only(src: &str) -> String {
+    let b = src.as_bytes();
+    let mut out = b.to_vec();
+    let mut i = 0;
+    while i < b.len() {
+        let start = i;
+        if b[i..].starts_with(b"//") {
+            while i < b.len() && b[i] != b'\n' {
+                i += 1;
             }
-            self.bump();
-        }
-    }
-
-    fn starts_with(&self, s: &str) -> bool {
-        self.src[self.pos..].starts_with(s)
-    }
-}
-
-/// Tokenizes `src` completely. Never fails: unterminated literals extend
-/// to end of input, and unknown bytes become one-byte `Punct` tokens, so
-/// the lossless property holds even for invalid source.
-pub fn lex(src: &str) -> Vec<Token> {
-    let mut cur = Cursor {
-        src,
-        pos: 0,
-        line: 1,
-    };
-    let mut out = Vec::new();
-    while let Some(c) = cur.peek() {
-        let start = cur.pos;
-        let line = cur.line;
-        let kind = lex_one(&mut cur, c);
-        debug_assert!(cur.pos > start, "lexer must always make progress");
-        out.push(Token {
-            kind,
-            start,
-            end: cur.pos,
-            line,
-        });
-    }
-    out
-}
-
-fn lex_one(cur: &mut Cursor<'_>, c: char) -> TokenKind {
-    if c.is_whitespace() {
-        cur.eat_while(|c| c.is_whitespace());
-        return TokenKind::Whitespace;
-    }
-    if cur.starts_with("//") {
-        cur.eat_while(|c| c != '\n');
-        return TokenKind::LineComment;
-    }
-    if cur.starts_with("/*") {
-        cur.bump();
-        cur.bump();
-        let mut depth = 1u32;
-        while depth > 0 {
-            if cur.starts_with("/*") {
-                cur.bump();
-                cur.bump();
-                depth += 1;
-            } else if cur.starts_with("*/") {
-                cur.bump();
-                cur.bump();
-                depth -= 1;
-            } else if cur.bump().is_none() {
-                break; // unterminated: extend to EOF
+        } else if b[i..].starts_with(b"/*") {
+            let mut depth = 0;
+            while i < b.len() {
+                if b[i..].starts_with(b"/*") {
+                    depth += 1;
+                    i += 2;
+                } else if b[i..].starts_with(b"*/") {
+                    depth -= 1;
+                    i += 2;
+                    if depth == 0 {
+                        break;
+                    }
+                } else {
+                    i += 1;
+                }
             }
-        }
-        return TokenKind::BlockComment;
-    }
-    // String-ish prefixes must be checked before the generic ident path:
-    // r"…", r#"…"#, b"…", br#"…"#, b'…', c"…", and raw idents r#name.
-    if matches!(c, 'r' | 'b' | 'c') {
-        if let Some(kind) = try_lex_prefixed_literal(cur) {
-            return kind;
-        }
-    }
-    if c == '"' {
-        lex_string_body(cur, 0);
-        return TokenKind::Str;
-    }
-    if c == '\'' {
-        return lex_quote(cur);
-    }
-    if c.is_ascii_digit() {
-        return lex_number(cur);
-    }
-    if is_ident_start(c) {
-        cur.eat_while(is_ident_continue);
-        return TokenKind::Ident;
-    }
-    for op in MULTI_PUNCT {
-        if cur.starts_with(op) {
-            for _ in 0..op.len() {
-                cur.bump();
+        } else if b[i] == b'"' || raw_string_at(b, i) {
+            // A raw string ends at a quote followed by as many `#`s.
+            let raw = b[i] == b'r';
+            i += usize::from(raw);
+            let hashes = b[i..].iter().take_while(|&&c| c == b'#').count();
+            i += hashes + 1;
+            let close = [b"\"".as_slice(), &vec![b'#'; hashes]].concat();
+            while i < b.len() && !b[i..].starts_with(&close) {
+                i += if !raw && b[i] == b'\\' { 2 } else { 1 };
             }
-            return TokenKind::Punct;
-        }
-    }
-    cur.bump();
-    TokenKind::Punct
-}
-
-/// Handles `r`/`b`/`c`-prefixed literals and raw identifiers. Returns
-/// `None` when the prefix turns out to be a plain identifier, leaving the
-/// cursor untouched.
-fn try_lex_prefixed_literal(cur: &mut Cursor<'_>) -> Option<TokenKind> {
-    let rest = &cur.src[cur.pos..];
-    // Longest prefixes first: br / cr, then single letters.
-    for prefix in ["br", "cr", "r", "b", "c"] {
-        if !rest.starts_with(prefix) {
+            i += close.len();
+        } else if b[i] == b'\'' {
+            // A char literal, not a lifetime: an escape, or one char
+            // followed by the closing quote.
+            let len = src[i + 1..].chars().next().map_or(0, char::len_utf8);
+            if b.get(i + 1) == Some(&b'\\') {
+                i += 3;
+                while i < b.len() && b[i] != b'\'' {
+                    i += 1;
+                }
+                i += 1;
+            } else if b.get(i + 1 + len) == Some(&b'\'') {
+                i += len + 2;
+            } else {
+                i += 1;
+                continue;
+            }
+        } else {
+            i += 1;
             continue;
         }
-        let after = &rest[prefix.len()..];
-        let raw_capable = prefix.contains('r');
-        if after.starts_with('"') {
-            for _ in 0..prefix.len() {
-                cur.bump();
-            }
-            if raw_capable {
-                lex_raw_string_body(cur, 0);
-            } else {
-                lex_string_body(cur, 0);
-            }
-            return Some(TokenKind::Str);
+        // Every blanked range starts on an ASCII byte; ending it on a
+        // char boundary keeps the output UTF-8.
+        let mut end = i.min(b.len());
+        while !src.is_char_boundary(end) {
+            end += 1;
         }
-        if raw_capable && after.starts_with('#') {
-            let hashes = after.chars().take_while(|&c| c == '#').count();
-            let past = after[hashes..].chars().next();
-            if past == Some('"') {
-                for _ in 0..prefix.len() + hashes {
-                    cur.bump();
-                }
-                lex_raw_string_body(cur, hashes);
-                return Some(TokenKind::Str);
-            }
-            if prefix == "r" && past.map(is_ident_start) == Some(true) {
-                // Raw identifier r#name.
-                cur.bump(); // r
-                cur.bump(); // #
-                cur.eat_while(is_ident_continue);
-                return Some(TokenKind::Ident);
+        for c in &mut out[start..end] {
+            if *c != b'\n' {
+                *c = b' ';
             }
         }
-        if prefix == "b" && after.starts_with('\'') {
-            cur.bump(); // b
-            lex_quote(cur);
-            return Some(TokenKind::Char);
-        }
-        // A prefix that matched textually but introduces no literal is
-        // just the start of an identifier (`ready`, `bytes`, `cfg`…).
-        break;
+        i = end;
     }
-    None
+    String::from_utf8(out).expect("blanked ranges end on char boundaries")
 }
 
-/// Consumes a `"…"` body (cursor on the opening quote), honoring
-/// backslash escapes. `_hashes` is unused but keeps the signature shared.
-fn lex_string_body(cur: &mut Cursor<'_>, _hashes: usize) {
-    cur.bump(); // opening quote
-    while let Some(c) = cur.bump() {
-        match c {
-            '\\' => {
-                cur.bump();
-            }
-            '"' => break,
-            _ => {}
-        }
+/// Whether a raw string (`r"…"`, `r#"…"#`, `br"…"`) starts at `b[i]`.
+fn raw_string_at(b: &[u8], i: usize) -> bool {
+    if b[i] != b'r' {
+        return false;
     }
+    let ident = |k: usize| b[k].is_ascii_alphanumeric() || b[k] == b'_';
+    let starts_token = i == 0 || !ident(i - 1) || (b[i - 1] == b'b' && (i < 2 || !ident(i - 2)));
+    let hashes = b[i + 1..].iter().take_while(|&&c| c == b'#').count();
+    starts_token && b.get(i + 1 + hashes) == Some(&b'"')
 }
 
-/// Consumes a raw-string body `"…"###` with `hashes` trailing hashes
-/// (cursor on the opening quote). No escapes.
-fn lex_raw_string_body(cur: &mut Cursor<'_>, hashes: usize) {
-    cur.bump(); // opening quote
-    'outer: while let Some(c) = cur.bump() {
-        if c == '"' {
-            let mark = cur.pos;
-            let mark_line = cur.line;
-            for _ in 0..hashes {
-                if cur.peek() == Some('#') {
-                    cur.bump();
-                } else {
-                    cur.pos = mark;
-                    cur.line = mark_line;
-                    continue 'outer;
-                }
+/// The decimal integer literals in `code` (from [`code_only`]), each as
+/// `(1-based line, text, value)`: no hex, octal or binary, and no
+/// floats (`1_000_000.0`, `1e9`, `5f64`). A type suffix is kept in the
+/// text and ignored in the value.
+pub fn decimal_ints(code: &str) -> Vec<(usize, String, u128)> {
+    let b = code.as_bytes();
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < b.len() {
+        let after_ident = i > 0 && (b[i - 1].is_ascii_alphanumeric() || b[i - 1] == b'_');
+        if !b[i].is_ascii_digit() || after_ident {
+            i += 1;
+            continue;
+        }
+        let start = i;
+        let word = |mut i: usize| {
+            while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
+                i += 1;
             }
-            break;
+            i
+        };
+        i = word(i);
+        let digits_end = code[start..i]
+            .find(|c: char| !c.is_ascii_digit() && c != '_')
+            .map_or(i, |k| start + k);
+        let suffix = &code[digits_end..i];
+        let radix =
+            suffix.starts_with(['x', 'o', 'b']) && digits_end == start + 1 && b[start] == b'0';
+        let fraction = b.get(i) == Some(&b'.') && b.get(i + 1).is_some_and(u8::is_ascii_digit);
+        if fraction {
+            i = word(i + 1);
+        }
+        // A signed exponent (`1e-3`, `2.5E+9`) belongs to the literal.
+        if !radix && matches!(b[i - 1], b'e' | b'E') && matches!(b.get(i), Some(b'+' | b'-')) {
+            i = word(i + 1);
+        }
+        let text = &code[start..i];
+        let digits: String = code[start..digits_end]
+            .chars()
+            .filter(|&c| c != '_')
+            .collect();
+        let float = fraction || suffix.starts_with(['e', 'E', 'f']);
+        if let (false, false, Ok(v)) = (radix, float, digits.parse::<u128>()) {
+            let line = code[..start].matches('\n').count() + 1;
+            out.push((line, text.to_string(), v));
         }
     }
-}
-
-/// Disambiguates `'a'` (char) from `'a` (lifetime); cursor on the quote.
-fn lex_quote(cur: &mut Cursor<'_>) -> TokenKind {
-    cur.bump(); // '
-    match cur.peek() {
-        Some('\\') => {
-            // Escaped char literal: consume escape then to closing quote.
-            cur.bump();
-            cur.bump(); // the escaped character (or first of \u{…})
-            cur.eat_while(|c| c != '\'');
-            cur.bump();
-            TokenKind::Char
-        }
-        Some(c) if is_ident_start(c) => {
-            cur.eat_while(is_ident_continue);
-            if cur.peek() == Some('\'') {
-                cur.bump();
-                TokenKind::Char
-            } else {
-                TokenKind::Lifetime
-            }
-        }
-        Some(_) => {
-            cur.bump(); // the character itself
-            if cur.peek() == Some('\'') {
-                cur.bump();
-            }
-            TokenKind::Char
-        }
-        None => TokenKind::Punct, // stray quote at EOF
-    }
-}
-
-fn lex_number(cur: &mut Cursor<'_>) -> TokenKind {
-    let mut float = false;
-    if cur.starts_with("0x") || cur.starts_with("0o") || cur.starts_with("0b") {
-        cur.bump();
-        cur.bump();
-        cur.eat_while(|c| c.is_ascii_hexdigit() || c == '_');
-    } else {
-        cur.eat_while(|c| c.is_ascii_digit() || c == '_');
-        if cur.peek() == Some('.') {
-            // `1.5` and `1.` are floats; `1..n` is a range and `1.max`
-            // would be a method position — both leave the dot alone.
-            match cur.peek_at(1) {
-                Some(c) if c.is_ascii_digit() => {
-                    cur.bump();
-                    cur.eat_while(|c| c.is_ascii_digit() || c == '_');
-                    float = true;
-                }
-                Some('.') => {}
-                Some(c) if is_ident_start(c) => {}
-                _ => {
-                    cur.bump();
-                    float = true;
-                }
-            }
-        }
-        if matches!(cur.peek(), Some('e' | 'E')) {
-            let (sign_ofs, digit_ofs) = match cur.peek_at(1) {
-                Some('+' | '-') => (1, 2),
-                _ => (0, 1),
-            };
-            if cur.peek_at(digit_ofs).is_some_and(|c| c.is_ascii_digit()) {
-                for _ in 0..=sign_ofs {
-                    cur.bump();
-                }
-                cur.eat_while(|c| c.is_ascii_digit() || c == '_');
-                float = true;
-            }
-        }
-    }
-    // Type suffix (`u64`, `f32`, `usize`…): part of the literal token.
-    let suffix_start = cur.pos;
-    if cur.peek().is_some_and(is_ident_start) {
-        cur.eat_while(is_ident_continue);
-    }
-    let suffix = &cur.src[suffix_start..cur.pos];
-    if suffix == "f32" || suffix == "f64" {
-        float = true;
-    }
-    if float {
-        TokenKind::Float
-    } else {
-        TokenKind::Int
-    }
-}
-
-/// Parses the numeric value of a *decimal* integer literal token's text,
-/// ignoring underscores and any type suffix. Returns `None` for other
-/// bases (hex seeds and bit masks are never unit-bearing quantities).
-pub fn decimal_int_value(text: &str) -> Option<u128> {
-    if text.starts_with("0x") || text.starts_with("0o") || text.starts_with("0b") {
-        return None;
-    }
-    let digits: String = text
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '_')
-        .filter(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn texts(src: &str) -> Vec<(TokenKind, String)> {
-        lex(src)
-            .into_iter()
-            .map(|t| (t.kind, src[t.start..t.end].to_string()))
-            .collect()
+    /// `line` without its whitespace.
+    fn squeeze(line: &str) -> String {
+        line.split_whitespace().collect()
     }
 
-    fn reassemble(src: &str) -> String {
-        lex(src).iter().map(|t| &src[t.start..t.end]).collect()
+    /// The `(text, value)` of each decimal literal in `src`.
+    fn ints(src: &str) -> Vec<(String, u128)> {
+        decimal_ints(&code_only(src))
+            .into_iter()
+            .map(|(_, text, value)| (text, value))
+            .collect()
     }
 
     #[test]
@@ -420,113 +167,125 @@ mod tests {
 fn main() {
     let s = "str with \" quote and // not a comment";
     let r = r#"raw "inner" text"#;
-    let b = b"bytes"; let bc = b'\n';
+    let b = b"bytes"; let bc = b'\n'; let xé = "ü";
     let c = 'x'; let l: &'static str = "s";
     let f = 1.5e-3f64; let i = 1_000_000u64; let h = 0xFF;
     /* block /* nested */ still comment */
     let range = 0..10; let t = x.0;
 }
 "##;
-        assert_eq!(reassemble(src), src);
-    }
-
-    #[test]
-    fn comments_and_strings_hide_code() {
-        let toks = texts(r#"let a = "Instant::now()"; // Instant::now()"#);
-        let idents: Vec<_> = toks
-            .iter()
-            .filter(|(k, _)| *k == TokenKind::Ident)
-            .map(|(_, t)| t.as_str())
-            .collect();
-        assert_eq!(idents, ["let", "a"]);
-        assert!(toks
-            .iter()
-            .any(|(k, t)| *k == TokenKind::LineComment && t.contains("Instant")));
-    }
-
-    #[test]
-    fn char_vs_lifetime() {
-        let toks = texts("fn f<'a>(x: &'a str) { let c = 'a'; let u = '\\u{1F600}'; }");
-        let lifetimes = toks
-            .iter()
-            .filter(|(k, _)| *k == TokenKind::Lifetime)
-            .count();
-        let chars = toks.iter().filter(|(k, _)| *k == TokenKind::Char).count();
-        assert_eq!(lifetimes, 2);
-        assert_eq!(chars, 2);
-    }
-
-    #[test]
-    fn number_classification() {
-        for (src, kind) in [
-            ("42", TokenKind::Int),
-            ("1_000_000", TokenKind::Int),
-            ("0xDEAD_BEEF", TokenKind::Int),
-            ("7u64", TokenKind::Int),
-            ("1.0", TokenKind::Float),
-            ("1.", TokenKind::Float),
-            ("1e9", TokenKind::Float),
-            ("2.5e-3", TokenKind::Float),
-            ("1f64", TokenKind::Float),
-        ] {
-            let toks = lex(src);
-            assert_eq!(toks.len(), 1, "{src}");
-            assert_eq!(toks[0].kind, kind, "{src}");
-        }
-        // Ranges do not glue the dot onto the number.
-        let toks = texts("0..10");
-        assert_eq!(toks[0], (TokenKind::Int, "0".into()));
-        assert_eq!(toks[1], (TokenKind::Punct, "..".into()));
-    }
-
-    #[test]
-    fn multi_char_punct_is_one_token() {
-        let toks = texts("a == b != c :: d -> e");
-        let puncts: Vec<_> = toks
-            .iter()
-            .filter(|(k, _)| *k == TokenKind::Punct)
-            .map(|(_, t)| t.as_str())
-            .collect();
-        assert_eq!(puncts, ["==", "!=", "::", "->"]);
-    }
-
-    #[test]
-    fn raw_identifiers_are_idents() {
-        let toks = texts("let r#type = 1;");
-        assert!(toks.contains(&(TokenKind::Ident, "r#type".into())));
-    }
-
-    #[test]
-    fn line_numbers_track_newlines() {
-        let src = "a\nb\n  c /* x\ny */ d";
-        let lines: Vec<(String, u32)> = lex(src)
-            .into_iter()
-            .filter(|t| t.kind != TokenKind::Whitespace)
-            .map(|t| (src[t.start..t.end].to_string(), t.line))
-            .collect();
+        let code = code_only(src);
+        assert_eq!(code.len(), src.len());
+        let words: Vec<String> = code.lines().map(squeeze).collect();
         assert_eq!(
-            lines,
+            words,
             [
-                ("a".into(), 1),
-                ("b".into(), 2),
-                ("c".into(), 3),
-                ("/* x\ny */".into(), 3),
-                ("d".into(), 4),
+                "",
+                "",
+                "fnmain(){",
+                "lets=;",
+                "letr=;",
+                "letb=b;letbc=b;letxé=;",
+                "letc=;letl:&'staticstr=;",
+                "letf=1.5e-3f64;leti=1_000_000u64;leth=0xFF;",
+                "",
+                "letrange=0..10;lett=x.0;",
+                "}",
             ]
         );
     }
 
     #[test]
+    fn comments_and_strings_hide_code() {
+        let code = code_only(r#"let a = "Instant::now()"; // Instant::now()"#);
+        assert!(!code.contains("Instant"), "{code}");
+        assert!(code.starts_with("let a ="));
+        let code = code_only("let a = 1; /* 2 /* 3 */ 4 */ let b = 5;");
+        assert_eq!(squeeze(&code), "leta=1;letb=5;");
+    }
+
+    #[test]
+    fn char_vs_lifetime() {
+        let src = "fn f<'a>(x: &'a str) { let c = 'a'; let u = '\\u{1F600}'; let q = '\\''; }";
+        let code = code_only(src);
+        assert_eq!(code.matches("'a").count(), 2, "{code}");
+        assert_eq!(code.matches('\'').count(), 2, "{code}");
+        assert!(squeeze(&code).ends_with("letc=;letu=;letq=;}"), "{code}");
+    }
+
+    #[test]
+    fn number_classification() {
+        for (src, decimal) in [
+            ("42", true),
+            ("1_000_000", true),
+            ("7u64", true),
+            ("0", true),
+            ("0xDEAD_BEEF", false),
+            ("0o17", false),
+            ("0b1010", false),
+            ("1.0", false),
+            ("1e9", false),
+            ("2.5e-3", false),
+            ("1f64", false),
+        ] {
+            assert_eq!(ints(src).len(), usize::from(decimal), "{src}");
+        }
+        // A range does not make its ends floats. A digit inside an
+        // identifier is no literal; a tuple field index is one.
+        assert_eq!(ints("0..10"), [("0".into(), 0), ("10".into(), 10)]);
+        assert_eq!(ints("x1_000_000 + t.0"), [("0".into(), 0)]);
+    }
+
+    #[test]
+    fn raw_identifiers_are_idents() {
+        let code =
+            code_only("let r#type = 1; let s = r#\"2\"#; let t = br\"3\"; let u = for_r\"4\";");
+        assert!(code.contains("let r#type = 1;"), "{code}");
+        assert!(!code.contains('2') && !code.contains('3'), "{code}");
+        // `for_r"4"` is an identifier then a plain string, not a raw one.
+        assert!(code.contains("for_r   ;"), "{code}");
+    }
+
+    #[test]
+    fn line_numbers_track_newlines() {
+        let src = "a = 1;\nb = \"x\ny\";\n  c /* 2\n3 */ = 4_000_000;\n";
+        let lines: Vec<(usize, String)> = decimal_ints(&code_only(src))
+            .into_iter()
+            .map(|(line, text, _)| (line, text))
+            .collect();
+        assert_eq!(lines, [(1, "1".into()), (5, "4_000_000".into())]);
+    }
+
+    #[test]
     fn decimal_int_values() {
-        assert_eq!(decimal_int_value("1_000_000"), Some(1_000_000));
-        assert_eq!(decimal_int_value("42u64"), Some(42));
-        assert_eq!(decimal_int_value("0xFF"), None);
+        assert_eq!(ints("1_000_000"), [("1_000_000".into(), 1_000_000)]);
+        assert_eq!(ints("42u64"), [("42u64".into(), 42)]);
+        assert_eq!(ints("0xFF"), []);
+        assert_eq!(
+            ints("340282366920938463463374607431768211455"),
+            [("340282366920938463463374607431768211455".into(), u128::MAX)]
+        );
     }
 
     #[test]
     fn unterminated_literals_extend_to_eof_losslessly() {
-        for src in ["\"never closed", "/* never closed", "r#\"raw", "'"] {
-            assert_eq!(reassemble(src), src, "{src:?}");
+        for src in [
+            "\"never closed",
+            "/* never closed",
+            "r#\"raw",
+            "\"esc\\",
+            "'\\",
+            "x \"é",
+        ] {
+            let code = code_only(src);
+            assert_eq!(code.len(), src.len(), "{src:?}");
+            let start = src.find(['"', '/', 'r', '\'']).expect("a literal");
+            assert!(
+                code[start..].bytes().all(|c| c == b' '),
+                "{src:?} → {code:?}"
+            );
         }
+        // A lone quote is neither a char literal nor a lifetime's end.
+        assert_eq!(code_only("'"), "'");
     }
 }

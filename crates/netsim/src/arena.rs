@@ -67,7 +67,11 @@ impl<P> PacketArena<P> {
                 PacketRef(idx)
             }
             None => {
-                let idx = u32::try_from(self.slots.len()).expect("arena exceeds u32 slots"); // trim-lint: allow(no-panic-in-library, reason = "4G live packets exhausts memory long before this fires")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "4G live packets exhausts memory long before this fires"
+                )]
+                let idx = u32::try_from(self.slots.len()).expect("arena exceeds u32 slots");
                 self.slots.push(Some(pkt));
                 PacketRef(idx)
             }
@@ -80,9 +84,13 @@ impl<P> PacketArena<P> {
     /// the engine duplicated or lost a packet.
     #[inline]
     pub fn free(&mut self, r: PacketRef) -> Packet<P> {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: a double-free means the engine duplicated a packet"
+        )]
         let pkt = self.slots[r.0 as usize]
             .take()
-            .expect("PacketRef freed twice or never allocated"); // trim-lint: allow(no-panic-in-library, reason = "documented panic: a double-free means the engine duplicated a packet")
+            .expect("PacketRef freed twice or never allocated");
         self.live -= 1;
         self.free.push(r.0);
         pkt

@@ -13,6 +13,11 @@
 //! must still never iterate these maps where ordering can influence
 //! simulation results.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "defines the deterministic aliases over the std maps"
+)]
+
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 

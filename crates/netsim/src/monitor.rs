@@ -279,8 +279,6 @@ pub mod interest {
 
 impl MonitorEvent {
     /// This event's bit in an [`InvariantMonitor::interests`] mask.
-    // `Self::` rather than `MonitorEvent::` patterns: this plumbing is
-    // not a consumer in trim-lint's monitor-coverage sense.
     pub fn kind_bit(&self) -> u32 {
         match self {
             Self::Clock { .. } => interest::CLOCK,

@@ -244,6 +244,10 @@ impl Observer {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "test monitors share what they saw with the test body; no simulator state is shared"
+)]
 mod tests {
     use super::*;
     use crate::agent::{Agent, SinkAgent};

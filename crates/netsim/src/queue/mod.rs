@@ -473,6 +473,7 @@ impl<P: Payload> DropTailQueue<P> {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact values are the expected results")]
 mod tests {
     use super::*;
     use crate::packet::{FlowId, NodeId, TagPayload};

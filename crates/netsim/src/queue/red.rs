@@ -134,6 +134,7 @@ impl RedState {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact values are the expected results")]
 mod tests {
     use super::*;
     use crate::packet::{FlowId, NodeId, Packet};

@@ -117,9 +117,13 @@ impl RouteTable {
     /// # Panics
     ///
     /// Panics if `dst` is not a host or is unreachable from `node`.
+    #[expect(
+        clippy::panic,
+        reason = "documented panic: routing to a switch or across a disconnected topology is a construction bug"
+    )]
     pub(crate) fn out(&self, node: NodeId, dst: NodeId, flow: FlowId) -> ChannelId {
         if self.kinds[dst.index()] != NodeKind::Host {
-            panic!("no route from {node} to {dst}"); // trim-lint: allow(no-panic-in-library, reason = "documented panic: routing to a switch is a topology construction bug")
+            panic!("no route from {node} to {dst}");
         }
         let row = match self.egress[node.index()] {
             Egress::Uplink(ch) => return ch,
@@ -127,7 +131,7 @@ impl RouteTable {
         };
         let (start, len) = self.next[row * self.kinds.len() + dst.index()];
         let pick = match len {
-            0 => panic!("no route from {node} to {dst}"), // trim-lint: allow(no-panic-in-library, reason = "documented panic: a disconnected topology is a construction bug")
+            0 => panic!("no route from {node} to {dst}"),
             1 => 0,
             n => ecmp_hash(flow) % u64::from(n),
         };

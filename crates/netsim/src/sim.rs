@@ -720,13 +720,17 @@ impl<P: Payload> Simulator<P> {
     /// # Panics
     ///
     /// Panics if `node` is a switch or the agent is not a `T`.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic: typed accessor misuse is a caller bug"
+    )]
     pub fn host<T: Agent<P>>(&self, node: NodeId) -> &T {
         let agent = self.agents[node.index()]
             .as_ref()
-            .expect("node is a switch, not a host"); // trim-lint: allow(no-panic-in-library, reason = "documented panic: typed accessor misuse is a caller bug")
+            .expect("node is a switch, not a host");
         (agent.as_ref() as &dyn Any)
             .downcast_ref::<T>()
-            .expect("agent has a different concrete type") // trim-lint: allow(no-panic-in-library, reason = "documented panic: typed accessor misuse is a caller bug")
+            .expect("agent has a different concrete type")
     }
 
     /// Mutably borrows the agent at `node`, downcast to its concrete type.
@@ -734,13 +738,17 @@ impl<P: Payload> Simulator<P> {
     /// # Panics
     ///
     /// Panics if `node` is a switch or the agent is not a `T`.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic: typed accessor misuse is a caller bug"
+    )]
     pub fn host_mut<T: Agent<P>>(&mut self, node: NodeId) -> &mut T {
         let agent = self.agents[node.index()]
             .as_mut()
-            .expect("node is a switch, not a host"); // trim-lint: allow(no-panic-in-library, reason = "documented panic: typed accessor misuse is a caller bug")
+            .expect("node is a switch, not a host");
         (agent.as_mut() as &mut dyn Any)
             .downcast_mut::<T>()
-            .expect("agent has a different concrete type") // trim-lint: allow(no-panic-in-library, reason = "documented panic: typed accessor misuse is a caller bug")
+            .expect("agent has a different concrete type")
     }
 
     /// The topology as built so far, for the routing tests.
@@ -825,9 +833,13 @@ impl<P: Payload> Simulator<P> {
         // handler can arm a timer into the slot or cancel its stale id.
         self.core.cancel_timer(id);
         self.core.step_clock(at, seq);
+        #[expect(
+            clippy::expect_used,
+            reason = "timers are only ever set by host agents; a switch timer is engine corruption"
+        )]
         let agent = self.agents[node.index()]
             .as_mut()
-            .expect("timer delivered to switch"); // trim-lint: allow(no-panic-in-library, reason = "timers are only ever set by host agents; a switch timer is engine corruption")
+            .expect("timer delivered to switch");
         let mut ctx = Ctx {
             core: &mut self.core,
             node,
@@ -865,6 +877,10 @@ impl<P: Payload> Simulator<P> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "test agents share counters with the test body; no simulator state is shared"
+)]
 mod tests {
     use super::*;
     use crate::agent::SinkAgent;

@@ -28,11 +28,7 @@
 //! assert!(report.arct.p999 >= report.arct.p50);
 //! ```
 
-#![forbid(unsafe_code)]
-#![cfg_attr(
-    not(test),
-    deny(clippy::dbg_macro, clippy::print_stdout, clippy::float_cmp)
-)]
+#![cfg_attr(not(test), deny(clippy::dbg_macro, clippy::print_stdout))]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -13,8 +13,6 @@
 //! (p50/p99/p999 ARCT), goodput, and last-hop queue occupancy that the
 //! `serve_*` campaigns persist as CSV artifacts.
 
-#![forbid(unsafe_code)]
-
 use std::process::ExitCode;
 
 use trim_serve::run::{run, ServeConfig};

@@ -68,7 +68,11 @@ impl CcAlgo for Cubic {
         if self.epoch_start.is_none() {
             self.reset_epoch(info.now, w.cwnd);
         }
-        let start = self.epoch_start.expect("epoch initialized above"); // trim-lint: allow(no-panic-in-library, reason = "reset_epoch on the previous line set it")
+        #[expect(
+            clippy::expect_used,
+            reason = "reset_epoch on the previous line set it"
+        )]
+        let start = self.epoch_start.expect("epoch initialized above");
         let t = info.now.saturating_since(start).as_secs_f64();
         let target = C_CUBIC * (t - self.k).powi(3) + self.w_max;
         // TCP-friendly estimate: Reno-equivalent growth within the epoch.
@@ -106,6 +110,7 @@ impl CcAlgo for Cubic {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact values are the expected results")]
 mod tests {
     use super::*;
     use netsim::time::Dur;

@@ -99,6 +99,7 @@ impl CcAlgo for Dctcp {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact values are the expected results")]
 mod tests {
     use super::*;
     use netsim::time::Dur;

@@ -70,6 +70,7 @@ impl CcAlgo for Gip {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact values are the expected results")]
 mod tests {
     use super::*;
     use netsim::time::Dur;

@@ -126,6 +126,7 @@ impl CcAlgo for L2dct {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact values are the expected results")]
 mod tests {
     use super::*;
     use netsim::time::Dur;

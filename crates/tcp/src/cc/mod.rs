@@ -174,7 +174,11 @@ impl CcKind {
             CcKind::Cubic => Box::new(Cubic::new()),
             CcKind::Dctcp => Box::new(Dctcp::new()),
             CcKind::L2dct => Box::new(L2dct::new()),
-            CcKind::Trim(cfg) => Box::new(TrimCc::new(*cfg).expect("invalid TRIM config")), // trim-lint: allow(no-panic-in-library, reason = "configs are validated when the experiment spec is built")
+            #[expect(
+                clippy::expect_used,
+                reason = "configs are validated when the experiment spec is built"
+            )]
+            CcKind::Trim(cfg) => Box::new(TrimCc::new(*cfg).expect("invalid TRIM config")),
             CcKind::Gip => Box::new(Gip::new()),
         }
     }
@@ -212,6 +216,7 @@ pub(crate) fn reno_increase(w: &mut WindowState, newly_acked: u64) {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact values are the expected results")]
 mod tests {
     use super::*;
 

@@ -37,6 +37,7 @@ impl CcAlgo for Reno {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact values are the expected results")]
 mod tests {
     use super::*;
     use netsim::time::Dur;

@@ -119,6 +119,7 @@ impl CcAlgo for TrimCc {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact values are the expected results")]
 mod tests {
     use super::*;
 

@@ -63,8 +63,10 @@ impl TcpConfig {
     ///
     /// Returns a message naming the offending field when a parameter is
     /// out of range.
-    // `!(x >= y)` deliberately rejects NaN, unlike `x < y`.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    #[expect(
+        clippy::neg_cmp_op_on_partial_ord,
+        reason = "`!(x >= y)` deliberately rejects NaN, unlike `x < y`"
+    )]
     pub fn validate(&self) -> Result<(), String> {
         if self.mss_bytes == 0 {
             return Err("mss_bytes must be positive".into());

@@ -153,8 +153,12 @@ pub struct Conn {
 ///
 /// Panics if `cfg` fails validation.
 pub(crate) fn new_conn(flow: FlowId, dst: NodeId, cfg: TcpConfig, cc: Box<dyn CcAlgo>) -> Conn {
+    #[expect(
+        clippy::panic,
+        reason = "constructor contract: configs are validated at build time"
+    )]
     cfg.validate()
-        .unwrap_or_else(|e| panic!("invalid TcpConfig: {e}")); // trim-lint: allow(no-panic-in-library, reason = "constructor contract: configs are validated at build time")
+        .unwrap_or_else(|e| panic!("invalid TcpConfig: {e}"));
     Conn {
         win: WindowState::new(cfg.init_cwnd, cfg.init_ssthresh, cfg.min_cwnd, cfg.max_cwnd),
         rto_est: RtoEstimator::new(cfg.min_rto, cfg.max_rto),
@@ -623,7 +627,11 @@ impl Conn {
             if self.high_ack < front.end_seq {
                 break;
             }
-            let t = self.trains.pop_front().expect("front exists"); // trim-lint: allow(no-panic-in-library, reason = "front() returned Some in the loop condition")
+            #[expect(
+                clippy::expect_used,
+                reason = "front() returned Some in the loop condition"
+            )]
+            let t = self.trains.pop_front().expect("front exists");
             self.completed.push(TrainRecord {
                 id: t.id,
                 bytes: t.bytes,

@@ -239,10 +239,14 @@ impl TcpHost {
     ///
     /// Panics if the sender has no response sequence.
     pub fn inject_session_early_end(&mut self, sender_idx: usize) {
+        #[expect(
+            clippy::expect_used,
+            reason = "fault-injection API misuse is a test bug"
+        )]
         let idx = *self
             .seq_by_sender
             .get(&sender_idx)
-            .expect("sender has no response sequence"); // trim-lint: allow(no-panic-in-library, reason = "fault-injection API misuse is a test bug")
+            .expect("sender has no response sequence");
         self.sequences[idx].fault_early_end = true;
     }
 

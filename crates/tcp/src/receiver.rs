@@ -84,6 +84,10 @@ impl Receiver {
     ///
     /// Panics if the packet is not a data segment.
     pub fn on_data(&mut self, ctx: &mut Ctx<'_, Segment>, pkt: Packet<Segment>) {
+        #[expect(
+            clippy::panic,
+            reason = "the sender only ever addresses the receiver with data; anything else is corruption"
+        )]
         let SegKind::Data {
             seq,
             is_probe,
@@ -91,7 +95,7 @@ impl Receiver {
             ts,
         } = pkt.payload.kind
         else {
-            panic!("receiver got a non-data segment"); // trim-lint: allow(no-panic-in-library, reason = "the sender only ever addresses the receiver with data; anything else is corruption")
+            panic!("receiver got a non-data segment");
         };
         let now = ctx.now();
         self.stats.pkts_received += 1;

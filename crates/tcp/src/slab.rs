@@ -127,7 +127,11 @@ impl FlowSlab {
     ///
     /// Panics if `id` is not live.
     pub(crate) fn remove(&mut self, id: usize) -> Conn {
-        let conn = self.conns[id].take().expect("removed a vacant flow slot"); // trim-lint: allow(no-panic-in-library, reason = "double-free of a flow id is a host bug, not a recoverable state")
+        #[expect(
+            clippy::expect_used,
+            reason = "double-free of a flow id is a host bug, not a recoverable state"
+        )]
+        let conn = self.conns[id].take().expect("removed a vacant flow slot");
         self.freed += 1;
         self.generation[id] += 1;
         if self.leak_next_remove {
@@ -186,8 +190,9 @@ impl FlowSlab {
     /// # Panics
     ///
     /// Panics if `id` is not live.
+    #[expect(clippy::expect_used, reason = "reading a freed flow id is a host bug")]
     pub(crate) fn get(&self, id: usize) -> &Conn {
-        self.conns[id].as_ref().expect("vacant flow slot") // trim-lint: allow(no-panic-in-library, reason = "reading a freed flow id is a host bug")
+        self.conns[id].as_ref().expect("vacant flow slot")
     }
 
     /// Mutably borrows the connection of live flow `id`, in place.
@@ -195,8 +200,9 @@ impl FlowSlab {
     /// # Panics
     ///
     /// Panics if `id` is not live.
+    #[expect(clippy::expect_used, reason = "reading a freed flow id is a host bug")]
     pub(crate) fn get_mut(&mut self, id: usize) -> &mut Conn {
-        self.conns[id].as_mut().expect("vacant flow slot") // trim-lint: allow(no-panic-in-library, reason = "reading a freed flow id is a host bug")
+        self.conns[id].as_mut().expect("vacant flow slot")
     }
 
     /// Ids of live flows, ascending.

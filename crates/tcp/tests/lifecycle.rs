@@ -97,6 +97,10 @@ fn teardown_mid_run_frees_slot_and_books_balance() {
 /// occupant's window, RTT estimate, counters or train records shows
 /// through the reused id.
 #[test]
+#[expect(
+    clippy::float_cmp,
+    reason = "a fresh connection copies its window from the config"
+)]
 fn torn_down_flow_id_is_reused_by_add_sender() {
     let (mut sim, tx, fe) = multi_sender(3);
     // t = 1.6 ms: a few round trips into the 1 ms trains.
@@ -267,6 +271,10 @@ fn stale_app_events_never_reach_a_reused_id() {
 /// out of flight per ACK. Slicing the run, and reading at the slice
 /// boundaries, changes nothing about where it ends up.
 #[test]
+#[expect(
+    clippy::float_cmp,
+    reason = "loss-free slow start adds exactly one segment per ACK, all small integers"
+)]
 fn connection_view_is_current_between_slices() {
     let view = |sim: &Simulator<Segment>, tx| {
         let c = sim.host::<TcpHost>(tx).connection(1);

@@ -36,10 +36,14 @@ impl EmpiricalCdf {
     /// Returns a message when fewer than two points are given, values are
     /// not positive and strictly increasing, probabilities are not
     /// non-decreasing, or the first/last probabilities are not 0 and 1.
-    // `!(x > 0.0)` deliberately rejects NaN, unlike `x <= 0.0`.
-    // Endpoint equality is exact on purpose: 0.0 and 1.0 are the only
-    // acceptable CDF boundaries and both are exactly representable.
-    #[allow(clippy::neg_cmp_op_on_partial_ord, clippy::float_cmp)]
+    #[expect(
+        clippy::neg_cmp_op_on_partial_ord,
+        reason = "`!(x > 0.0)` deliberately rejects NaN, unlike `x <= 0.0`"
+    )]
+    #[expect(
+        clippy::float_cmp,
+        reason = "CDF endpoints must be exactly 0 and 1; both are exactly representable"
+    )]
     pub fn new(points: Vec<(f64, f64)>) -> Result<Self, String> {
         if points.len() < 2 {
             return Err("need at least two CDF points".into());
@@ -55,10 +59,17 @@ impl EmpiricalCdf {
                 return Err("probabilities must be non-decreasing".into());
             }
         }
-        let first = points.first().expect("checked").1; // trim-lint: allow(no-panic-in-library, reason = "new() rejected empty point sets above")
-        let last = points.last().expect("checked").1; // trim-lint: allow(no-panic-in-library, reason = "new() rejected empty point sets above")
+        #[expect(
+            clippy::expect_used,
+            reason = "new() rejected point sets shorter than two above"
+        )]
+        let first = points.first().expect("checked").1;
+        #[expect(
+            clippy::expect_used,
+            reason = "new() rejected point sets shorter than two above"
+        )]
+        let last = points.last().expect("checked").1;
 
-        // trim-lint: allow(no-float-eq, reason = "CDF endpoints must be exactly 0 and 1; the literals are representable")
         if first != 0.0 || last != 1.0 {
             return Err(format!(
                 "CDF must start at 0 and end at 1, got {first} and {last}"
@@ -73,9 +84,10 @@ impl EmpiricalCdf {
     /// # Panics
     ///
     /// Panics if `p` is outside `[0, 1]`.
-    // `c1 == c0` guards the division below; only exact equality divides
-    // by zero, so an epsilon comparison would be wrong here.
-    #[allow(clippy::float_cmp)]
+    #[expect(
+        clippy::float_cmp,
+        reason = "`c1 == c0` guards the division below; only exact equality divides by zero"
+    )]
     pub fn quantile(&self, p: f64) -> f64 {
         assert!((0.0..=1.0).contains(&p), "probability {p} out of range");
         let i = self
@@ -97,14 +109,22 @@ impl EmpiricalCdf {
     }
 
     /// The largest representable value.
+    #[expect(
+        clippy::expect_used,
+        reason = "the constructor rejects empty point sets"
+    )]
     pub fn max_value(&self) -> f64 {
-        self.points.last().expect("validated non-empty").0 // trim-lint: allow(no-panic-in-library, reason = "the constructor rejects empty point sets")
+        self.points.last().expect("validated non-empty").0
     }
 }
 
 /// The packet-train size distribution of Fig. 2(a): sizes from 0.5 KB to
 /// 256 KB, with ~20% at or below 4 KB, ~70% between 4 KB and 128 KB, and
 /// ~10% above 128 KB.
+#[expect(
+    clippy::expect_used,
+    reason = "compile-time constant table; a typo fails every test"
+)]
 pub fn pt_size_bytes() -> EmpiricalCdf {
     EmpiricalCdf::new(vec![
         (512.0, 0.0),
@@ -114,11 +134,15 @@ pub fn pt_size_bytes() -> EmpiricalCdf {
         (128.0 * 1024.0, 0.90),
         (256.0 * 1024.0, 1.0),
     ])
-    .expect("static points are valid") // trim-lint: allow(no-panic-in-library, reason = "compile-time constant table; a typo fails every test")
+    .expect("static points are valid")
 }
 
 /// The inter-train gap distribution of Fig. 2(b): hundreds of microseconds
 /// to several milliseconds, in nanoseconds.
+#[expect(
+    clippy::expect_used,
+    reason = "compile-time constant table; a typo fails every test"
+)]
 pub fn pt_interval() -> EmpiricalCdf {
     EmpiricalCdf::new(vec![
         (100_000.0, 0.0),    // 100 us
@@ -127,7 +151,7 @@ pub fn pt_interval() -> EmpiricalCdf {
         (3_000_000.0, 0.85), // 3 ms
         (10_000_000.0, 1.0), // 10 ms
     ])
-    .expect("static points are valid") // trim-lint: allow(no-panic-in-library, reason = "compile-time constant table; a typo fails every test")
+    .expect("static points are valid")
 }
 
 /// A sample from the exponential distribution with the given mean, via
@@ -141,6 +165,7 @@ pub fn exponential<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> f64 {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact values are the expected results")]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;

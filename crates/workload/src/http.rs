@@ -79,7 +79,7 @@ pub fn large_scale_workload<R: Rng + ?Sized>(
 /// objects of 2–6 KB starting at 0.1 s (spaced by `small_gap_mean`
 /// exponential gaps) plus the big remainder at 0.5 s.
 pub fn fat_tree_workload<R: Rng + ?Sized>(rng: &mut R, small_gap_mean: f64) -> Vec<TrainSpec> {
-    let total: u64 = 1_000_000; // trim-lint: allow(no-raw-unit-literal, reason = "1 MB per-server object volume from the Fig. 12 setup; bytes, not time")
+    let total: u64 = 1_000_000;
     let mut specs = Vec::new();
     let mut used = 0;
     let mut t = 0.1;

@@ -30,7 +30,8 @@ impl Summary {
             return Summary::default();
         }
         let mut secs: Vec<f64> = samples.iter().map(|d| d.as_secs_f64()).collect();
-        secs.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite")); // trim-lint: allow(no-panic-in-library, reason = "Dur::as_secs_f64 is always finite")
+        #[expect(clippy::expect_used, reason = "Dur::as_secs_f64 is always finite")]
+        secs.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
         let count = secs.len();
         Summary {
             count,
@@ -72,7 +73,8 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
 /// for plotting (Fig. 13(e)).
 pub fn cdf_points(samples: &[Dur]) -> Vec<(f64, f64)> {
     let mut secs: Vec<f64> = samples.iter().map(|d| d.as_secs_f64()).collect();
-    secs.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite")); // trim-lint: allow(no-panic-in-library, reason = "Dur::as_secs_f64 is always finite")
+    #[expect(clippy::expect_used, reason = "Dur::as_secs_f64 is always finite")]
+    secs.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
     let n = secs.len();
     secs.into_iter()
         .enumerate()
@@ -89,6 +91,7 @@ pub fn fraction_below(samples: &[Dur], threshold: Dur) -> f64 {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact values are the expected results")]
 mod tests {
     use super::*;
 

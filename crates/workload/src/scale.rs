@@ -54,7 +54,7 @@ impl ScaleConfig {
     pub fn with_flows(flows: usize) -> Self {
         ScaleConfig {
             flows,
-            bytes_per_flow: (146_000_000 / flows.max(1) as u64).max(1_460), // trim-lint: allow(no-raw-unit-literal, reason = "total volume (~146 MB) held constant across flow counts; bytes, not time")
+            bytes_per_flow: (146_000_000 / flows.max(1) as u64).max(1_460),
             start_window: Dur::from_millis(100),
             horizon: Dur::from_secs(10),
             min_rto: Dur::from_millis(20),
@@ -73,7 +73,7 @@ impl ScaleConfig {
     /// `completed` reports the flows that made it.
     pub fn million_flow() -> Self {
         ScaleConfig {
-            flows: 1_000_000, // trim-lint: allow(no-raw-unit-literal, reason = "a flow count, not a physical quantity; no unit constructor applies")
+            flows: 1_000_000,
             bytes_per_flow: 1_460,
             start_window: Dur::from_millis(500),
             horizon: Dur::from_secs(5),
@@ -144,8 +144,12 @@ pub fn run_scale_incast(cfg: &ScaleConfig) -> ScaleReport {
     let mut timeouts = 0u64;
     for &s in &net.senders {
         let host = sim.host::<TcpHost>(s);
+        #[expect(
+            clippy::expect_used,
+            reason = "a leaked slab slot is engine corruption; aborting the campaign is the only safe outcome"
+        )]
         host.slab_leak_check()
-            .expect("flow slab books must balance after a scale run"); // trim-lint: allow(no-panic-in-library, reason = "a leaked slab slot is engine corruption; aborting the campaign is the only safe outcome")
+            .expect("flow slab books must balance after a scale run");
         for conn in host.connections() {
             timeouts += conn.stats().timeouts;
             times.extend(conn.completed_trains().iter().map(|t| t.completion_time()));
@@ -162,6 +166,7 @@ pub fn run_scale_incast(cfg: &ScaleConfig) -> ScaleReport {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact values are the expected results")]
 mod tests {
     use super::*;
 

@@ -318,7 +318,7 @@ impl ScenarioSpec {
                 if !(1..=1_000).contains(&max_p_milli) {
                     return Err("red max_p_milli must be in 1..=1000".into());
                 }
-                // trim-lint: allow(no-raw-unit-literal, reason = "fixed-point scale of the dimensionless EWMA weight, not a unit")
+
                 if !(1..=1_000_000).contains(&wq_micro) {
                     return Err("red wq_micro must be in 1..=1000000".into());
                 }

@@ -6,10 +6,13 @@
 //! and once with every monitor behind a wrapper that declares all
 //! kinds. The scenarios are chosen to make the monitors fire: an
 //! injected queue over-admission, RED and CoDel runs under the
-//! stability oracles, and every spec in `corpus/`.
+//! stability oracles, and every spec in `corpus/`. The unfiltered runs
+//! also record which event kinds the engine emits: together the
+//! scenarios must emit every kind a built-in monitor reads.
 
 use std::collections::BTreeSet;
 use std::path::Path;
+use std::sync::mpsc::{self, Sender};
 
 use netsim::monitor::{interest, AuditStats, InvariantMonitor, MonitorEvent, Violation};
 use netsim::{Dur, SimTime, Simulator};
@@ -40,17 +43,50 @@ impl InvariantMonitor for Unfiltered {
     }
 }
 
+/// Sends each event kind's bit the first time it sees that kind.
+struct KindRecorder {
+    seen: u32,
+    kinds: Sender<u32>,
+}
+
+impl InvariantMonitor for KindRecorder {
+    fn name(&self) -> &'static str {
+        "kind-recorder"
+    }
+    fn interests(&self) -> u32 {
+        interest::ALL
+    }
+    fn observe(&mut self, _at: SimTime, ev: &MonitorEvent) {
+        let bit = ev.kind_bit();
+        if self.seen & bit == 0 {
+            self.seen |= bit;
+            self.kinds.send(bit).expect("the test holds the receiver");
+        }
+    }
+    fn violations(&self) -> &[Violation] {
+        &[]
+    }
+}
+
+/// Attaches `monitors` directly (`None`), or each behind [`Unfiltered`]
+/// plus a [`KindRecorder`] reporting to `Some(kinds)`.
 fn attach(
     sim: &mut Simulator<Segment>,
     monitors: Vec<Box<dyn InvariantMonitor>>,
-    unfiltered: bool,
+    unfiltered: Option<&Sender<u32>>,
 ) {
     for m in monitors {
-        if unfiltered {
+        if unfiltered.is_some() {
             sim.attach_monitor(Box::new(Unfiltered(m)));
         } else {
             sim.attach_monitor(m);
         }
+    }
+    if let Some(kinds) = unfiltered {
+        sim.attach_monitor(Box::new(KindRecorder {
+            seen: 0,
+            kinds: kinds.clone(),
+        }));
     }
 }
 
@@ -60,7 +96,7 @@ fn violations(sim: &Simulator<Segment>) -> Vec<Violation> {
 
 /// `trim-check`'s fault run: an 8-way incast whose bottleneck admits 4
 /// packets past its cap.
-fn overadmit_incast(unfiltered: bool) -> Vec<Violation> {
+fn overadmit_incast(unfiltered: Option<&Sender<u32>>) -> Vec<Violation> {
     let mut sc = ScenarioBuilder::many_to_one(8).build();
     attach(sc.sim_mut(), trim_check::standard_monitors(), unfiltered);
     for s in 0..8 {
@@ -107,7 +143,7 @@ fn spec_monitors(spec: &ScenarioSpec) -> Vec<Box<dyn InvariantMonitor>> {
 }
 
 /// [`ScenarioSpec::run`] with the monitors of [`spec_monitors`].
-fn run_spec(spec: &ScenarioSpec, unfiltered: bool) -> Vec<Violation> {
+fn run_spec(spec: &ScenarioSpec, unfiltered: Option<&Sender<u32>>) -> Vec<Violation> {
     spec.validate().expect("valid spec");
     let mut sc = spec.build();
     attach(sc.sim_mut(), spec_monitors(spec), unfiltered);
@@ -149,11 +185,12 @@ fn stability_spec(senders: usize, aqm: &str) -> ScenarioSpec {
 /// two violation lists are equal, and notes which monitors fired.
 fn same_either_way(
     label: &str,
-    run: impl Fn(bool) -> Vec<Violation>,
+    run: impl Fn(Option<&Sender<u32>>) -> Vec<Violation>,
     fired: &mut BTreeSet<&'static str>,
+    kinds: &Sender<u32>,
 ) {
-    let direct = run(false);
-    assert_eq!(direct, run(true), "{label}");
+    let direct = run(None);
+    assert_eq!(direct, run(Some(kinds)), "{label}");
     fired.extend(direct.iter().map(|v| v.monitor));
 }
 
@@ -163,8 +200,9 @@ fn same_either_way(
 fn interest_masks_are_unobservable() {
     std::env::set_var("TRIM_CHECK_MONITORS", "off");
     let mut fired = BTreeSet::new();
+    let (kinds, emitted) = mpsc::channel();
 
-    same_either_way("overadmit incast", overadmit_incast, &mut fired);
+    same_either_way("overadmit incast", overadmit_incast, &mut fired, &kinds);
     // RED's fast average keeps the loop oscillating. CoDel with a 50 ms
     // target, far above what the 64-packet buffer can delay, lets the
     // queue stand; with a 100 us target it drops from the head.
@@ -174,7 +212,7 @@ fn interest_masks_are_unobservable() {
         ("codel dropping", 4, "codel:100:1000"),
     ] {
         let spec = stability_spec(senders, aqm);
-        same_either_way(label, |u| run_spec(&spec, u), &mut fired);
+        same_either_way(label, |u| run_spec(&spec, u), &mut fired, &kinds);
     }
     let corpus = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
     let mut paths: Vec<_> = std::fs::read_dir(&corpus)
@@ -188,7 +226,7 @@ fn interest_masks_are_unobservable() {
         let text = std::fs::read_to_string(&path).expect("readable spec");
         let spec = ScenarioSpec::from_text(&text).expect("well-formed corpus spec");
         let label = path.display().to_string();
-        same_either_way(&label, |u| run_spec(&spec, u), &mut fired);
+        same_either_way(&label, |u| run_spec(&spec, u), &mut fired, &kinds);
     }
 
     // The comparison is only as strong as the violations it compares.
@@ -200,4 +238,16 @@ fn interest_masks_are_unobservable() {
     ] {
         assert!(fired.contains(monitor), "{monitor} never fired: {fired:?}");
     }
+    // ...and only as broad as the event kinds the runs emit.
+    let emitted = emitted.try_iter().fold(0, |acc, bit| acc | bit);
+    let mut monitors = trim_check::standard_monitors();
+    monitors.extend(trim_check::stability_monitors(StabilityConfig::default()));
+    let read = monitors.iter().fold(0, |acc, m| acc | m.interests());
+    assert_eq!(
+        emitted,
+        read,
+        "read but never emitted: {:#x}; emitted but never read: {:#x}",
+        read & !emitted,
+        emitted & !read
+    );
 }

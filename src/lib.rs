@@ -37,11 +37,7 @@
 //! }
 //! ```
 
-#![forbid(unsafe_code)]
-#![cfg_attr(
-    not(test),
-    deny(clippy::dbg_macro, clippy::print_stdout, clippy::float_cmp)
-)]
+#![cfg_attr(not(test), deny(clippy::dbg_macro, clippy::print_stdout))]
 
 pub use netsim;
 pub use trim_core as core;

@@ -153,7 +153,10 @@ mod tests {
         // no built-in monitor reads is listed here with the test that
         // reads it. trim-workload's `tests/monitor_masks.rs` checks the
         // other half, that the engine emits every kind read here.
-        const READ_BY_TESTS: &[(u32, &str)] = &[];
+        const READ_BY_TESTS: &[(u32, &str)] = &[(
+            interest::GOODPUT,
+            "netsim's ThroughputRecorder, in trim-tcp's e2e::throughput_close_to_line_rate",
+        )];
         let every_kind = [
             interest::CLOCK,
             interest::INJECTED,
@@ -170,6 +173,7 @@ mod tests {
             interest::REQUEST_ISSUED,
             interest::RESPONSE_COMPLETED,
             interest::SESSION_ENDED,
+            interest::GOODPUT,
         ]
         .into_iter()
         .fold(0, |acc, kind| acc | kind);

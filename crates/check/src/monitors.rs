@@ -273,26 +273,26 @@ impl InvariantMonitor for FifoOrder {
                     .or_default()
                     .push_back((*uid, *flow));
             }
-            MonitorEvent::Dequeued { channel, flow, uid } => {
-                match self.queues.entry(*channel).or_default().pop_front() {
-                    Some((head_uid, _)) if head_uid == *uid => {}
-                    Some((head_uid, head_flow)) => self.violations.push(Violation {
-                        at,
-                        monitor: "fifo-order",
-                        flow: Some(*flow),
-                        detail: format!(
-                            "{channel} dequeued pkt#{uid} but head of queue \
+            MonitorEvent::Dequeued {
+                channel, flow, uid, ..
+            } => match self.queues.entry(*channel).or_default().pop_front() {
+                Some((head_uid, _)) if head_uid == *uid => {}
+                Some((head_uid, head_flow)) => self.violations.push(Violation {
+                    at,
+                    monitor: "fifo-order",
+                    flow: Some(*flow),
+                    detail: format!(
+                        "{channel} dequeued pkt#{uid} but head of queue \
                              is pkt#{head_uid} ({head_flow})"
-                        ),
-                    }),
-                    None => self.violations.push(Violation {
-                        at,
-                        monitor: "fifo-order",
-                        flow: Some(*flow),
-                        detail: format!("{channel} dequeued pkt#{uid} from an empty queue"),
-                    }),
-                }
-            }
+                    ),
+                }),
+                None => self.violations.push(Violation {
+                    at,
+                    monitor: "fifo-order",
+                    flow: Some(*flow),
+                    detail: format!("{channel} dequeued pkt#{uid} from an empty queue"),
+                }),
+            },
             // A CoDel sojourn drop removes the *head* of the queue
             // without a matching `Dequeued`: consume it here so later
             // dequeues still line up.
@@ -1456,6 +1456,7 @@ mod tests {
                 channel: ch,
                 flow: FlowId(0),
                 uid: 2,
+                len_after: 1,
             },
         );
         assert_eq!(m.violations().len(), 1);

@@ -12,8 +12,9 @@
 //!   through a [`sim::Ctx`],
 //! - the paper's topologies: many-to-one, two-tier, multi-hop and fat-tree
 //!   ([`topology`]),
-//! - measurement helpers: queue statistics, queue-length recording, and
-//!   throughput/series tracing ([`trace`]).
+//! - measurement: queue statistics, and recorders that turn the monitor
+//!   event stream into a packet trace and queue-length, cwnd and goodput
+//!   series ([`trace`]).
 //!
 //! Determinism: event ordering is exact (`(time, insertion-sequence)`
 //! keys), so a simulation is a pure function of its inputs. Packet events
@@ -81,10 +82,10 @@ pub use eventq::EventQueue;
 pub use hash::{mix64, FastHashMap, FastHashSet};
 pub use monitor::{AuditStats, InvariantMonitor, MonitorEvent, ProbeTransition, Violation};
 pub use packet::{ChannelId, FlowId, NodeId, Packet, Payload, TagPayload};
-pub use queue::{CoDelConfig, QueueConfig, QueueDiscipline, QueueSample, QueueStats, RedConfig};
+pub use queue::{CoDelConfig, QueueConfig, QueueDiscipline, QueueStats, RedConfig};
 pub use sim::{Ctx, Simulator, TimerId};
 pub use time::{Dur, SimTime};
-pub use trace::{PacketEvent, PacketEventKind, PacketTrace, Series, ThroughputMeter};
+pub use trace::*;
 pub use units::{Bandwidth, QueueCapacity};
 
 /// Convenient glob import for simulator users.
@@ -98,6 +99,6 @@ pub mod prelude {
     pub use crate::sim::{Ctx, Simulator, TimerId};
     pub use crate::time::{Dur, SimTime};
     pub use crate::topology;
-    pub use crate::trace::{PacketEvent, PacketEventKind, PacketTrace, Series, ThroughputMeter};
+    pub use crate::trace::*;
     pub use crate::units::{Bandwidth, QueueCapacity};
 }

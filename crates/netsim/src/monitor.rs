@@ -7,18 +7,15 @@
 //! monitoring is strictly read-only, so a monitored run produces
 //! byte-identical results to an unmonitored one.
 //!
-//! Cost when disabled: every emission site first checks whether any
-//! monitor is attached and returns immediately otherwise, so the
-//! overhead of an unmonitored simulation is one branch per event.
-//! When enabled, each monitor receives only the kinds of event its
-//! [`InvariantMonitor::interests`] mask names (all of them by default):
-//! the engine skips a monitor whose mask lacks the event's bit without
-//! calling it.
+//! Cost: an event whose kind is in no attached monitor's
+//! [`InvariantMonitor::interests`] mask costs its emission site one
+//! branch and is never built; the others go only to the monitors whose
+//! mask holds their kind (every kind by default).
 //!
 //! The built-in monitors (packet conservation, queue bounds, per-port
 //! FIFO order, clock monotonicity, cwnd range, and TRIM probe-machine
-//! legality) live in the `trim-check` crate; this module only defines
-//! the contract.
+//! legality) live in the `trim-check` crate, the recorders in
+//! [`crate::trace`]; this module only defines the contract.
 
 use core::fmt;
 
@@ -65,8 +62,8 @@ impl fmt::Display for ProbeTransition {
 ///
 /// Engine-level events (`Clock`, `Injected`, `Delivered`, `Dropped`,
 /// `Enqueued`, `Dequeued`) are emitted by the simulator itself;
-/// protocol-level events (`CwndUpdate`, `ProbeTransition`) are emitted
-/// by transport agents through
+/// protocol-level events (`CwndUpdate`, `Goodput`, `ProbeTransition`,
+/// …) are emitted by transport agents through
 /// [`Ctx::emit_monitor_with`](crate::sim::Ctx::emit_monitor_with).
 #[derive(Clone, Debug, PartialEq)]
 pub enum MonitorEvent {
@@ -165,6 +162,8 @@ pub enum MonitorEvent {
         flow: FlowId,
         /// Engine-assigned unique packet id.
         uid: u64,
+        /// Queue length in packets immediately after the dequeue.
+        len_after: usize,
     },
     /// A transport connection updated its congestion window.
     CwndUpdate {
@@ -176,6 +175,13 @@ pub enum MonitorEvent {
         min_cwnd: f64,
         /// The configured window ceiling in segments.
         max_cwnd: f64,
+    },
+    /// A transport receiver delivered data in order to its application.
+    Goodput {
+        /// The receiving flow's label.
+        flow: FlowId,
+        /// Application bytes newly delivered.
+        bytes: u64,
     },
     /// A transport connection ran its congestion-control ACK hook.
     ///
@@ -273,6 +279,8 @@ pub mod interest {
     pub const RESPONSE_COMPLETED: u32 = 1 << 13;
     /// [`MonitorEvent::SessionEnded`](super::MonitorEvent::SessionEnded).
     pub const SESSION_ENDED: u32 = 1 << 14;
+    /// [`MonitorEvent::Goodput`](super::MonitorEvent::Goodput).
+    pub const GOODPUT: u32 = 1 << 15;
     /// Every kind, present and future: the default.
     pub const ALL: u32 = u32::MAX;
 }
@@ -296,6 +304,7 @@ impl MonitorEvent {
             Self::RequestIssued { .. } => interest::REQUEST_ISSUED,
             Self::ResponseCompleted { .. } => interest::RESPONSE_COMPLETED,
             Self::SessionEnded { .. } => interest::SESSION_ENDED,
+            Self::Goodput { .. } => interest::GOODPUT,
         }
     }
 }
@@ -369,8 +378,10 @@ impl AuditStats {
 /// attaching any number of monitors cannot change simulation results.
 /// Record problems with an internal `Vec<Violation>` and report them
 /// from [`InvariantMonitor::violations`]; do not panic from `observe`,
-/// so a single run can surface every violation at once.
-pub trait InvariantMonitor {
+/// so a single run can surface every violation at once. A monitor that
+/// records rather than checks is read back after the run with
+/// [`Simulator::monitor`](crate::sim::Simulator::monitor).
+pub trait InvariantMonitor: std::any::Any {
     /// A short stable name, used in violation reports.
     fn name(&self) -> &'static str;
 
@@ -392,8 +403,11 @@ pub trait InvariantMonitor {
     /// re-derive any end-of-run checks each time.
     fn finalize(&mut self, _at: SimTime, _audit: &AuditStats) {}
 
-    /// The violations recorded so far.
-    fn violations(&self) -> &[Violation];
+    /// The violations recorded so far; none by default, for a monitor
+    /// that records rather than checks.
+    fn violations(&self) -> &[Violation] {
+        &[]
+    }
 }
 
 impl fmt::Debug for dyn InvariantMonitor {

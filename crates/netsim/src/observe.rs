@@ -2,27 +2,26 @@
 //!
 //! The engine reports each lifecycle point of a packet (injected,
 //! enqueued, dequeued, dropped, delivered) and each dispatched event to
-//! one [`Observer`], which fans it out to the three observation
-//! surfaces in a fixed order: the lifecycle counters behind
-//! [`AuditStats`], the optional [`PacketTrace`], and the attached
-//! [`InvariantMonitor`]s. Nothing here feeds back into the simulation.
+//! one [`Observer`], which keeps the lifecycle counters behind
+//! [`AuditStats`] and fans the event out to the attached
+//! [`InvariantMonitor`]s — the invariant checks and the recorders of
+//! [`crate::trace`] alike. Nothing here feeds back into the simulation.
 //!
-//! Cost when nothing is attached: a counter bump, one branch on the
-//! trace and one on a cached monitor flag. When monitors are attached,
-//! each event goes only to those whose interest mask holds its kind.
+//! Cost: an event is built only when its kind is in the union of the
+//! attached monitors' interest masks. Detached, or when no monitor reads
+//! that kind, each emission site is a counter bump at most and one
+//! branch on that union; otherwise the event goes only to the monitors
+//! whose own mask holds its kind.
 
-use crate::monitor::{AuditStats, InvariantMonitor, MonitorEvent, Violation};
+use crate::monitor::{interest, AuditStats, InvariantMonitor, MonitorEvent, Violation};
 use crate::packet::{ChannelId, FlowId, NodeId, Packet};
 use crate::time::SimTime;
-use crate::trace::{PacketEvent, PacketEventKind, PacketTrace};
 use crate::units::QueueCapacity;
 
-/// The header fields the observation surfaces report, copied out of a
-/// packet so they outlive its move into a queue.
+/// The header fields the monitor events report, copied out of a packet
+/// so they outlive its move into a queue.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct PacketMeta {
-    src: NodeId,
-    dst: NodeId,
     flow: FlowId,
     size: u32,
     uid: u64,
@@ -32,8 +31,6 @@ impl PacketMeta {
     #[inline]
     pub(crate) fn of<P>(pkt: &Packet<P>) -> Self {
         PacketMeta {
-            src: pkt.src,
-            dst: pkt.dst,
             flow: pkt.flow,
             size: pkt.size,
             uid: pkt.uid,
@@ -52,9 +49,9 @@ pub(crate) enum DropCause {
     Sojourn { sojourn_ns: u64 },
 }
 
-/// Lifecycle counters, packet trace and invariant monitors of one
-/// simulator. The counters are read by the engine's accessors and
-/// written only by the lifecycle methods below.
+/// Lifecycle counters and attached monitors of one simulator. The
+/// counters are read by the engine's accessors and written only by the
+/// lifecycle methods below.
 #[derive(Default)]
 pub(crate) struct Observer {
     pub(crate) injected: u64,
@@ -62,22 +59,29 @@ pub(crate) struct Observer {
     pub(crate) delivered_bytes: u64,
     pub(crate) dropped: u64,
     pub(crate) events_processed: u64,
-    pub(crate) ptrace: Option<PacketTrace>,
     /// Each attached monitor behind its [`InvariantMonitor::interests`]
     /// mask, read once at attach time.
-    monitors: Vec<(u32, Box<dyn InvariantMonitor>)>,
-    /// Cached `!monitors.is_empty()`; the one branch every emission site
-    /// pays when monitoring is detached.
-    on: bool,
+    pub(crate) monitors: Vec<(u32, Box<dyn InvariantMonitor>)>,
+    /// The union of those masks: the kinds anyone reads. The one branch
+    /// every emission site pays.
+    reads: u32,
 }
 
 impl Observer {
-    /// Hands an event to every attached monitor, building it only when
-    /// there is one: detached, this is one branch and `f` never runs.
+    /// Whether any attached monitor reads events of `kind`.
     #[inline]
-    pub(crate) fn emit_with(&mut self, now: SimTime, f: impl FnOnce() -> MonitorEvent) {
-        if self.on {
-            self.fan_out(now, &f());
+    pub(crate) fn reads(&self, kind: u32) -> bool {
+        self.reads & kind != 0
+    }
+
+    /// Hands an event of `kind` to every monitor that reads it, building
+    /// it only if one does: otherwise one branch, and `f` never runs.
+    #[inline]
+    pub(crate) fn emit_with(&mut self, now: SimTime, kind: u32, f: impl FnOnce() -> MonitorEvent) {
+        if self.reads(kind) {
+            let ev = f();
+            debug_assert_eq!(ev.kind_bit(), kind, "{ev:?} emitted under another kind");
+            self.fan_out(now, &ev);
         }
     }
 
@@ -93,36 +97,20 @@ impl Observer {
         }
     }
 
-    fn trace(&mut self, at: SimTime, kind: PacketEventKind, pkt: PacketMeta) {
-        if let Some(t) = &mut self.ptrace {
-            t.record(PacketEvent {
-                at,
-                kind,
-                src: pkt.src,
-                dst: pkt.dst,
-                flow: pkt.flow,
-                size: pkt.size,
-            });
-        }
-    }
-
     /// The engine is about to dispatch the event stamped `to`; `now` is
     /// still the previous instant, which is when monitors observe it.
     #[inline]
     pub(crate) fn clock(&mut self, now: SimTime, to: SimTime) {
-        self.emit_with(now, || MonitorEvent::Clock { to });
+        self.emit_with(now, interest::CLOCK, || MonitorEvent::Clock { to });
         self.events_processed += 1;
     }
 
     /// Host `node` handed `pkt` to the network.
     #[inline]
     pub(crate) fn injected(&mut self, now: SimTime, node: NodeId, pkt: PacketMeta) {
-        let PacketMeta {
-            flow, uid, size, ..
-        } = pkt;
+        let PacketMeta { flow, uid, size } = pkt;
         self.injected += 1;
-        self.trace(now, PacketEventKind::Sent { node }, pkt);
-        self.emit_with(now, || MonitorEvent::Injected {
+        self.emit_with(now, interest::INJECTED, || MonitorEvent::Injected {
             node,
             flow,
             uid,
@@ -133,13 +121,10 @@ impl Observer {
     /// `pkt` terminated at host `node`.
     #[inline]
     pub(crate) fn delivered(&mut self, now: SimTime, node: NodeId, pkt: PacketMeta) {
-        let PacketMeta {
-            flow, uid, size, ..
-        } = pkt;
+        let PacketMeta { flow, uid, size } = pkt;
         self.delivered_pkts += 1;
         self.delivered_bytes += u64::from(size);
-        self.trace(now, PacketEventKind::Delivered { node }, pkt);
-        self.emit_with(now, || MonitorEvent::Delivered {
+        self.emit_with(now, interest::DELIVERED, || MonitorEvent::Delivered {
             node,
             flow,
             uid,
@@ -157,12 +142,9 @@ impl Observer {
         pkt: PacketMeta,
         cause: DropCause,
     ) {
-        let PacketMeta {
-            flow, uid, size, ..
-        } = pkt;
+        let PacketMeta { flow, uid, size } = pkt;
         self.dropped += 1;
-        self.trace(now, PacketEventKind::Dropped { channel }, pkt);
-        self.emit_with(now, || MonitorEvent::Dropped {
+        self.emit_with(now, interest::DROPPED, || MonitorEvent::Dropped {
             channel,
             flow,
             uid,
@@ -170,15 +152,17 @@ impl Observer {
         });
         match cause {
             DropCause::Tail => {}
-            DropCause::Early { avg_queue } => self.emit_with(now, || MonitorEvent::AqmEarlyDrop {
-                channel,
-                flow,
-                uid,
-                size,
-                avg_queue,
+            DropCause::Early { avg_queue } => self.emit_with(now, interest::AQM_EARLY_DROP, || {
+                MonitorEvent::AqmEarlyDrop {
+                    channel,
+                    flow,
+                    uid,
+                    size,
+                    avg_queue,
+                }
             }),
             DropCause::Sojourn { sojourn_ns } => {
-                self.emit_with(now, || MonitorEvent::SojournDrop {
+                self.emit_with(now, interest::SOJOURN_DROP, || MonitorEvent::SojournDrop {
                     channel,
                     flow,
                     uid,
@@ -200,7 +184,7 @@ impl Observer {
         len_after: usize,
         capacity: QueueCapacity,
     ) {
-        self.emit_with(now, || MonitorEvent::Enqueued {
+        self.emit_with(now, interest::ENQUEUED, || MonitorEvent::Enqueued {
             channel,
             flow: pkt.flow,
             uid: pkt.uid,
@@ -212,11 +196,23 @@ impl Observer {
         });
     }
 
-    /// Packet `uid` of `flow` left the queue of `channel` for the
-    /// transmitter.
+    /// Packet `uid` of `flow` left the queue of `channel`, which now
+    /// holds `len_after`, for the transmitter.
     #[inline]
-    pub(crate) fn dequeued(&mut self, now: SimTime, channel: ChannelId, flow: FlowId, uid: u64) {
-        self.emit_with(now, || MonitorEvent::Dequeued { channel, flow, uid });
+    pub(crate) fn dequeued(
+        &mut self,
+        now: SimTime,
+        channel: ChannelId,
+        flow: FlowId,
+        uid: u64,
+        len_after: usize,
+    ) {
+        self.emit_with(now, interest::DEQUEUED, || MonitorEvent::Dequeued {
+            channel,
+            flow,
+            uid,
+            len_after,
+        });
     }
 
     /// End of a `run_until`: every monitor checks the engine's audit.
@@ -227,12 +223,9 @@ impl Observer {
     }
 
     pub(crate) fn attach_monitor(&mut self, monitor: Box<dyn InvariantMonitor>) {
-        self.monitors.push((monitor.interests(), monitor));
-        self.on = true;
-    }
-
-    pub(crate) fn monitors_enabled(&self) -> bool {
-        self.on
+        let interests = monitor.interests();
+        self.reads |= interests;
+        self.monitors.push((interests, monitor));
     }
 
     pub(crate) fn violations(&self) -> Vec<&Violation> {
@@ -257,6 +250,7 @@ mod tests {
     use crate::sim::{Ctx, Simulator};
     use crate::time::Dur;
     use crate::topology::sink_star;
+    use crate::trace::{CwndRecorder, PacketTrace, QueueRecorder, ThroughputRecorder};
     use crate::units::Bandwidth;
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -413,12 +407,19 @@ mod tests {
         );
     }
 
+    /// Neither a monitor nor the recorders of `trace` change a run.
     #[test]
     fn monitored_run_is_identical_to_unmonitored() {
         let run = |monitored: bool| {
             let (mut sim, senders, dst, ch) = star(3);
             if monitored {
+                let flows = || (0..3).map(FlowId);
                 sim.attach_monitor(Box::new(CountingMonitor::default()));
+                sim.attach_monitor(Box::new(PacketTrace::new(1_000)));
+                sim.attach_monitor(Box::new(QueueRecorder::new([ch])));
+                sim.attach_monitor(Box::new(CwndRecorder::new(flows())));
+                let bin = Dur::from_micros(100);
+                sim.attach_monitor(Box::new(ThroughputRecorder::new(bin, flows())));
             }
             for (i, &s) in senders.iter().enumerate() {
                 for _ in 0..20 {
@@ -447,7 +448,7 @@ mod tests {
     impl Agent<TagPayload> for ClosureCountingAgent {
         fn on_packet(&mut self, ctx: &mut Ctx<'_, TagPayload>, pkt: Packet<TagPayload>) {
             let runs = &mut self.closures_run;
-            ctx.emit_monitor_with(|| {
+            ctx.emit_monitor_with(interest::CWND_UPDATE, || {
                 *runs += 1;
                 MonitorEvent::CwndUpdate {
                     flow: pkt.flow,
@@ -460,9 +461,11 @@ mod tests {
         fn on_timer(&mut self, _ctx: &mut Ctx<'_, TagPayload>, _token: u64) {}
     }
 
+    /// An agent's event is built only when an attached monitor reads its
+    /// kind: never when detached, never for a monitor of other kinds.
     #[test]
     fn emit_monitor_with_skips_closure_when_detached() {
-        let run = |monitored: bool| {
+        let run = |reads: Option<u32>| {
             let mut sim: Simulator<TagPayload> = Simulator::new();
             let sw = sim.add_switch();
             let src = sim.add_host(Box::new(SinkAgent::default()));
@@ -470,8 +473,9 @@ mod tests {
             let cfg = QueueConfig::default();
             sim.connect(src, sw, Bandwidth::gbps(1), Dur::from_micros(5), cfg);
             sim.connect(dst, sw, Bandwidth::gbps(1), Dur::from_micros(5), cfg);
-            if monitored {
-                sim.attach_monitor(Box::new(CountingMonitor::default()));
+            if let Some(mask) = reads {
+                let log = Rc::new(RefCell::new(Vec::new()));
+                sim.attach_monitor(Box::new(RecordingMonitor(log, mask)));
             }
             for i in 0..7 {
                 sim.inject(src, Packet::new(src, dst, FlowId(i), 1000, TagPayload(0)));
@@ -482,14 +486,18 @@ mod tests {
                 sim.now(),
             )
         };
-        let (unmon_closures, unmon_now) = run(false);
-        let (mon_closures, mon_now) = run(true);
+        let (unmon_closures, unmon_now) = run(None);
+        let (mon_closures, mon_now) = run(Some(interest::ALL));
+        let (other_closures, other_now) = run(Some(interest::SESSION_ENDED));
         assert_eq!(unmon_closures, 0, "detached run must build zero events");
         assert_eq!(mon_closures, 7, "monitored run builds one per packet");
+        assert_eq!(other_closures, 0, "a kind nobody reads is never built");
         assert_eq!(unmon_now, mon_now, "monitoring never perturbs the run");
+        assert_eq!(unmon_now, other_now, "monitoring never perturbs the run");
     }
 
-    /// The three observation surfaces and the queues' own statistics
+    /// The engine's counters, the monitor events, the packet trace and
+    /// queue recorder built from them, and the queues' own statistics
     /// tell one story, whichever way a packet is dropped: 3 senders
     /// blast 20 packets each at a bottleneck that drops by capacity, by
     /// RED, or by CoDel.
@@ -515,7 +523,8 @@ mod tests {
         ];
         for (cause, bottleneck) in causes {
             let (mut sim, senders, dst, down) = sink_star(3, bottleneck);
-            sim.enable_packet_trace(1_000);
+            sim.attach_monitor(Box::new(PacketTrace::new(1_000)));
+            sim.attach_monitor(Box::new(QueueRecorder::new([down])));
             let seen = Rc::new(RefCell::new(Counts::default()));
             sim.attach_monitor(Box::new(CountingMonitor(Rc::clone(&seen))));
             for &s in &senders {
@@ -532,14 +541,15 @@ mod tests {
             assert_eq!(audit.delivered + audit.dropped, 60, "{cause}");
             assert_eq!(audit.delivered, sim.delivered_packets(), "{cause}");
 
-            let trace = sim.packet_trace().expect("enabled above");
-            assert!(!trace.is_truncated(), "{cause}");
-            let traced = |want: fn(&PacketEventKind) -> bool| {
-                trace.events().iter().filter(|e| want(&e.kind)).count() as u64
+            let trace = sim.monitor::<PacketTrace>().expect("attached above");
+            assert_eq!(trace.dropped_events(), 0, "{cause}");
+            let traced = |kind: u32| {
+                let events = trace.events().iter();
+                events.filter(|(_, ev)| ev.kind_bit() == kind).count() as u64
             };
-            let sent = traced(|k| matches!(k, PacketEventKind::Sent { .. }));
-            let delivered = traced(|k| matches!(k, PacketEventKind::Delivered { .. }));
-            let dropped = traced(|k| matches!(k, PacketEventKind::Dropped { .. }));
+            let sent = traced(interest::INJECTED);
+            let delivered = traced(interest::DELIVERED);
+            let dropped = traced(interest::DROPPED);
             assert_eq!(
                 (sent, delivered, dropped),
                 (audit.injected, audit.delivered, audit.dropped),
@@ -563,6 +573,11 @@ mod tests {
                 stats.dropped, audit.dropped,
                 "{cause}: all at the bottleneck"
             );
+            let recorder = sim.monitor::<QueueRecorder>().expect("attached above");
+            let samples = recorder.samples(down).expect("recorded channel");
+            let peak = samples.iter().map(|s| s.len).max();
+            assert_eq!(peak, Some(stats.max_len), "{cause}: recorder vs stats");
+            assert_eq!(samples.last().map(|s| s.len), Some(0), "{cause}: drained");
             assert_eq!(seen.early_drops, stats.red_events, "{cause}");
             assert_eq!(seen.sojourn_drops, stats.sojourn_events, "{cause}");
             let by_cause = match cause {

@@ -13,9 +13,11 @@
 //!   them.
 //!
 //! [`DropTailQueue`] itself is the part every discipline shares: the
-//! FIFO, the capacity backstop, instantaneous-threshold ECN marking,
-//! statistics and the optional length recorder. It carries the state of
-//! the one discipline it runs and nothing of the others.
+//! FIFO, the capacity backstop, instantaneous-threshold ECN marking and
+//! statistics. It carries the state of the one discipline it runs and
+//! nothing of the others. A queue-length time series is recorded from
+//! the engine's `Enqueued`/`Dequeued` monitor events
+//! ([`crate::trace::QueueRecorder`]), not by the queue.
 //!
 //! Both AQMs support ECN-style early-mark-as-drop semantics: when `ecn`
 //! is set and the packet is ECN-capable, the discipline CE-marks instead
@@ -143,15 +145,6 @@ impl QueueStats {
     }
 }
 
-/// A point in a recorded queue-length time series.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct QueueSample {
-    /// When the sample was taken.
-    pub at: SimTime,
-    /// Queue length in packets at that instant.
-    pub len: usize,
-}
-
 /// The FIFO proper: queued packets with their enqueue timestamps (CoDel
 /// sojourn) and their byte total.
 #[derive(Debug)]
@@ -203,7 +196,7 @@ struct Faults {
 }
 
 /// A FIFO queue with a configurable discipline (drop-tail backstop plus
-/// optional RED or CoDel), statistics, and an optional length recorder.
+/// optional RED or CoDel) and statistics.
 #[derive(Debug)]
 pub struct DropTailQueue<P> {
     capacity: QueueCapacity,
@@ -212,7 +205,6 @@ pub struct DropTailQueue<P> {
     fifo: Fifo<P>,
     stats: QueueStats,
     last_change: SimTime,
-    recorder: Option<Vec<QueueSample>>,
     faults: Option<Box<Faults>>,
     /// Packets offered since the queue was created; the index forced
     /// drops are keyed by.
@@ -251,7 +243,6 @@ impl<P: Payload> DropTailQueue<P> {
             },
             stats: QueueStats::default(),
             last_change: SimTime::ZERO,
-            recorder: None,
             faults: None,
             arrivals: 0,
         }
@@ -290,21 +281,6 @@ impl<P: Payload> DropTailQueue<P> {
         }
     }
 
-    /// Starts recording a (time, length) sample on every length change.
-    pub fn enable_recording(&mut self) {
-        if self.recorder.is_none() {
-            self.recorder = Some(vec![QueueSample {
-                at: SimTime::ZERO,
-                len: self.fifo.len(),
-            }]);
-        }
-    }
-
-    /// The recorded length series, if recording was enabled.
-    pub fn samples(&self) -> Option<&[QueueSample]> {
-        self.recorder.as_deref()
-    }
-
     /// Current length in packets.
     pub fn len(&self) -> usize {
         self.fifo.len()
@@ -340,7 +316,6 @@ impl<P: Payload> DropTailQueue<P> {
                 self.fifo.push(now, pkt);
                 self.stats.enqueued += 1;
                 self.stats.max_len = self.stats.max_len.max(self.fifo.len());
-                self.record(now);
                 EnqueueOutcome::Accepted
             }
             Err(dropped) => dropped,
@@ -363,9 +338,6 @@ impl<P: Payload> DropTailQueue<P> {
         self.stats.dequeued += 1;
         self.stats.dequeued_bytes += pkt.size as u64;
         self.stats.max_len = self.stats.max_len.max(1);
-        if let Some(rec) = &mut self.recorder {
-            rec.extend([1, 0].map(|len| QueueSample { at: now, len }));
-        }
         if let Discipline::CoDel(codel) = &mut self.discipline {
             codel.reset();
         }
@@ -436,7 +408,6 @@ impl<P: Payload> DropTailQueue<P> {
         let pkt = pkt?;
         self.stats.dequeued += 1;
         self.stats.dequeued_bytes += pkt.size as u64;
-        self.record(now);
         Some(pkt)
     }
 
@@ -459,15 +430,6 @@ impl<P: Payload> DropTailQueue<P> {
         self.stats.occupancy_integral += self.fifo.len() as u128 * span.as_nanos() as u128;
         if now > self.last_change {
             self.last_change = now;
-        }
-    }
-
-    fn record(&mut self, now: SimTime) {
-        if let Some(rec) = &mut self.recorder {
-            rec.push(QueueSample {
-                at: now,
-                len: self.fifo.len(),
-            });
         }
     }
 }
@@ -550,25 +512,6 @@ mod tests {
     fn average_len_zero_span() {
         let q: DropTailQueue<TagPayload> = DropTailQueue::new(QueueConfig::default());
         assert_eq!(q.stats().average_len(Dur::ZERO), 0.0);
-    }
-
-    #[test]
-    fn recording_captures_changes() {
-        let mut q = DropTailQueue::new(QueueConfig::drop_tail(10));
-        q.enable_recording();
-        q.enqueue(t(1), pkt(100));
-        q.enqueue(t(2), pkt(100));
-        q.dequeue(t(3));
-        let s = q.samples().unwrap();
-        assert_eq!(
-            s,
-            &[
-                QueueSample { at: t(0), len: 0 },
-                QueueSample { at: t(1), len: 1 },
-                QueueSample { at: t(2), len: 2 },
-                QueueSample { at: t(3), len: 1 },
-            ]
-        );
     }
 
     #[derive(Clone, Copy, Debug, Default)]
@@ -683,20 +626,17 @@ mod tests {
     /// draining stretches. An offer to an empty queue finds the
     /// transmitter idle two times in three: one twin then takes
     /// `bypass`, the other `enqueue` + `dequeue`. Every result,
-    /// `stats()`, `len()`, `bytes()`, `samples()`, the pending sojourn
+    /// `stats()`, `len()`, `bytes()`, the pending sojourn
     /// drops and the discipline's whole state (RED's average, count and
     /// PRNG position; CoDel's control law) must agree after every
     /// operation.
     fn differential(name: &str, cfg: QueueConfig, setup: fn(&mut DropTailQueue<Ect>)) -> Seen {
         let mut seen = Seen::default();
-        for (seed, recording) in (1..=8).zip([false, true].into_iter().cycle()) {
+        for seed in 1..=8 {
             let mut fast = DropTailQueue::new(cfg);
             let mut twin = DropTailQueue::new(cfg);
             for q in [&mut fast, &mut twin] {
                 setup(q);
-                if recording {
-                    q.enable_recording();
-                }
             }
             let mut rng = seed;
             let mut next = |n: u64| {
@@ -742,13 +682,10 @@ mod tests {
                     (twin.len(), twin.bytes()),
                     "{at}"
                 );
-                let samples = |q: &DropTailQueue<Ect>| q.samples().map(<[_]>::len);
-                assert_eq!(samples(&fast), samples(&twin), "{at}");
                 assert_eq!(fast.has_sojourn_drops(), twin.has_sojourn_drops(), "{at}");
                 let aqm = |q: &DropTailQueue<Ect>| format!("{:?}", q.discipline);
                 assert_eq!(aqm(&fast), aqm(&twin), "{at}");
             }
-            assert_eq!(fast.samples(), twin.samples(), "{name}, seed {seed}");
             // Whatever state the stream left behind drains identically.
             while !twin.is_empty() {
                 now += Dur::from_micros(3);
@@ -768,7 +705,7 @@ mod tests {
 
     /// A packet that finds the transmitter idle, passed straight
     /// through, is exactly an enqueue followed by a dequeue: same
-    /// outcome, same packet, same statistics, samples and AQM state for
+    /// outcome, same packet, same statistics and AQM state for
     /// every later operation, under every discipline and fault.
     #[test]
     fn bypass_is_exactly_an_enqueue_then_a_dequeue() {

@@ -33,15 +33,16 @@
 //!   sends everything up it, every other node indexes a dense
 //!   `(node, destination)` table of equal-cost sets built once from a
 //!   breadth-first search per switch (`route.rs`);
-//! - monitor emission is a single branch on a cached flag when detached
-//!   ([`Ctx::emit_monitor_with`] defers event construction entirely).
+//! - monitor emission is a single branch on the union of the attached
+//!   monitors' interest masks: an event of a kind nobody reads is never
+//!   built ([`Ctx::emit_monitor_with`] defers its construction entirely).
 //!
 //! This file is the run loop and nothing else: [`Core`] moves packets
 //! between queues, wires and agents. Which channel a packet takes is
 //! `route.rs`'s decision, what a queue does with it is
 //! [`crate::queue`]'s, and every number read off a packet's life
-//! (counters, packet trace, invariant monitors) is kept by
-//! `observe.rs`, which `Core` tells about each lifecycle point.
+//! (counters, invariant monitors, the recorders of [`crate::trace`]) is
+//! kept by `observe.rs`, which `Core` tells about each lifecycle point.
 
 use std::any::Any;
 
@@ -49,13 +50,12 @@ use crate::agent::Agent;
 use crate::arena::{PacketArena, PacketRef};
 use crate::channel::Channel;
 use crate::eventq::EventQueue;
-use crate::monitor::{AuditStats, InvariantMonitor, MonitorEvent, Violation};
+use crate::monitor::{interest, AuditStats, InvariantMonitor, MonitorEvent, Violation};
 use crate::observe::{DropCause, Observer, PacketMeta};
 use crate::packet::{ChannelId, NodeId, Packet, Payload};
-use crate::queue::{EnqueueOutcome, QueueConfig, QueueSample, QueueStats};
+use crate::queue::{EnqueueOutcome, QueueConfig, QueueStats};
 use crate::route::{NodeKind, RouteTable};
 use crate::time::{Dur, SimTime};
-use crate::trace::PacketTrace;
 use crate::units::Bandwidth;
 
 /// Handle to a pending timer, for [`Ctx::cancel_timer`] and
@@ -147,8 +147,8 @@ struct Core<P: Payload> {
     /// audits are O(1) instead of scanning the event heap.
     pending_arrivals: u64,
     next_uid: u64,
-    /// Counters, packet trace and monitors: told about every lifecycle
-    /// point of a packet and every dispatched event.
+    /// Counters and monitors: told about every lifecycle point of a
+    /// packet and every dispatched event.
     obs: Observer,
 }
 
@@ -193,7 +193,8 @@ impl<P: Payload> Core<P> {
         self.seq += 1;
         c.free_at = free_at;
         c.free_seq = self.seq;
-        c.tx_armed = !c.queue.is_empty();
+        let len_after = c.queue.len();
+        c.tx_armed = len_after > 0;
         if c.tx_armed {
             self.events
                 .push_with_seq(free_at, self.seq, Ev::TxDone { ch });
@@ -202,7 +203,7 @@ impl<P: Payload> Core<P> {
         let pkt = self.arena.alloc(pkt);
         self.pending_arrivals += 1;
         self.schedule(arrive_at, Ev::Arrival { node: to, pkt });
-        self.obs.dequeued(self.now, ch, flow, uid);
+        self.obs.dequeued(self.now, ch, flow, uid, len_after);
     }
 
     fn set_timer(&mut self, node: NodeId, delay: Dur, token: u64) -> TimerId {
@@ -327,7 +328,7 @@ impl<P: Payload> Core<P> {
             }
         };
         // The queue's configuration is read only for a monitor.
-        if self.obs.monitors_enabled() {
+        if self.obs.reads(interest::ENQUEUED) {
             let len = c.queue.len() + usize::from(head.is_some());
             let capacity = c.queue.config().capacity;
             self.obs.enqueued(now, ch, meta, len, capacity);
@@ -425,13 +426,13 @@ impl<P: Payload> Ctx<'_, P> {
     }
 
     /// Reports a protocol-level event (window update, probe transition)
-    /// to any attached invariant monitors, constructing it only when a
-    /// monitor is attached. When monitoring is detached this is exactly
-    /// one branch: the closure is never called, so its captures are
-    /// never read and its event is never built.
+    /// of `kind` (an [`interest`] bit) to the attached monitors that read
+    /// it, constructing it only when one does. When none does this is
+    /// exactly one branch: the closure is never called, so its captures
+    /// are never read and its event is never built.
     #[inline]
-    pub fn emit_monitor_with(&mut self, f: impl FnOnce() -> MonitorEvent) {
-        self.core.obs.emit_with(self.core.now, f);
+    pub fn emit_monitor_with(&mut self, kind: u32, f: impl FnOnce() -> MonitorEvent) {
+        self.core.obs.emit_with(self.core.now, kind, f);
     }
 
     /// Schedules `on_timer(token)` after `delay`. Returns a handle for
@@ -552,6 +553,13 @@ impl<P: Payload> Simulator<P> {
         id
     }
 
+    /// Makes room for `links` more duplex links in one allocation, so a
+    /// builder that knows its link count neither regrows nor
+    /// over-allocates the channel table.
+    pub(crate) fn reserve_links(&mut self, links: usize) {
+        self.core.channels.reserve_exact(2 * links);
+    }
+
     /// Connects `a` and `b` with a duplex link: two channels sharing the
     /// same rate, delay, and queue configuration. Returns `(a->b, b->a)`.
     ///
@@ -632,11 +640,6 @@ impl<P: Payload> Simulator<P> {
         q.stats()
     }
 
-    /// Starts recording (time, length) samples on a channel's queue.
-    pub fn enable_queue_recording(&mut self, ch: ChannelId) {
-        self.core.channels[ch.index()].queue.enable_recording();
-    }
-
     /// Fault injection: deterministically drop the packets whose 0-based
     /// arrival index at channel `ch` is in `indices`. See
     /// [`crate::queue::DropTailQueue::inject_drops`].
@@ -653,16 +656,23 @@ impl<P: Payload> Simulator<P> {
         self.core.channels[ch.index()].queue.inject_overadmit(extra);
     }
 
-    /// Attaches a runtime invariant monitor. Monitors observe the event
-    /// stream without influencing it, so attaching any number of them
-    /// cannot change simulation results.
+    /// Attaches a runtime invariant monitor or recorder. Monitors observe
+    /// the event stream without influencing it, so attaching any number
+    /// of them cannot change simulation results.
     pub fn attach_monitor(&mut self, monitor: Box<dyn InvariantMonitor>) {
         self.core.obs.attach_monitor(monitor);
     }
 
+    /// Borrows the first attached monitor of type `T`, e.g. a recorder
+    /// of [`crate::trace`] to read its series back after the run.
+    pub fn monitor<T: InvariantMonitor>(&self) -> Option<&T> {
+        let mut monitors = self.core.obs.monitors.iter();
+        monitors.find_map(|(_, m)| (m.as_ref() as &dyn Any).downcast_ref())
+    }
+
     /// Whether any invariant monitor is attached.
     pub fn monitors_enabled(&self) -> bool {
-        self.core.obs.monitors_enabled()
+        !self.core.obs.monitors.is_empty()
     }
 
     /// All violations recorded so far, across every attached monitor.
@@ -696,23 +706,6 @@ impl<P: Payload> Simulator<P> {
     /// dropped + in_flight`).
     pub fn audit_stats(&self) -> AuditStats {
         self.core.audit()
-    }
-
-    /// Starts recording a packet-event trace (sends, deliveries, drops),
-    /// keeping at most `cap` events.
-    pub fn enable_packet_trace(&mut self, cap: usize) {
-        let trace = || PacketTrace::new(cap);
-        self.core.obs.ptrace.get_or_insert_with(trace);
-    }
-
-    /// The packet-event trace, if enabled.
-    pub fn packet_trace(&self) -> Option<&PacketTrace> {
-        self.core.obs.ptrace.as_ref()
-    }
-
-    /// The recorded queue-length series of a channel, if enabled.
-    pub fn queue_samples(&self, ch: ChannelId) -> Option<&[QueueSample]> {
-        self.core.channels[ch.index()].queue.samples()
     }
 
     /// Borrows the agent at `node`, downcast to its concrete type.
@@ -816,7 +809,7 @@ impl<P: Payload> Simulator<P> {
         if horizon >= self.core.now {
             self.core.cur_seq = self.core.seq;
         }
-        if self.core.obs.monitors_enabled() {
+        if self.monitors_enabled() {
             let audit = self.core.audit();
             self.core.obs.finalize(self.core.now, &audit);
         }

@@ -81,6 +81,7 @@ pub fn many_to_one_asym<P: Payload>(
     front_end_link: LinkSpec,
     mut make: impl FnMut(Role) -> Box<dyn Agent<P>>,
 ) -> ManyToOne {
+    sim.reserve_links(n_senders + 1);
     let switch = sim.add_switch();
     let front_end = sim.add_host(make(Role::FrontEnd));
     let (_, bottleneck) = sim.connect(
@@ -482,9 +483,6 @@ mod tests {
     fn fat_tree_downlinks_carry_inbound_traffic() {
         let mut sim = Simulator::new();
         let net = fat_tree(&mut sim, 4, spec(), sink);
-        for &ch in &net.host_downlinks {
-            sim.enable_queue_recording(ch);
-        }
         let dst = net.hosts[5];
         let src = net.hosts[12]; // cross-pod source
         sim.inject(src, Packet::new(src, dst, FlowId(1), 1000, TagPayload(0)));

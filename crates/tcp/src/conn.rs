@@ -18,6 +18,7 @@
 
 use std::collections::VecDeque;
 
+use netsim::monitor::interest;
 use netsim::prelude::*;
 use netsim::time::{Dur, SimTime};
 
@@ -142,7 +143,6 @@ pub struct Conn {
     completed: Vec<TrainRecord>,
 
     stats: ConnStats,
-    cwnd_series: Option<Series>,
 }
 
 /// Builds the state for a new connection sending to `dst` with flow
@@ -181,7 +181,6 @@ pub(crate) fn new_conn(flow: FlowId, dst: NodeId, cfg: TcpConfig, cc: Box<dyn Cc
         next_train_id: 0,
         completed: Vec::new(),
         stats: ConnStats::default(),
-        cwnd_series: None,
     }
 }
 
@@ -227,18 +226,6 @@ impl Conn {
         self.next_seq - self.high_ack
     }
 
-    /// The recorded window series, if enabled.
-    pub fn cwnd_series(&self) -> Option<&Series> {
-        self.cwnd_series.as_ref()
-    }
-
-    /// Starts recording a `(time, cwnd)` point at every window change.
-    pub fn enable_cwnd_recording(&mut self) {
-        if self.cwnd_series.is_none() {
-            self.cwnd_series = Some(Series::new());
-        }
-    }
-
     /// Cancels and forgets any timers this connection holds (called on
     /// teardown so a recycled slab slot cannot receive stale fires).
     pub(crate) fn cancel_timers(&mut self, ctx: &mut Ctx<'_, Segment>) {
@@ -248,17 +235,12 @@ impl Conn {
         }
     }
 
-    fn record_cwnd(&mut self, now: SimTime) {
-        if let Some(s) = &mut self.cwnd_series {
-            s.push(now, self.win.cwnd);
-        }
-    }
-
-    /// Reports the current window to any attached invariant monitors
-    /// (`cwnd-range` checks it stays within `[min_cwnd, max_cwnd]`).
+    /// Reports the current window to any attached monitors
+    /// (`cwnd-range` checks it stays within `[min_cwnd, max_cwnd]`;
+    /// `CwndRecorder` turns it into the window's time series).
     fn emit_cwnd(&self, ctx: &mut Ctx<'_, Segment>) {
         let (flow, win) = (self.flow, &self.win);
-        ctx.emit_monitor_with(|| MonitorEvent::CwndUpdate {
+        ctx.emit_monitor_with(interest::CWND_UPDATE, || MonitorEvent::CwndUpdate {
             flow,
             cwnd: win.cwnd,
             min_cwnd: win.min_cwnd,
@@ -271,7 +253,7 @@ impl Conn {
     /// ACK cuts the window below legacy TCP's halving, per Eq. 2–3).
     fn emit_ack_window(&self, ctx: &mut Ctx<'_, Segment>, before: f64, probe_echo: bool) {
         let (flow, after) = (self.flow, self.win.cwnd);
-        ctx.emit_monitor_with(|| MonitorEvent::AckWindow {
+        ctx.emit_monitor_with(interest::ACK_WINDOW, || MonitorEvent::AckWindow {
             flow,
             before,
             after,
@@ -283,7 +265,9 @@ impl Conn {
     /// attached invariant monitors (`probe-legality` checks ordering).
     fn emit_probe(&self, ctx: &mut Ctx<'_, Segment>, transition: ProbeTransition) {
         let flow = self.flow;
-        ctx.emit_monitor_with(|| MonitorEvent::ProbeTransition { flow, transition });
+        ctx.emit_monitor_with(interest::PROBE_TRANSITION, || {
+            MonitorEvent::ProbeTransition { flow, transition }
+        });
     }
 
     fn token(&self, kind: u64) -> u64 {
@@ -360,7 +344,6 @@ impl Conn {
                             timer,
                         });
                         self.emit_probe(ctx, ProbeTransition::Start);
-                        self.record_cwnd(ctx.now());
                         self.emit_cwnd(ctx);
                         continue; // window changed; re-evaluate
                     }
@@ -377,11 +360,7 @@ impl Conn {
                 if p.remaining == 0 {
                     // Algorithm 1 line 6: suspend until the probe result.
                     self.win.suspended = true;
-                    let flow = self.flow;
-                    ctx.emit_monitor_with(|| MonitorEvent::ProbeTransition {
-                        flow,
-                        transition: ProbeTransition::Suspend,
-                    });
+                    self.emit_probe(ctx, ProbeTransition::Suspend);
                 }
             }
         }
@@ -550,7 +529,6 @@ impl Conn {
                 self.emit_probe(ctx, ProbeTransition::Resolve);
             }
         }
-        self.record_cwnd(now);
         self.emit_cwnd(ctx);
         self.try_send(ctx);
     }
@@ -603,7 +581,6 @@ impl Conn {
         self.backoff = (self.backoff * 2).min(64);
         // Go-back-N: resume from the last cumulative ACK.
         self.next_seq = self.high_ack;
-        self.record_cwnd(now);
         self.emit_cwnd(ctx);
         self.try_send(ctx);
         if self.rto_timer.is_none() && self.flight() > 0 {
@@ -616,7 +593,6 @@ impl Conn {
         if self.probe.take().is_some() {
             self.emit_probe(ctx, ProbeTransition::Timeout);
             self.cc.on_probe_deadline(&mut self.win);
-            self.record_cwnd(ctx.now());
             self.emit_cwnd(ctx);
             self.try_send(ctx);
         }

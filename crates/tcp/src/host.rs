@@ -8,6 +8,7 @@
 //! read-only.
 
 use netsim::hash::FastHashMap;
+use netsim::monitor::interest;
 use netsim::prelude::*;
 use netsim::time::SimTime;
 
@@ -267,16 +268,6 @@ impl TcpHost {
         self.flows.get(idx)
     }
 
-    /// Mutably adjusts a sending connection by dense flow id (e.g. to
-    /// enable window recording before the run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is not a live sender.
-    pub fn connection_mut(&mut self, idx: usize) -> &mut Conn {
-        self.flows.get_mut(idx)
-    }
-
     /// All live sending connections, ascending by id.
     pub fn connections(&self) -> impl Iterator<Item = &Conn> {
         self.flows.live_ids().map(|id| self.connection(id))
@@ -312,15 +303,6 @@ impl TcpHost {
     /// Panics if `idx` is out of range.
     pub fn receiver(&self, idx: usize) -> &Receiver {
         &self.receivers[idx]
-    }
-
-    /// Mutably borrows a receiver by local index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn receiver_mut(&mut self, idx: usize) -> &mut Receiver {
-        &mut self.receivers[idx]
     }
 
     /// All receivers on this host.
@@ -370,13 +352,15 @@ impl TcpHost {
         seq.outstanding = None;
         let index = seq.completed as u32;
         seq.completed += 1;
-        ctx.emit_monitor_with(|| MonitorEvent::ResponseCompleted { flow, index });
+        ctx.emit_monitor_with(interest::RESPONSE_COMPLETED, || {
+            MonitorEvent::ResponseCompleted { flow, index }
+        });
         if seq.next < seq.sizes.len() {
             ctx.set_timer(seq.think, ((seq_idx as u64) << KIND_BITS) | KIND_SEQ);
         } else if seq.completed == seq.sizes.len() && !seq.ended {
             seq.ended = true;
             let (issued, completed) = (seq.next as u32, seq.completed as u32);
-            ctx.emit_monitor_with(|| MonitorEvent::SessionEnded {
+            ctx.emit_monitor_with(interest::SESSION_ENDED, || MonitorEvent::SessionEnded {
                 flow,
                 issued,
                 completed,
@@ -458,21 +442,27 @@ impl Agent<Segment> for TcpHost {
                     let flow = self.flows.get(sender).flow();
                     if index == 0 {
                         let planned_requests = seq.sizes.len() as u32;
-                        ctx.emit_monitor_with(|| MonitorEvent::SessionStarted {
-                            flow,
-                            planned_requests,
+                        ctx.emit_monitor_with(interest::SESSION_STARTED, || {
+                            MonitorEvent::SessionStarted {
+                                flow,
+                                planned_requests,
+                            }
                         });
                     }
-                    ctx.emit_monitor_with(|| MonitorEvent::RequestIssued { flow, index, bytes });
+                    ctx.emit_monitor_with(interest::REQUEST_ISSUED, || {
+                        MonitorEvent::RequestIssued { flow, index, bytes }
+                    });
                     let early_end = seq.fault_early_end && index == 0;
                     if early_end {
                         let seq = &mut self.sequences[idx];
                         seq.ended = true;
                         let (issued, completed) = (seq.next as u32, seq.completed as u32);
-                        ctx.emit_monitor_with(|| MonitorEvent::SessionEnded {
-                            flow,
-                            issued,
-                            completed,
+                        ctx.emit_monitor_with(interest::SESSION_ENDED, || {
+                            MonitorEvent::SessionEnded {
+                                flow,
+                                issued,
+                                completed,
+                            }
                         });
                     }
                     let id = self.flows.get_mut(sender).enqueue_train(ctx, bytes);

@@ -1,12 +1,12 @@
 //! The TCP receiver: reassembly and one cumulative ACK per arriving data
 //! packet (as in NS2's default sink), echoing the packet's timestamp,
 //! probe flag, retransmission flag and CE mark, plus delivery accounting
-//! for goodput and throughput metrics. It owns no timer.
+//! for goodput metrics. It owns no timer.
 
 use std::collections::BTreeSet;
 
+use netsim::monitor::interest;
 use netsim::prelude::*;
-use netsim::time::Dur;
 
 use crate::config::TcpConfig;
 use crate::segment::{SegKind, Segment};
@@ -32,7 +32,6 @@ pub struct Receiver {
     rcv_next: u64,
     out_of_order: BTreeSet<u64>,
     stats: ReceiverStats,
-    meter: Option<ThroughputMeter>,
     mss_bytes: u32,
 }
 
@@ -46,7 +45,6 @@ impl Receiver {
             rcv_next: 0,
             out_of_order: BTreeSet::new(),
             stats: ReceiverStats::default(),
-            meter: None,
             mss_bytes: cfg.mss_bytes,
         }
     }
@@ -66,19 +64,9 @@ impl Receiver {
         self.stats.delivered_pkts * self.mss_bytes as u64
     }
 
-    /// Starts metering delivered bytes into bins of `bin` width.
-    pub fn enable_throughput_meter(&mut self, bin: Dur) {
-        if self.meter.is_none() {
-            self.meter = Some(ThroughputMeter::new(bin));
-        }
-    }
-
-    /// The throughput meter, if enabled.
-    pub fn meter(&self) -> Option<&ThroughputMeter> {
-        self.meter.as_ref()
-    }
-
-    /// Handles an arriving data packet and sends the cumulative ACK.
+    /// Handles an arriving data packet and sends the cumulative ACK. Data
+    /// delivered in order is reported to the monitors as `Goodput`
+    /// (`ThroughputRecorder` bins it into the goodput time series).
     ///
     /// # Panics
     ///
@@ -97,7 +85,6 @@ impl Receiver {
         else {
             panic!("receiver got a non-data segment");
         };
-        let now = ctx.now();
         self.stats.pkts_received += 1;
         if seq < self.rcv_next || self.out_of_order.contains(&seq) {
             self.stats.dup_pkts += 1;
@@ -109,9 +96,8 @@ impl Receiver {
                 delivered += 1;
             }
             self.stats.delivered_pkts += delivered;
-            if let Some(m) = &mut self.meter {
-                m.record(now, delivered * self.mss_bytes as u64);
-            }
+            let (flow, bytes) = (self.flow, delivered * self.mss_bytes as u64);
+            ctx.emit_monitor_with(interest::GOODPUT, || MonitorEvent::Goodput { flow, bytes });
         } else {
             self.out_of_order.insert(seq);
         }

@@ -85,14 +85,19 @@ fn throughput_close_to_line_rate() {
     let (mut sim, senders, fe, _b) = incast(1, &CcKind::Reno, TcpConfig::default(), 100, None);
     sim.host_mut::<TcpHost>(senders[0])
         .schedule_train(0, SimTime::ZERO, 10_000_000);
-    sim.host_mut::<TcpHost>(fe)
-        .receiver_mut(0)
-        .enable_throughput_meter(Dur::from_millis(10));
+    let flow = sim.host::<TcpHost>(fe).receiver(0).flow();
+    let bin = Dur::from_millis(10);
+    sim.attach_monitor(Box::new(ThroughputRecorder::new(bin, [flow])));
     sim.run_until(SimTime::from_secs(2));
     let host: &TcpHost = sim.host(senders[0]);
     assert!(host.connection(0).is_idle());
     let rx: &TcpHost = sim.host(fe);
-    let meter = rx.receiver(0).meter().unwrap();
+    let meter = sim
+        .monitor::<ThroughputRecorder>()
+        .unwrap()
+        .meter(flow)
+        .unwrap();
+    assert_eq!(meter.total_bytes(), rx.receiver(0).goodput_bytes());
     // Steady-state bins should carry >900 Mbps of goodput.
     let peak = meter
         .mbps_series()

@@ -11,13 +11,13 @@ use netsim::channel::Channel;
 use trim_tcp::{Conn, Receiver, Segment, TcpHost};
 
 #[test]
-fn channel_of_segment_is_272_bytes() {
-    assert_eq!(size_of::<Channel<Segment>>(), 272);
+fn channel_of_segment_is_240_bytes() {
+    assert_eq!(size_of::<Channel<Segment>>(), 240);
 }
 
 #[test]
-fn conn_is_424_bytes() {
-    assert_eq!(size_of::<Conn>(), 424);
+fn conn_is_400_bytes() {
+    assert_eq!(size_of::<Conn>(), 400);
 }
 
 #[test]
@@ -26,6 +26,6 @@ fn tcp_host_is_272_bytes() {
 }
 
 #[test]
-fn receiver_is_112_bytes() {
-    assert_eq!(size_of::<Receiver>(), 112);
+fn receiver_is_80_bytes() {
+    assert_eq!(size_of::<Receiver>(), 80);
 }

@@ -208,19 +208,16 @@ impl ScenarioBuilder {
             let flow = FlowId(i as u64);
             let idx = wire_flow(&mut sim, flow, s, net.front_end, self.tcp, &self.cc);
             debug_assert_eq!(idx, 0, "one sender per host");
-            if self.record_cwnd {
-                sim.host_mut::<TcpHost>(s)
-                    .connection_mut(0)
-                    .enable_cwnd_recording();
-            }
-            if let Some(bin) = self.throughput_bin {
-                sim.host_mut::<TcpHost>(net.front_end)
-                    .receiver_mut(i)
-                    .enable_throughput_meter(bin);
-            }
+        }
+        let flows = || (0..self.senders as u64).map(FlowId);
+        if self.record_cwnd {
+            sim.attach_monitor(Box::new(CwndRecorder::new(flows())));
+        }
+        if let Some(bin) = self.throughput_bin {
+            sim.attach_monitor(Box::new(ThroughputRecorder::new(bin, flows())));
         }
         if self.record_queue {
-            sim.enable_queue_recording(net.bottleneck);
+            sim.attach_monitor(Box::new(QueueRecorder::new([net.bottleneck])));
         }
         // Runtime invariant monitors, per the TRIM_CHECK_MONITORS policy
         // (default: on in debug builds, off in release). Observe-only, so
@@ -313,25 +310,27 @@ impl Scenario {
     /// a caller can pair the report with `sim_mut().violations()`.
     pub fn report_unchecked(&mut self) -> Report {
         let bottleneck = self.sim.queue_stats(self.net.bottleneck);
-        let queue_series = self
-            .sim
-            .queue_samples(self.net.bottleneck)
-            .map(|s| s.to_vec());
+        let sim = &self.sim;
+        let queue_series = sim
+            .monitor::<QueueRecorder>()
+            .and_then(|r| r.samples(self.net.bottleneck))
+            .map(<[_]>::to_vec);
+        let cwnd = sim.monitor::<CwndRecorder>();
+        let throughput = sim.monitor::<ThroughputRecorder>();
         let mut senders = Vec::new();
         for (i, &node) in self.net.senders.iter().enumerate() {
-            let host: &TcpHost = self.sim.host(node);
-            let conn = host.connection(0);
-            let fe: &TcpHost = self.sim.host(self.net.front_end);
-            let meter = fe.receiver(i).meter().cloned();
+            let flow = FlowId(i as u64);
+            let conn = sim.host::<TcpHost>(node).connection(0);
+            let fe: &TcpHost = sim.host(self.net.front_end);
             senders.push(SenderReport {
                 sender: i,
                 cc: conn.cc_name(),
                 trains: conn.completed_trains().to_vec(),
                 stats: conn.stats(),
                 unfinished: !conn.is_idle(),
-                cwnd: conn.cwnd_series().cloned(),
+                cwnd: cwnd.and_then(|r| r.series(flow)).cloned(),
                 goodput_bytes: fe.receiver(i).goodput_bytes(),
-                throughput: meter,
+                throughput: throughput.and_then(|r| r.meter(flow)).cloned(),
             });
         }
         Report {

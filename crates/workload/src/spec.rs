@@ -563,9 +563,10 @@ impl ScenarioSpec {
         s
     }
 
-    /// Parses the text form. Unknown keys, missing required keys, and
-    /// malformed values are errors — a corpus typo must not silently
-    /// replay a different scenario.
+    /// Parses the text form. Unknown keys, missing required keys,
+    /// repeated keys (other than `train` and `session`, which add one
+    /// each) and malformed values are errors — a corpus typo must not
+    /// silently replay a different scenario.
     pub fn from_text(text: &str) -> Result<Self, String> {
         let mut seed = None;
         let mut senders = None;
@@ -581,6 +582,7 @@ impl ScenarioSpec {
         let mut expect = None;
         let mut trains = Vec::new();
         let mut sessions = Vec::new();
+        let mut scalars = std::collections::BTreeSet::new();
         for (lineno, raw) in text.lines().enumerate() {
             let line = raw.split('#').next().unwrap_or("").trim();
             if line.is_empty() {
@@ -590,6 +592,9 @@ impl ScenarioSpec {
                 .split_once('=')
                 .ok_or_else(|| format!("line {}: expected `key = value`", lineno + 1))?;
             let (key, value) = (key.trim(), value.trim());
+            if !matches!(key, "train" | "session") && !scalars.insert(key) {
+                return Err(format!("line {}: repeated key `{key}`", lineno + 1));
+            }
             let bad = |what: &str| format!("line {}: bad {what}: `{value}`", lineno + 1);
             match key {
                 "seed" => seed = Some(value.parse::<u64>().map_err(|_| bad("seed"))?),
@@ -994,6 +999,17 @@ mod tests {
             ("train = 0 100 29200", "train = 9 100 29200", "sender range"),
             ("train = 0 100 29200", "train = 0 100", "short train"),
             ("horizon_ms = 500", "horizon_ms = 0", "train after horizon"),
+            ("seed = 7", "seed = 7\nseed = 8", "repeated seed"),
+            (
+                "cc = trim-guideline",
+                "cc = trim-guideline\ncc = reno",
+                "repeated cc",
+            ),
+            (
+                "horizon_ms = 500",
+                "horizon_ms = 500\nhorizon_ms = 500",
+                "same value twice",
+            ),
         ] {
             let text = base.replace(needle, replacement);
             assert!(
@@ -1020,6 +1036,10 @@ mod tests {
                 "expected parse failure for `{bad_line}`"
             );
         }
+        // The error names the repeated key and its line.
+        let text = base.replace("senders = 3", "senders = 3\nsenders = 3");
+        let err = ScenarioSpec::from_text(&text).unwrap_err();
+        assert_eq!(err, "line 4: repeated key `senders`");
         // Session lines need a sender, start, think, and >= 1 size.
         for bad_line in ["session = 1 200 5000", "session = 1 200 x 14600"] {
             let text = format!("{base}{bad_line}\n");

@@ -7,8 +7,8 @@
 //! published distributions so the Fig. 1/2 methodology can be reproduced
 //! without the proprietary 2 TB campus trace.
 
+use netsim::monitor::MonitorEvent;
 use netsim::time::{Dur, SimTime};
-use netsim::trace::{PacketEvent, PacketEventKind};
 use rand::Rng;
 
 use crate::distributions::{pt_interval, pt_size_bytes, EmpiricalCdf};
@@ -118,27 +118,25 @@ impl Default for TraceConfig {
     }
 }
 
-/// Converts a simulator packet-event trace into the packet timeline this
+/// Converts a simulator packet-event trace (the events a
+/// [`netsim::PacketTrace`] recorded) into the packet timeline this
 /// module analyses: the `Delivered` events of one flow whose wire size is
 /// at least `min_bytes` (use the MSS to select data packets and exclude
 /// ACKs). This closes the loop on the paper's Section II.A methodology —
 /// the same train extraction that characterized the campus trace can be
 /// applied to traffic the simulator generated.
 pub fn packets_from_events(
-    events: &[PacketEvent],
+    events: &[(SimTime, MonitorEvent)],
     flow: netsim::FlowId,
     min_bytes: u32,
 ) -> Vec<TracePacket> {
     events
         .iter()
-        .filter(|e| {
-            e.flow == flow
-                && e.size >= min_bytes
-                && matches!(e.kind, PacketEventKind::Delivered { .. })
-        })
-        .map(|e| TracePacket {
-            at: e.at,
-            bytes: e.size,
+        .filter_map(|&(at, ref ev)| match *ev {
+            MonitorEvent::Delivered { flow: f, size, .. } if f == flow && size >= min_bytes => {
+                Some(TracePacket { at, bytes: size })
+            }
+            _ => None,
         })
         .collect()
 }

@@ -15,7 +15,7 @@ use std::path::Path;
 use std::sync::mpsc::{self, Sender};
 
 use netsim::monitor::{interest, AuditStats, InvariantMonitor, MonitorEvent, Violation};
-use netsim::{Dur, SimTime, Simulator};
+use netsim::{Dur, SimTime, Simulator, ThroughputRecorder};
 use trim_check::{RedStability, StabilityConfig};
 use trim_core::fluid::RedFluid;
 use trim_tcp::Segment;
@@ -242,7 +242,10 @@ fn interest_masks_are_unobservable() {
     let emitted = emitted.try_iter().fold(0, |acc, bit| acc | bit);
     let mut monitors = trim_check::standard_monitors();
     monitors.extend(trim_check::stability_monitors(StabilityConfig::default()));
-    let read = monitors.iter().fold(0, |acc, m| acc | m.interests());
+    // The built-in monitors read every kind but goodput, which only the
+    // throughput recorder of `netsim::trace` reads.
+    let goodput = ThroughputRecorder::new(Dur::from_millis(1), []).interests();
+    let read = monitors.iter().fold(goodput, |acc, m| acc | m.interests());
     assert_eq!(
         emitted,
         read,

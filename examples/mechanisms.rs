@@ -32,17 +32,17 @@ fn main() {
     );
     // Five scattered losses in one flight.
     sim.inject_channel_drops(data_ch, [6, 11, 16, 21, 26]);
-    sim.enable_packet_trace(10_000);
+    sim.attach_monitor(Box::new(PacketTrace::new(10_000)));
     sim.run_until(SimTime::from_secs(5));
 
     // The whole train left in one burst, so every data packet the sender
     // emits after the first PKTS is a repair.
-    let trace = sim.packet_trace().expect("enabled");
+    let trace = sim.monitor::<PacketTrace>().expect("attached");
     let mut data_sent = 0;
-    for e in trace.events() {
-        let what = match e.kind {
-            PacketEventKind::Dropped { .. } => "drop",
-            PacketEventKind::Sent { node } if node == tx_node => {
+    for (at, ev) in trace.events() {
+        let what = match *ev {
+            MonitorEvent::Dropped { .. } => "drop",
+            MonitorEvent::Injected { node, .. } if node == tx_node => {
                 data_sent += 1;
                 if data_sent <= PKTS {
                     continue;
@@ -51,7 +51,7 @@ fn main() {
             }
             _ => continue,
         };
-        println!("{:>10}  {what}", e.at.to_string());
+        println!("{:>10}  {what}", at.to_string());
     }
 
     let host: &TcpHost = sim.host(tx_node);

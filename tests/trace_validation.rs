@@ -16,13 +16,13 @@ fn extracted_trains_match_the_application_schedule() {
     for (i, &bytes) in sizes.iter().enumerate() {
         sc.send_train(0, TrainSpec::at_secs(0.01 + i as f64 * 0.005, bytes));
     }
-    sc.sim_mut().enable_packet_trace(100_000);
+    sc.sim_mut()
+        .attach_monitor(Box::new(PacketTrace::new(100_000)));
     let report = sc.run_for_secs(1.0);
     assert_eq!(report.completed_trains(), sizes.len());
     assert_eq!(report.total_timeouts(), 0, "clean network");
 
-    let trace = sc.sim_mut().packet_trace().cloned().expect("enabled");
-    assert!(!trace.is_truncated());
+    let trace = sc.sim_mut().monitor::<PacketTrace>().expect("attached");
     assert_eq!(trace.dropped_events(), 0, "capacity 100k was never hit");
     // Data packets are MSS-sized; ACKs (40 B) are filtered out.
     let pkts = packets_from_events(trace.events(), FlowId(0), 1000);
@@ -52,18 +52,20 @@ fn trace_overflow_counts_every_dropped_event() {
         let mut sc = ScenarioBuilder::many_to_one(2).build();
         sc.send_train(0, TrainSpec::at_secs(0.001, 100_000));
         sc.send_train(1, TrainSpec::at_secs(0.001, 100_000));
-        sc.sim_mut().enable_packet_trace(cap);
+        sc.sim_mut().attach_monitor(Box::new(PacketTrace::new(cap)));
         sc.run_for_secs(1.0);
-        sc.sim_mut().packet_trace().cloned().expect("enabled")
+        sc.sim_mut()
+            .monitor::<PacketTrace>()
+            .cloned()
+            .expect("attached")
     };
     let full = run(1_000_000);
-    assert!(!full.is_truncated());
     assert_eq!(full.dropped_events(), 0);
 
     // The identical (deterministic) run with a tiny buffer: the counter
     // accounts for exactly the events that no longer fit.
     let capped = run(50);
-    assert!(capped.is_truncated());
+    assert!(capped.dropped_events() > 0);
     assert_eq!(capped.events().len(), 50);
     assert_eq!(
         capped.events().len() as u64 + capped.dropped_events(),
@@ -74,18 +76,18 @@ fn trace_overflow_counts_every_dropped_event() {
 
 #[test]
 fn drops_show_up_in_the_packet_trace() {
-    use netsim::PacketEventKind;
     let mut sc = ScenarioBuilder::many_to_one(8).build(); // Reno
     for s in 0..8 {
         sc.send_train(s, TrainSpec::at_secs(0.001, 300_000));
     }
-    sc.sim_mut().enable_packet_trace(2_000_000);
+    sc.sim_mut()
+        .attach_monitor(Box::new(PacketTrace::new(2_000_000)));
     let report = sc.run_for_secs(5.0);
-    let trace = sc.sim_mut().packet_trace().cloned().expect("enabled");
+    let trace = sc.sim_mut().monitor::<PacketTrace>().expect("attached");
     let dropped = trace
         .events()
         .iter()
-        .filter(|e| matches!(e.kind, PacketEventKind::Dropped { .. }))
+        .filter(|(_, ev)| matches!(ev, MonitorEvent::Dropped { .. }))
         .count() as u64;
     assert_eq!(
         dropped, report.bottleneck.dropped,

@@ -24,6 +24,7 @@
 
 use netsim::SimTime;
 use trim_check::golden::{compare_csv_files, Mismatch, Tolerance};
+use trim_check::PacketConservation;
 use trim_experiments::registry;
 use trim_harness::cli::{self, CliArgs};
 use trim_harness::{engine, ExecConfig};
@@ -76,7 +77,7 @@ fn clean_runs(quiet: bool) -> Result<(), String> {
         for s in 0..8 {
             sc.send_train(s, TrainSpec::at_secs(0.001, 300_000));
         }
-        if !sc.sim_mut().monitors_enabled() {
+        if sc.sim_mut().monitor::<PacketConservation>().is_none() {
             return Err("standard monitors were not attached (TRIM_CHECK_MONITORS)".into());
         }
         let report = sc.run_for_secs(5.0);

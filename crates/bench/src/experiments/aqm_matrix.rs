@@ -27,10 +27,10 @@
 use netsim::prelude::*;
 use netsim::time::SimTime;
 use netsim::topology::LinkSpec;
-use trim_check::{RedStability, StabilityConfig};
+use trim_check::{RedStability, MIN_AMPLITUDE};
 use trim_core::fluid::{red_stability, RedFluid};
 use trim_harness::{record_for, Campaign};
-use trim_tcp::{CcKind, TcpConfig};
+use trim_tcp::{CcKind, TcpConfig, MSS_BYTES};
 use trim_workload::scenario::{ScenarioBuilder, TrainSpec};
 use trim_workload::spec::{ScenarioSpec, SpecAqm, SpecCc, SpecTrain};
 
@@ -103,15 +103,22 @@ fn matrix_cells() -> Vec<(String, SpecAqm, usize, usize, SpecCc)> {
     cells
 }
 
+/// Each sender's share of 1.5x the bottleneck capacity over the horizon,
+/// in whole segments.
+fn per_sender_bytes(senders: usize) -> u64 {
+    let capacity_bytes = LINK_MBPS * 125 * HORIZON_MS;
+    let mss = u64::from(MSS_BYTES);
+    (3 * capacity_bytes / (2 * senders as u64))
+        .div_ceil(mss)
+        .max(1)
+        * mss
+}
+
 /// The spec for one matrix cell: persistent synchronized trains
 /// offering 1.5x the bottleneck capacity over the horizon, with the
 /// stability oracles attached.
 fn cell_spec(aqm: SpecAqm, buffer_pkts: usize, senders: usize, cc: SpecCc) -> ScenarioSpec {
-    let capacity_bytes = LINK_MBPS * 125 * HORIZON_MS;
-    let per_sender = (3 * capacity_bytes / (2 * senders as u64))
-        .div_ceil(trim_workload::spec::SPEC_MSS_BYTES)
-        .max(1)
-        * trim_workload::spec::SPEC_MSS_BYTES;
+    let per_sender = per_sender_bytes(senders);
     ScenarioSpec {
         seed: 0,
         senders,
@@ -353,16 +360,10 @@ pub fn run_stability_instance(inst: &StabilityInstance) -> StabilityRow {
         .tcp_config(tcp)
         .congestion_control(CcKind::Reno)
         .build();
-    if !sc.sim_mut().monitors_enabled() {
-        trim_check::attach_standard(sc.sim_mut());
-    }
+    trim_check::attach_standard(sc.sim_mut());
     let base_rtt_ns = 4 * inst.delay_us * 1_000;
     let verdict = red_stability(CAPACITY_PPS, base_rtt_ns, inst.senders as f64, &inst.red);
-    let capacity_bytes = LINK_MBPS * 125 * HORIZON_MS;
-    let per_sender = (3 * capacity_bytes / (2 * inst.senders as u64))
-        .div_ceil(trim_workload::spec::SPEC_MSS_BYTES)
-        .max(1)
-        * trim_workload::spec::SPEC_MSS_BYTES;
+    let per_sender = per_sender_bytes(inst.senders);
     for s in 0..inst.senders {
         sc.send_train(
             s,
@@ -379,16 +380,13 @@ pub fn run_stability_instance(inst: &StabilityInstance) -> StabilityRow {
     // ~ 2 W* and beyond) from Reno's intrinsic sawtooth around a stable
     // equilibrium (amplitude ~ W*/2 on a window halving). Scaling the
     // amplitude floor to 1.5 W* puts the bar between the two regimes.
-    let instrument = StabilityConfig {
-        min_amplitude: (1.5 * verdict.w_star).max(4.0),
-        ..StabilityConfig::default()
-    };
+    let min_amplitude = (1.5 * verdict.w_star).max(MIN_AMPLITUDE);
     sc.sim_mut().attach_monitor(Box::new(RedStability::new(
         CAPACITY_PPS,
         base_rtt_ns,
         inst.senders as f64,
         &inst.red,
-        instrument,
+        min_amplitude,
     )));
     sc.sim_mut()
         .run_until(SimTime::ZERO + Dur::from_millis(HORIZON_MS));

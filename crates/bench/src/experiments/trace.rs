@@ -12,18 +12,14 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use trim_harness::table::fmt_f64;
 use trim_harness::{Artifacts, Campaign};
-use trim_workload::trace::{extract_trains, synthesize_trace, train_intervals, TraceConfig};
+use trim_workload::trace::{extract_trains, synthesize_trace, train_intervals};
 
 use crate::{Effort, Table};
 
 /// Synthesizes one trace and derives all three figure tables from it.
 fn trace_job(seed: u64, trains: usize) -> Artifacts {
     let mut rng = StdRng::seed_from_u64(seed);
-    let cfg = TraceConfig {
-        trains,
-        ..TraceConfig::default()
-    };
-    let pkts = synthesize_trace(&mut rng, &cfg);
+    let pkts = synthesize_trace(&mut rng, trains);
     let trains = extract_trains(&pkts, Dur::from_micros(50));
     let gaps = train_intervals(&trains);
 

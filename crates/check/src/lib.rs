@@ -43,7 +43,7 @@ pub use golden::{compare_csv_files, compare_csv_text, Mismatch, Tolerance};
 pub use monitors::{
     stability_monitors, standard_monitors, AckReductionBound, CwndLimitCycle, CwndRange, FifoOrder,
     MonotonicTime, PacketConservation, ProbeLegality, ProbeWindow, QueueBound, RedStability,
-    SessionConservation, StabilityConfig, StandingQueue,
+    SessionConservation, StandingQueue, MIN_AMPLITUDE,
 };
 
 use netsim::{Payload, Simulator};
@@ -70,10 +70,16 @@ pub fn policy(value: Option<&str>, build_default: bool) -> bool {
     }
 }
 
-/// Attaches every [`standard_monitors`] instance to `sim`.
+/// Attaches every [`standard_monitors`] instance to `sim`, unless the
+/// standard set is already attached (its [`PacketConservation`] is the
+/// mark), so each invariant is checked once however often this is
+/// called. Other monitors and recorders do not count as the set.
 /// Attach before the first `run_until`: the monitors assume they see
 /// the event stream from the beginning of the simulation.
 pub fn attach_standard<P: Payload>(sim: &mut Simulator<P>) {
+    if sim.monitor::<PacketConservation>().is_some() {
+        return;
+    }
     for m in standard_monitors() {
         sim.attach_monitor(m);
     }
@@ -137,7 +143,7 @@ mod tests {
     #[test]
     fn built_in_monitors_declare_their_interests() {
         let mut all = standard_monitors();
-        all.extend(stability_monitors(StabilityConfig::default()));
+        all.extend(stability_monitors());
         for m in &all {
             let mask = m.interests();
             assert!(mask != 0 && mask.count_ones() <= 4, "{}", m.name());
@@ -187,17 +193,25 @@ mod tests {
         );
     }
 
-    #[test]
-    fn attach_standard_monitors_a_clean_sim_without_violations() {
+    /// Four hosts behind a switch, each about to send 25 packets to one
+    /// destination whose switch port queues `cap` packets. Returns the
+    /// simulator, that port's channel and a function injecting the load.
+    fn incast_star(
+        cap: usize,
+    ) -> (
+        Simulator<TagPayload>,
+        ChannelId,
+        impl Fn(&mut Simulator<TagPayload>),
+    ) {
         let mut sim: Simulator<TagPayload> = Simulator::new();
         let sw = sim.add_switch();
         let dst = sim.add_host(Box::new(SinkAgent::default()));
-        sim.connect(
+        let (_, sw_to_dst) = sim.connect(
             dst,
             sw,
             Bandwidth::gbps(1),
             Dur::from_micros(50),
-            QueueConfig::drop_tail(10),
+            QueueConfig::drop_tail(cap),
         );
         let mut senders = Vec::new();
         for _ in 0..4 {
@@ -211,16 +225,25 @@ mod tests {
             );
             senders.push(h);
         }
+        let load = move |sim: &mut Simulator<TagPayload>| {
+            for (i, &s) in senders.iter().enumerate() {
+                for _ in 0..25 {
+                    sim.inject(
+                        s,
+                        Packet::new(s, dst, FlowId(i as u64), 1460, TagPayload(0)),
+                    );
+                }
+            }
+        };
+        (sim, sw_to_dst, load)
+    }
+
+    #[test]
+    fn attach_standard_monitors_a_clean_sim_without_violations() {
+        let (mut sim, _, load) = incast_star(10);
         attach_standard(&mut sim);
         assert!(sim.monitors_enabled());
-        for (i, &s) in senders.iter().enumerate() {
-            for _ in 0..25 {
-                sim.inject(
-                    s,
-                    Packet::new(s, dst, FlowId(i as u64), 1460, TagPayload(0)),
-                );
-            }
-        }
+        load(&mut sim);
         sim.run();
         // The 10-packet bottleneck drops traffic; conservation and FIFO
         // must still hold exactly.
@@ -230,38 +253,10 @@ mod tests {
 
     #[test]
     fn overadmit_fault_is_caught_with_time_and_flow() {
-        let mut sim: Simulator<TagPayload> = Simulator::new();
-        let sw = sim.add_switch();
-        let dst = sim.add_host(Box::new(SinkAgent::default()));
-        let (_, sw_to_dst) = sim.connect(
-            dst,
-            sw,
-            Bandwidth::gbps(1),
-            Dur::from_micros(50),
-            QueueConfig::drop_tail(5),
-        );
-        let mut senders = Vec::new();
-        for _ in 0..4 {
-            let h = sim.add_host(Box::new(SinkAgent::default()));
-            sim.connect(
-                h,
-                sw,
-                Bandwidth::gbps(1),
-                Dur::from_micros(50),
-                QueueConfig::default(),
-            );
-            senders.push(h);
-        }
+        let (mut sim, sw_to_dst, load) = incast_star(5);
         attach_standard(&mut sim);
         sim.inject_queue_overadmit(sw_to_dst, 3);
-        for (i, &s) in senders.iter().enumerate() {
-            for _ in 0..25 {
-                sim.inject(
-                    s,
-                    Packet::new(s, dst, FlowId(i as u64), 1460, TagPayload(0)),
-                );
-            }
-        }
+        load(&mut sim);
         sim.run();
         let violations = sim.violations();
         assert!(
@@ -275,6 +270,23 @@ mod tests {
         assert!(v.at > SimTime::ZERO, "violation carries simulation time");
         assert!(v.flow.is_some(), "violation carries the offending flow");
         assert!(v.detail.contains("cap"), "detail names the capacity: {v}");
+    }
+
+    /// The standard set is attached once however often it is asked for,
+    /// and a recorder attached first does not count as the standard set:
+    /// one over-admitted packet is one `queue-bound` violation.
+    #[test]
+    fn attach_standard_attaches_the_set_once() {
+        let (mut sim, sw_to_dst, load) = incast_star(5);
+        sim.attach_monitor(Box::new(CwndRecorder::new([FlowId(0)])));
+        attach_standard(&mut sim);
+        attach_standard(&mut sim);
+        sim.inject_queue_overadmit(sw_to_dst, 1);
+        load(&mut sim);
+        sim.run();
+        let violations = sim.violations();
+        let bound = violations.iter().filter(|v| v.monitor == "queue-bound");
+        assert_eq!(bound.count(), 1, "{violations:?}");
     }
 
     /// One client/server pair exchanging a two-response session over a

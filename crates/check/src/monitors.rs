@@ -803,56 +803,39 @@ impl InvariantMonitor for SessionConservation {
 // would false-positive on perfectly healthy baseline scenarios. Attach
 // them explicitly — via [`stability_monitors`] or the workload spec's
 // `stability = on` switch — on the AQM scenarios whose whole point is
-// that the control loop should converge.
+// that the control loop should converge. Their thresholds are
+// conservative constants sized to datacenter scenarios; only the
+// amplitude floor is scaled per scenario (`aqm_matrix`).
 // ---------------------------------------------------------------------
 
-/// Tuning for the stability oracle family.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct StabilityConfig {
-    /// Minimum peak-to-trough cwnd swing (in segments) for a reversal to
-    /// count as part of an oscillation.
-    pub min_amplitude: f64,
-    /// Minimum swing relative to the oscillation midpoint; filters slow
-    /// drift around a large window.
-    pub min_rel_amplitude: f64,
-    /// Full oscillation cycles (two reversals each) that must fall
-    /// inside the sliding window before the limit-cycle detector fires.
-    pub min_cycles: usize,
-    /// Sliding window for the limit-cycle detector.
-    pub window: Dur,
-    /// Queue occupancy (as a fraction of the per-packet capacity) above
-    /// which the queue counts as "standing".
-    pub queue_floor: f64,
-    /// Fraction of the observed span the occupancy must spend above the
-    /// floor for the standing-queue detector to fire.
-    pub queue_dwell: f64,
-}
-
-impl Default for StabilityConfig {
-    /// Conservative defaults sized to datacenter scenarios: a swing of
-    /// at least 4 segments and 25% of the midpoint, 4 full cycles inside
-    /// 200 ms; a standing queue is ≥ half the buffer for ≥ 90% of the
-    /// run.
-    fn default() -> Self {
-        StabilityConfig {
-            min_amplitude: 4.0,
-            min_rel_amplitude: 0.25,
-            min_cycles: 4,
-            window: Dur::from_millis(200),
-            queue_floor: 0.5,
-            queue_dwell: 0.9,
-        }
-    }
-}
+/// Default minimum peak-to-trough cwnd swing, in segments, for a
+/// reversal to count as part of an oscillation.
+pub const MIN_AMPLITUDE: f64 = 4.0;
+/// Minimum swing relative to the oscillation midpoint; filters slow
+/// drift around a large window.
+const MIN_REL_AMPLITUDE: f64 = 0.25;
+/// Full oscillation cycles (two reversals each) that must fall inside
+/// the sliding window before the limit-cycle detector fires.
+const MIN_CYCLES: usize = 4;
+/// Sliding window of the limit-cycle detector, and the shortest span the
+/// standing-queue detector judges.
+const STABILITY_WINDOW: Dur = Dur::from_millis(200);
+/// Queue occupancy, as a fraction of the per-packet capacity, above
+/// which the queue counts as "standing".
+const QUEUE_FLOOR: f64 = 0.5;
+/// Fraction of the observed span the occupancy must spend above the
+/// floor for the standing-queue detector to fire.
+const QUEUE_DWELL: f64 = 0.9;
 
 /// The stability oracle family, freshly constructed: the cwnd
-/// limit-cycle detector and the standing-queue detector. (The RED
-/// mean-field cross-check [`RedStability`] needs scenario parameters
-/// and is constructed explicitly.)
-pub fn stability_monitors(cfg: StabilityConfig) -> Vec<Box<dyn InvariantMonitor>> {
+/// limit-cycle detector at the default [`MIN_AMPLITUDE`] and the
+/// standing-queue detector. (The RED mean-field cross-check
+/// [`RedStability`] needs scenario parameters and is constructed
+/// explicitly.)
+pub fn stability_monitors() -> Vec<Box<dyn InvariantMonitor>> {
     vec![
-        Box::new(CwndLimitCycle::new(cfg)),
-        Box::new(StandingQueue::new(cfg)),
+        Box::new(CwndLimitCycle::new(MIN_AMPLITUDE)),
+        Box::new(StandingQueue::new()),
     ]
 }
 
@@ -872,7 +855,7 @@ struct CycleState {
 /// Detects a sustained congestion-window limit cycle: reversals of the
 /// cwnd trajectory whose swing clears both the absolute and the
 /// relative amplitude floor, recurring often enough that
-/// `2·min_cycles` of them fall inside the sliding window. Fires at
+/// `2·MIN_CYCLES` of them fall inside the sliding window. Fires at
 /// most once per flow, reporting the simulation time, flow, mean
 /// amplitude, and estimated period.
 ///
@@ -881,25 +864,22 @@ struct CycleState {
 /// limit cycle — e.g. Reno bouncing off a steep RED band — reverses
 /// with large swings every couple of RTTs and is caught within a few
 /// windows.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct CwndLimitCycle {
-    cfg: Option<StabilityConfig>,
+    min_amplitude: f64,
     flows: FastHashMap<FlowId, CycleState>,
     violations: Vec<Violation>,
 }
 
 impl CwndLimitCycle {
-    /// Creates the detector with the given tuning.
-    pub fn new(cfg: StabilityConfig) -> Self {
+    /// Creates the detector; a reversal counts when its swing is at
+    /// least `min_amplitude` segments (see [`MIN_AMPLITUDE`]).
+    pub fn new(min_amplitude: f64) -> Self {
         CwndLimitCycle {
-            cfg: Some(cfg),
+            min_amplitude,
             flows: FastHashMap::default(),
             violations: Vec::new(),
         }
-    }
-
-    fn config(&self) -> StabilityConfig {
-        self.cfg.unwrap_or_default()
     }
 }
 
@@ -916,7 +896,7 @@ impl InvariantMonitor for CwndLimitCycle {
         let MonitorEvent::CwndUpdate { flow, cwnd, .. } = ev else {
             return;
         };
-        let cfg = self.config();
+        let min_amplitude = self.min_amplitude;
         let s = self.flows.entry(*flow).or_default();
         let Some(prev) = s.prev else {
             s.prev = Some(*cwnd);
@@ -936,7 +916,7 @@ impl InvariantMonitor for CwndLimitCycle {
                 // the previous extremum.
                 let swing = (prev - s.last_ext).abs();
                 let mid = 0.5 * (prev + s.last_ext);
-                if swing >= cfg.min_amplitude && swing >= cfg.min_rel_amplitude * mid {
+                if swing >= min_amplitude && swing >= MIN_REL_AMPLITUDE * mid {
                     s.turns.push_back((at, swing));
                 }
                 s.last_ext = prev;
@@ -946,8 +926,8 @@ impl InvariantMonitor for CwndLimitCycle {
         s.prev = Some(*cwnd);
         // Prune reversals that slid out of the window, then test.
         let cutoff = at.saturating_since(SimTime::ZERO);
-        let window_start = if cutoff > cfg.window {
-            SimTime::ZERO + (cutoff - cfg.window)
+        let window_start = if cutoff > STABILITY_WINDOW {
+            SimTime::ZERO + (cutoff - STABILITY_WINDOW)
         } else {
             SimTime::ZERO
         };
@@ -958,7 +938,7 @@ impl InvariantMonitor for CwndLimitCycle {
         {
             s.turns.pop_front();
         }
-        let needed = 2 * cfg.min_cycles;
+        let needed = 2 * MIN_CYCLES;
         if !s.fired && s.turns.len() >= needed {
             s.fired = true;
             let span = at.saturating_since(s.turns.front().map(|&(t0, _)| t0).unwrap_or(at));
@@ -995,8 +975,25 @@ struct ChannelOccupancy {
     total_ns: u128,
 }
 
+impl ChannelOccupancy {
+    /// Accounts the span since the last event at the occupancy it had.
+    fn advance(&mut self, at: SimTime) {
+        let floor = self
+            .cap_pkts
+            .map_or(f64::INFINITY, |c| QUEUE_FLOOR * c as f64);
+        if let Some(last) = self.last {
+            let span = at.saturating_since(last).as_nanos() as u128;
+            self.total_ns += span;
+            if self.len as f64 > floor {
+                self.above_ns += span;
+            }
+        }
+        self.last = Some(at);
+    }
+}
+
 /// Detects a standing queue: time-average occupancy that stays above
-/// `queue_floor · capacity` for at least `queue_dwell` of the observed
+/// `QUEUE_FLOOR · capacity` for at least `QUEUE_DWELL` of the observed
 /// span despite an AQM whose job is to drain it. Evaluated per packet-
 /// capacity channel at finalize; spans shorter than the limit-cycle
 /// window are ignored (too little evidence).
@@ -1006,7 +1003,6 @@ struct ChannelOccupancy {
 /// pinned at the buffer ceiling even though the AQM keeps dropping.
 #[derive(Debug, Default)]
 pub struct StandingQueue {
-    cfg: Option<StabilityConfig>,
     /// Per-channel occupancy accounting, in channel-id order of first
     /// appearance (kept in a `Vec` so finalize iterates deterministically).
     channels: Vec<(ChannelId, ChannelOccupancy)>,
@@ -1015,18 +1011,9 @@ pub struct StandingQueue {
 }
 
 impl StandingQueue {
-    /// Creates the detector with the given tuning.
-    pub fn new(cfg: StabilityConfig) -> Self {
-        StandingQueue {
-            cfg: Some(cfg),
-            channels: Vec::new(),
-            violations: Vec::new(),
-            fired: false,
-        }
-    }
-
-    fn config(&self) -> StabilityConfig {
-        self.cfg.unwrap_or_default()
+    /// Creates the detector.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     #[expect(clippy::expect_used, reason = "entry pushed on the line above")]
@@ -1036,17 +1023,6 @@ impl StandingQueue {
         }
         self.channels.push((ch, ChannelOccupancy::default()));
         &mut self.channels.last_mut().expect("just pushed").1
-    }
-
-    fn advance(state: &mut ChannelOccupancy, floor: f64, at: SimTime) {
-        if let Some(last) = state.last {
-            let span = at.saturating_since(last).as_nanos() as u128;
-            state.total_ns += span;
-            if state.len as f64 > floor {
-                state.above_ns += span;
-            }
-        }
-        state.last = Some(at);
     }
 }
 
@@ -1060,7 +1036,6 @@ impl InvariantMonitor for StandingQueue {
     }
 
     fn observe(&mut self, at: SimTime, ev: &MonitorEvent) {
-        let cfg = self.config();
         match ev {
             MonitorEvent::Enqueued {
                 channel,
@@ -1069,21 +1044,14 @@ impl InvariantMonitor for StandingQueue {
                 ..
             } => {
                 let (len_after, cap_pkts) = (*len_after, *cap_pkts);
-                let floor_of = |s: &ChannelOccupancy| {
-                    s.cap_pkts
-                        .map_or(f64::INFINITY, |c| cfg.queue_floor * c as f64)
-                };
                 let s = self.state(*channel);
                 s.cap_pkts = cap_pkts.or(s.cap_pkts);
-                let floor = floor_of(s);
-                Self::advance(s, floor, at);
+                s.advance(at);
                 s.len = len_after;
             }
             MonitorEvent::Dequeued { channel, .. } | MonitorEvent::SojournDrop { channel, .. } => {
-                let cfg_floor = cfg.queue_floor;
                 let s = self.state(*channel);
-                let floor = s.cap_pkts.map_or(f64::INFINITY, |c| cfg_floor * c as f64);
-                Self::advance(s, floor, at);
+                s.advance(at);
                 s.len = s.len.saturating_sub(1);
             }
             _ => {}
@@ -1094,15 +1062,14 @@ impl InvariantMonitor for StandingQueue {
         if self.fired {
             return;
         }
-        let cfg = self.config();
-        let min_span_ns = cfg.window.as_nanos() as u128;
+        let min_span_ns = STABILITY_WINDOW.as_nanos() as u128;
         for &(ch, ref s) in &self.channels {
             let Some(cap) = s.cap_pkts else { continue };
             if s.total_ns < min_span_ns || s.total_ns == 0 {
                 continue;
             }
             let dwell = s.above_ns as f64 / s.total_ns as f64;
-            if dwell >= cfg.queue_dwell {
+            if dwell >= QUEUE_DWELL {
                 self.fired = true;
                 self.violations.push(Violation {
                     at,
@@ -1111,7 +1078,7 @@ impl InvariantMonitor for StandingQueue {
                     detail: format!(
                         "{ch} occupancy above {:.0}% of the {cap}-packet buffer \
                          for {:.0}% of the observed {}us",
-                        cfg.queue_floor * 100.0,
+                        QUEUE_FLOOR * 100.0,
                         dwell * 100.0,
                         s.total_ns / 1_000
                     ),
@@ -1145,18 +1112,18 @@ pub struct RedStability {
 impl RedStability {
     /// Creates the cross-check for one RED bottleneck scenario:
     /// capacity in packets per second, base RTT, flow population, the
-    /// RED parameters, and the limit-cycle tuning used to measure the
-    /// packet-level behavior.
+    /// RED parameters, and the amplitude floor of the limit-cycle
+    /// detector that measures the packet-level behavior.
     pub fn new(
         capacity_pps: f64,
         base_rtt_ns: u64,
         n_flows: f64,
         red: &trim_core::fluid::RedFluid,
-        cfg: StabilityConfig,
+        min_amplitude: f64,
     ) -> Self {
         RedStability {
             verdict: trim_core::fluid::red_stability(capacity_pps, base_rtt_ns, n_flows, red),
-            cycle: CwndLimitCycle::new(cfg),
+            cycle: CwndLimitCycle::new(min_amplitude),
             violations: Vec::new(),
             fired: false,
         }
@@ -1729,7 +1696,7 @@ mod tests {
     /// plus amplitude/period diagnostics.
     #[test]
     fn limit_cycle_fires_on_square_wave() {
-        let mut m = CwndLimitCycle::new(StabilityConfig::default());
+        let mut m = CwndLimitCycle::new(MIN_AMPLITUDE);
         for i in 0..30u64 {
             let w = if i % 2 == 0 { 4.0 } else { 40.0 };
             m.observe(t_ms(2 * i), &cwnd_ev(7, w));
@@ -1748,7 +1715,7 @@ mod tests {
     /// stay silent: there are no reversals at all.
     #[test]
     fn limit_cycle_silent_on_converged_trace() {
-        let mut m = CwndLimitCycle::new(StabilityConfig::default());
+        let mut m = CwndLimitCycle::new(MIN_AMPLITUDE);
         for (i, w) in [2.0, 4.0, 8.0, 16.0, 24.0].into_iter().enumerate() {
             m.observe(t_ms(i as u64), &cwnd_ev(1, w));
         }
@@ -1763,7 +1730,7 @@ mod tests {
     /// clear the amplitude floor.
     #[test]
     fn limit_cycle_silent_on_noisy_but_stable_trace() {
-        let mut m = CwndLimitCycle::new(StabilityConfig::default());
+        let mut m = CwndLimitCycle::new(MIN_AMPLITUDE);
         for i in 0..500u64 {
             let w = 20.0 + if i % 2 == 0 { 0.0 } else { 1.0 };
             m.observe(t_ms(i), &cwnd_ev(1, w));
@@ -1776,7 +1743,7 @@ mod tests {
     /// required count inside the window.
     #[test]
     fn limit_cycle_needs_sustained_reversals() {
-        let mut m = CwndLimitCycle::new(StabilityConfig::default());
+        let mut m = CwndLimitCycle::new(MIN_AMPLITUDE);
         // Three big reversals (6 turns < 8 needed), then convergence.
         let trace = [10.0, 40.0, 10.0, 40.0, 10.0, 40.0, 25.0, 25.0, 25.0];
         for (i, w) in trace.into_iter().enumerate() {
@@ -1791,7 +1758,7 @@ mod tests {
     /// The detector fires once per flow, and separately per flow.
     #[test]
     fn limit_cycle_fires_once_per_flow() {
-        let mut m = CwndLimitCycle::new(StabilityConfig::default());
+        let mut m = CwndLimitCycle::new(MIN_AMPLITUDE);
         for i in 0..60u64 {
             let w = if i % 2 == 0 { 4.0 } else { 40.0 };
             m.observe(t_ms(2 * i), &cwnd_ev(1, w));
@@ -1818,7 +1785,7 @@ mod tests {
     #[test]
     fn standing_queue_fires_on_pinned_occupancy() {
         let (_, ch) = ids();
-        let mut m = StandingQueue::new(StabilityConfig::default());
+        let mut m = StandingQueue::new();
         // Occupancy 13..15 of 16 for 500 ms.
         for i in 0..500u64 {
             let len = 13 + (i % 3) as usize;
@@ -1840,7 +1807,7 @@ mod tests {
     #[test]
     fn standing_queue_silent_when_queue_drains() {
         let (_, ch) = ids();
-        let mut m = StandingQueue::new(StabilityConfig::default());
+        let mut m = StandingQueue::new();
         // Occupancy swings 1..16: above the 8-packet floor only half
         // the time.
         for i in 0..500u64 {
@@ -1862,7 +1829,7 @@ mod tests {
     #[test]
     fn standing_queue_ignores_short_spans() {
         let (_, ch) = ids();
-        let mut m = StandingQueue::new(StabilityConfig::default());
+        let mut m = StandingQueue::new();
         // Pinned, but only observed for 50 ms < the 200 ms window.
         for i in 0..50u64 {
             m.observe(t_ms(i), &enq_ev(ch, 15, 16));
@@ -1916,31 +1883,30 @@ mod tests {
                 m.observe(t_ms(i), &cwnd_ev(1, 20.0));
             }
         };
-        let cfg = StabilityConfig::default();
 
         // Unstable predicate + oscillating measurement: agreement.
-        let mut m = RedStability::new(C, 1_000_000, 4.0, &steep, cfg);
+        let mut m = RedStability::new(C, 1_000_000, 4.0, &steep, MIN_AMPLITUDE);
         assert!(!m.verdict().stable);
         square(&mut m);
         m.finalize(t_ms(600), &audit);
         assert!(m.violations().is_empty(), "{:?}", m.violations());
 
         // Stable predicate + converged measurement: agreement.
-        let mut m = RedStability::new(C, 100_000, 8.0, &gentle, cfg);
+        let mut m = RedStability::new(C, 100_000, 8.0, &gentle, MIN_AMPLITUDE);
         assert!(m.verdict().stable);
         flat(&mut m);
         m.finalize(t_ms(600), &audit);
         assert!(m.violations().is_empty(), "{:?}", m.violations());
 
         // Stable predicate + oscillating measurement: disagreement.
-        let mut m = RedStability::new(C, 100_000, 8.0, &gentle, cfg);
+        let mut m = RedStability::new(C, 100_000, 8.0, &gentle, MIN_AMPLITUDE);
         square(&mut m);
         m.finalize(t_ms(600), &audit);
         assert_eq!(m.violations().len(), 1);
         assert!(m.violations()[0].detail.contains("limit cycle"));
 
         // Unstable predicate + converged measurement: disagreement.
-        let mut m = RedStability::new(C, 1_000_000, 4.0, &steep, cfg);
+        let mut m = RedStability::new(C, 1_000_000, 4.0, &steep, MIN_AMPLITUDE);
         flat(&mut m);
         m.finalize(t_ms(600), &audit);
         assert_eq!(m.violations().len(), 1);

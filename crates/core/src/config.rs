@@ -1,17 +1,19 @@
 //! TCP-TRIM configuration.
 
+/// Floor for the congestion window in packets: the paper keeps TCP's
+/// default of 2. It is TRIM's probe window and deadline fallback, and
+/// the embedding TCP's clamp and timeout restart window.
+pub const MIN_CWND: f64 = 2.0;
+
 /// Tunable parameters of the TCP-TRIM algorithm.
 ///
-/// Defaults follow Section IV of the paper: `alpha = 0.25`, minimum
-/// congestion window of 2 packets, and two probe packets per idle restart.
+/// Defaults follow Section IV of the paper: `alpha = 0.25` and two probe
+/// packets per idle restart.
 #[derive(Clone, Copy, Debug)]
 pub struct TrimConfig {
     /// EWMA weight for the new RTT sample when computing `smooth_RTT`
     /// (Algorithm 2, line 2). The paper uses 0.25 throughout.
     pub alpha: f64,
-    /// Floor for the congestion window in packets; the paper keeps TCP's
-    /// default of 2.
-    pub min_cwnd: f64,
     /// Number of probe packets sent when an inter-train gap is detected
     /// (Algorithm 1 sends `cwnd = 2` probes). Exposed for the ablation
     /// study; the connection may send fewer when less data is pending.
@@ -25,14 +27,6 @@ pub struct TrimConfig {
     /// Fallback multiplier on `min_RTT` used for `K` when neither
     /// `capacity_pps` nor `k_override_ns` is set.
     pub k_fallback_factor: f64,
-    /// Minimum queueing headroom, in packets, built into the derived
-    /// threshold: `K >= min_RTT + k_margin_pkts / C`. Eq. 22 degenerates
-    /// to `K = D` when the bandwidth-delay product is small (e.g. the
-    /// 100 Mbps testbed), which would make TRIM back off on its own
-    /// packets' serialization delay and starve the link; a few packets of
-    /// allowed queueing restore the model's intent (a small positive
-    /// target queue). Ignored when `k_override_ns` is set.
-    pub k_margin_pkts: f64,
     /// Apply the queuing-control reduction (Eq. 3) at most once per RTT.
     ///
     /// Section III.A stipulates that TCP-TRIM's reduction "can not be more
@@ -49,12 +43,10 @@ impl Default for TrimConfig {
     fn default() -> Self {
         TrimConfig {
             alpha: 0.25,
-            min_cwnd: 2.0,
             probe_packets: 2,
             capacity_pps: None,
             k_override_ns: None,
             k_fallback_factor: 2.0,
-            k_margin_pkts: 4.0,
             backoff_per_rtt: true,
         }
     }
@@ -66,7 +58,7 @@ impl TrimConfig {
     /// # Errors
     ///
     /// Returns a message naming the offending field when a parameter is out
-    /// of range (`alpha` outside `(0, 1]`, non-positive windows or factors,
+    /// of range (`alpha` outside `(0, 1]`, a fallback factor below 1,
     /// zero probe count, non-positive capacity).
     #[expect(
         clippy::neg_cmp_op_on_partial_ord,
@@ -75,9 +67,6 @@ impl TrimConfig {
     pub fn validate(&self) -> Result<(), String> {
         if !(self.alpha > 0.0 && self.alpha <= 1.0) {
             return Err(format!("alpha must be in (0, 1], got {}", self.alpha));
-        }
-        if !(self.min_cwnd >= 1.0) {
-            return Err(format!("min_cwnd must be >= 1, got {}", self.min_cwnd));
         }
         if self.probe_packets == 0 {
             return Err("probe_packets must be >= 1".to_string());
@@ -91,12 +80,6 @@ impl TrimConfig {
             return Err(format!(
                 "k_fallback_factor must be >= 1, got {}",
                 self.k_fallback_factor
-            ));
-        }
-        if !(self.k_margin_pkts >= 0.0) {
-            return Err(format!(
-                "k_margin_pkts must be non-negative, got {}",
-                self.k_margin_pkts
             ));
         }
         Ok(())
@@ -120,8 +103,8 @@ mod tests {
         let cfg = TrimConfig::default();
         cfg.validate().unwrap();
         assert_eq!(cfg.alpha, 0.25);
-        assert_eq!(cfg.min_cwnd, 2.0);
         assert_eq!(cfg.probe_packets, 2);
+        assert_eq!(MIN_CWND, 2.0);
     }
 
     #[test]
@@ -141,9 +124,6 @@ mod tests {
         cfg.alpha = 1.5;
         assert!(cfg.validate().is_err());
         cfg.alpha = 0.25;
-        cfg.min_cwnd = 0.5;
-        assert!(cfg.validate().is_err());
-        cfg.min_cwnd = 2.0;
         cfg.probe_packets = 0;
         assert!(cfg.validate().is_err());
         cfg.probe_packets = 2;

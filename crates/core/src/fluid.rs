@@ -33,6 +33,8 @@
 //! Everything here is pure `f64` arithmetic over the inputs: no clocks,
 //! no randomness, deterministic across runs and worker counts.
 
+use crate::config::MIN_CWND;
+
 const NS_PER_SEC: f64 = 1e9;
 
 /// The congestion controller a fluid class runs.
@@ -198,10 +200,6 @@ impl FluidOutcome {
     }
 }
 
-/// The floor every window in this workspace respects (the transport's
-/// `min_cwnd` of 2 segments).
-const W_FLOOR: f64 = 2.0;
-
 /// Integrates the fluid ODEs over the configured horizon.
 ///
 /// Deterministic: a pure function of `cfg`.
@@ -228,7 +226,7 @@ pub fn integrate(cfg: &FluidConfig) -> FluidOutcome {
     let steps = (cfg.horizon_ns / cfg.dt_ns) as usize;
     let settle = steps / 2; // transient discarded from the averages
 
-    let mut w: Vec<f64> = cfg.classes.iter().map(|_| W_FLOOR).collect();
+    let mut w: Vec<f64> = cfg.classes.iter().map(|_| MIN_CWND).collect();
     let mut q = 0.0f64;
     // RED's EWMA queue estimate in continuous time: the per-packet
     // weight wq applied at the arrival rate ~C becomes an averaging
@@ -277,7 +275,7 @@ pub fn integrate(cfg: &FluidConfig) -> FluidOutcome {
                 FluidCc::Reno => {
                     if saturated && t >= next_halve_s[i] {
                         next_halve_s[i] = t + rtt;
-                        w[i] = (w[i] / 2.0).max(W_FLOOR);
+                        w[i] = (w[i] / 2.0).max(MIN_CWND);
                     }
                     dt / rtt - red_cut
                 }
@@ -287,7 +285,7 @@ pub fn integrate(cfg: &FluidConfig) -> FluidOutcome {
                     dt / rtt - ep / 2.0 * w[i] / rtt * dt - red_cut
                 }
             };
-            w[i] = (w[i] + dw).max(W_FLOOR);
+            w[i] = (w[i] + dw).max(MIN_CWND);
         }
         q = q_next;
         if let FluidAqm::Red(red) = cfg.aqm {
@@ -370,7 +368,7 @@ pub struct RedStabilityVerdict {
 /// sluggish averaging destabilize the loop and the queue/windows settle
 /// into a sustained oscillation instead of a fixed point.
 ///
-/// Windows pinned at the floor (`W* ≤ 2`, the transport's `min_cwnd`)
+/// Windows pinned at the floor (`W* ≤ 2`, [`MIN_CWND`])
 /// cannot oscillate and are reported stable.
 ///
 /// # Panics
@@ -428,12 +426,12 @@ pub fn red_stability(
     let r_star = rtt(q_star);
     let w_star = c * r_star / n;
     let p_star = 2.0 / (w_star * w_star);
-    if w_star <= W_FLOOR + 1e-9 {
+    if w_star <= MIN_CWND + 1e-9 {
         // Floor-pinned: the window cannot respond, so there is no loop
         // to destabilize.
         return RedStabilityVerdict {
             stable: true,
-            w_star: W_FLOOR.max(w_star),
+            w_star: MIN_CWND.max(w_star),
             q_star,
             p_star,
             margin: f64::INFINITY,

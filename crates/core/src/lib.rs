@@ -65,5 +65,5 @@ pub mod fluid;
 pub mod kmodel;
 pub mod trim;
 
-pub use config::TrimConfig;
+pub use config::{TrimConfig, MIN_CWND};
 pub use trim::{SendDecision, Trim, WindowAction};

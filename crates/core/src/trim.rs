@@ -7,9 +7,18 @@
 //! window, arm or satisfy a probe deadline. This keeps the algorithm
 //! testable in isolation and reusable across transports.
 
-use crate::config::TrimConfig;
+use crate::config::{TrimConfig, MIN_CWND};
 use crate::estimator::RttTracker;
 use crate::kmodel;
+
+/// Minimum queueing headroom, in packets, built into the derived
+/// threshold: `K >= min_RTT + K_MARGIN_PKTS / C`. Eq. 22 degenerates to
+/// `K = D` when the bandwidth-delay product is small (e.g. the 100 Mbps
+/// testbed), which would make TRIM back off on its own packets'
+/// serialization delay and starve the link; a few packets of allowed
+/// queueing restore the model's intent (a small positive target queue).
+/// Not applied when [`TrimConfig::k_override_ns`] is set.
+const K_MARGIN_PKTS: f64 = 4.0;
 
 /// What the sender must do before transmitting the next new data packet
 /// (Algorithm 1).
@@ -179,9 +188,9 @@ impl Trim {
             return SendDecision::Continue;
         };
         let gap = now_ns.saturating_sub(last);
-        if gap > smooth && cwnd > self.cfg.min_cwnd {
+        if gap > smooth && cwnd > MIN_CWND {
             SendDecision::StartProbe {
-                probe_cwnd: self.cfg.min_cwnd,
+                probe_cwnd: MIN_CWND,
                 deadline_ns: smooth,
             }
         } else {
@@ -258,9 +267,9 @@ impl Trim {
                         .expect("observe() above guarantees a minimum")
                         as f64;
                     // Eq. 1: cwnd = s_cwnd * (1 - (probe_RTT - min)/min),
-                    // clamped to [min_cwnd, s_cwnd] per Section III.C.
+                    // clamped to [MIN_CWND, s_cwnd] per Section III.C.
                     let tuned = saved * (1.0 - (probe_rtt - min) / min);
-                    let tuned = tuned.clamp(self.cfg.min_cwnd, saved.max(self.cfg.min_cwnd));
+                    let tuned = tuned.clamp(MIN_CWND, saved.max(MIN_CWND));
                     WindowAction::SetAndResume(tuned)
                 } else {
                     WindowAction::None
@@ -295,7 +304,7 @@ impl Trim {
         if self.is_probing() {
             self.phase = Phase::Normal;
             self.probe_timeouts += 1;
-            WindowAction::FallbackAndResume(self.cfg.min_cwnd)
+            WindowAction::FallbackAndResume(MIN_CWND)
         } else {
             WindowAction::None
         }
@@ -320,7 +329,7 @@ impl Trim {
         };
         self.k_ns = Some(match self.cfg.capacity_pps {
             Some(c) => {
-                let margin = (self.cfg.k_margin_pkts / c * 1e9).round() as u64;
+                let margin = (K_MARGIN_PKTS / c * 1e9).round() as u64;
                 kmodel::k_lower_bound_ns(c, min).max(min + margin)
             }
             None => (min as f64 * self.cfg.k_fallback_factor).round() as u64,

@@ -27,9 +27,9 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use trim_workload::spec::{
-    ScenarioSpec, SpecAqm, SpecCc, SpecFault, SpecSession, SpecTrain, SPEC_MSS_BYTES,
-};
+use trim_workload::spec::{ScenarioSpec, SpecAqm, SpecCc, SpecFault, SpecSession, SpecTrain};
+
+use crate::MSS;
 
 /// Knobs bounding the generated scenario space. The defaults suit the
 /// release-mode CI smoke run; debug-mode tests pass smaller budgets.
@@ -124,12 +124,10 @@ fn gen_burst(rng: &mut StdRng, seed: u64, cfg: &GenConfig) -> ScenarioSpec {
     let mut budget = cfg.max_total_bytes;
     'outer: for sender in 0..senders {
         for _ in 0..rng.random_range(1..=3u64) {
-            if budget < SPEC_MSS_BYTES {
+            if budget < MSS {
                 break 'outer;
             }
-            let bytes = rng
-                .random_range(SPEC_MSS_BYTES..=40 * SPEC_MSS_BYTES)
-                .min(budget);
+            let bytes = rng.random_range(MSS..=40 * MSS).min(budget);
             budget -= bytes;
             trains.push(SpecTrain {
                 sender,
@@ -144,7 +142,7 @@ fn gen_burst(rng: &mut StdRng, seed: u64, cfg: &GenConfig) -> ScenarioSpec {
         trains.push(SpecTrain {
             sender: 0,
             at_us: 0,
-            bytes: SPEC_MSS_BYTES,
+            bytes: MSS,
         });
     }
 
@@ -183,17 +181,15 @@ fn gen_session(rng: &mut StdRng, seed: u64, cfg: &GenConfig) -> ScenarioSpec {
     let mut sessions = Vec::with_capacity(senders);
     let mut budget = cfg.max_total_bytes;
     for sender in 0..senders {
-        if budget < SPEC_MSS_BYTES {
+        if budget < MSS {
             break;
         }
         let mut sizes = Vec::new();
         for _ in 0..rng.random_range(1..=4u64) {
-            if budget < SPEC_MSS_BYTES {
+            if budget < MSS {
                 break;
             }
-            let bytes = rng
-                .random_range(SPEC_MSS_BYTES..=20 * SPEC_MSS_BYTES)
-                .min(budget);
+            let bytes = rng.random_range(MSS..=20 * MSS).min(budget);
             budget -= bytes;
             sizes.push(bytes);
         }
@@ -214,7 +210,7 @@ fn gen_session(rng: &mut StdRng, seed: u64, cfg: &GenConfig) -> ScenarioSpec {
             sender: 0,
             at_us: 0,
             think_us: 1_000,
-            sizes: vec![SPEC_MSS_BYTES],
+            sizes: vec![MSS],
         });
     }
     ScenarioSpec {
@@ -273,9 +269,9 @@ fn gen_aqm(rng: &mut StdRng, seed: u64, cfg: &GenConfig) -> ScenarioSpec {
     // horizon so the AQM sees a standing queue worth regulating.
     let capacity_bytes = link_mbps * 125 * horizon_ms;
     let per_sender = (3 * capacity_bytes / (2 * senders as u64))
-        .div_ceil(SPEC_MSS_BYTES)
+        .div_ceil(MSS)
         .max(1)
-        * SPEC_MSS_BYTES;
+        * MSS;
     let trains = (0..senders)
         .map(|sender| SpecTrain {
             sender,
@@ -309,10 +305,7 @@ fn gen_saturation(rng: &mut StdRng, seed: u64, cfg: &GenConfig) -> ScenarioSpec 
     // Offer twice what the bottleneck can carry over the horizon, split
     // evenly, so every sender still has data queued when the run ends.
     let capacity_bytes = link_mbps * 125 * horizon_ms; // Mbit/s -> bytes/ms
-    let per_sender = (2 * capacity_bytes / senders as u64)
-        .div_ceil(SPEC_MSS_BYTES)
-        .max(1)
-        * SPEC_MSS_BYTES;
+    let per_sender = (2 * capacity_bytes / senders as u64).div_ceil(MSS).max(1) * MSS;
     let trains = (0..senders)
         .map(|sender| SpecTrain {
             sender,
@@ -413,7 +406,7 @@ mod tests {
                     .iter()
                     .flat_map(|s| s.sizes.iter())
                     .sum::<u64>();
-            assert!(total <= 50_000 + SPEC_MSS_BYTES, "iteration {i}: {total}");
+            assert!(total <= 50_000 + MSS, "iteration {i}: {total}");
         }
     }
 

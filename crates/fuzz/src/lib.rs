@@ -27,6 +27,9 @@ use trim_check::OracleFailure;
 use trim_harness::ResultStore;
 use trim_workload::spec::ScenarioSpec;
 
+/// [`trim_tcp::MSS_BYTES`] in the `u64` byte units of a spec.
+const MSS: u64 = trim_tcp::MSS_BYTES as u64;
+
 pub use gen::{gen_spec, GenConfig};
 pub use shrink::{shrink, ShrinkStats};
 

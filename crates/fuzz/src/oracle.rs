@@ -9,7 +9,9 @@
 
 use trim_check::OracleFailure;
 use trim_core::kmodel;
-use trim_workload::spec::{ScenarioSpec, SpecCc, SpecOutcome, SPEC_MSS_BYTES};
+use trim_workload::spec::{ScenarioSpec, SpecCc, SpecOutcome};
+
+use crate::MSS;
 
 /// The subject every fuzz oracle inspects: the spec that ran and what
 /// came out.
@@ -72,7 +74,7 @@ pub fn goodput_conservation(run: &SpecRun<'_>, failures: &mut Vec<OracleFailure>
             ));
         }
         if let Some(sess) = session {
-            let pad = |b: u64| b.div_ceil(SPEC_MSS_BYTES) * SPEC_MSS_BYTES;
+            let pad = |b: u64| b.div_ceil(MSS) * MSS;
             let completed_floor: u64 = sess
                 .sizes
                 .iter()
@@ -90,7 +92,7 @@ pub fn goodput_conservation(run: &SpecRun<'_>, failures: &mut Vec<OracleFailure>
                 ));
             }
         }
-        if s.goodput_bytes % SPEC_MSS_BYTES != 0 {
+        if s.goodput_bytes % MSS != 0 {
             fail(format!(
                 "sender {} goodput {} is not whole segments",
                 s.sender, s.goodput_bytes
@@ -150,7 +152,7 @@ pub fn k_full_utilization(run: &SpecRun<'_>, failures: &mut Vec<OracleFailure>) 
             detail,
         })
     };
-    let capacity_pps = run.spec.bottleneck_bps() as f64 / (8.0 * SPEC_MSS_BYTES as f64);
+    let capacity_pps = run.spec.bottleneck_bps() as f64 / (8.0 * MSS as f64);
     let base_rtt_ns = run.spec.base_rtt_ns();
     let k_ns = kmodel::k_lower_bound_ns(capacity_pps, base_rtt_ns);
     let st = kmodel::steady_state(capacity_pps, base_rtt_ns, k_ns, run.spec.senders as u32);
@@ -232,7 +234,7 @@ mod tests {
     fn goodput_oracle_fires_on_fabricated_excess_delivery() {
         let spec = saturating_spec();
         let mut out = spec.run().unwrap();
-        out.report.senders[0].goodput_bytes = spec.offered_padded_bytes(0) + SPEC_MSS_BYTES;
+        out.report.senders[0].goodput_bytes = spec.offered_padded_bytes(0) + MSS;
         let failures = check_oracles(&spec, &out);
         assert!(failures
             .iter()

@@ -17,9 +17,9 @@
 //! reaches a fixpoint; a hard cap on accepted steps backstops the
 //! argument.
 
-use trim_workload::spec::{
-    ScenarioSpec, SpecAqm, SpecFault, SpecSession, SpecTrain, SPEC_MSS_BYTES,
-};
+use trim_workload::spec::{ScenarioSpec, SpecAqm, SpecFault, SpecSession, SpecTrain};
+
+use crate::MSS;
 
 /// How a shrink run went.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -138,12 +138,12 @@ fn candidates(spec: &ScenarioSpec) -> Vec<ScenarioSpec> {
 
     // 8. Halve train and response sizes, rounded to whole segments
     //    (floor: one MSS).
-    let halve = |b: u64| ((b / 2).div_ceil(SPEC_MSS_BYTES) * SPEC_MSS_BYTES).max(SPEC_MSS_BYTES);
-    if spec.trains.iter().any(|t| t.bytes > SPEC_MSS_BYTES)
+    let halve = |b: u64| ((b / 2).div_ceil(MSS) * MSS).max(MSS);
+    if spec.trains.iter().any(|t| t.bytes > MSS)
         || spec
             .sessions
             .iter()
-            .any(|s| s.sizes.iter().any(|&b| b > SPEC_MSS_BYTES))
+            .any(|s| s.sizes.iter().any(|&b| b > MSS))
     {
         let mut s = spec.clone();
         for t in &mut s.trains {
@@ -440,7 +440,7 @@ mod tests {
         // always holds.
         assert_eq!(small.senders, 1);
         assert_eq!(small.trains.len(), 1);
-        assert_eq!(small.trains[0].bytes, SPEC_MSS_BYTES);
+        assert_eq!(small.trains[0].bytes, MSS);
         assert_eq!(small.delay_us, 50);
         assert_eq!(small.link_mbps, 1000);
         assert_eq!(small.min_rto_us, 200_000);
@@ -459,7 +459,7 @@ mod tests {
         assert!(small.trains.is_empty());
         assert_eq!(small.senders, 1);
         assert_eq!(small.sessions.len(), 1);
-        assert_eq!(small.sessions[0].sizes, vec![SPEC_MSS_BYTES]);
+        assert_eq!(small.sessions[0].sizes, vec![MSS]);
         assert_eq!(small.sessions[0].think_us, 0);
         assert_eq!(small.sessions[0].at_us, 0);
     }
@@ -536,7 +536,7 @@ mod tests {
             trains: vec![SpecTrain {
                 sender: 0,
                 at_us: 0,
-                bytes: SPEC_MSS_BYTES,
+                bytes: MSS,
             }],
             delay_us: 50,
             link_mbps: 1000,

@@ -91,7 +91,7 @@ mod tests {
         let mut cc = Reno::new();
         cc.on_timeout(&mut w, 40, SimTime::ZERO);
         assert_eq!(w.ssthresh, 20.0);
-        // The connection resets cwnd to restart_cwnd itself.
+        // The connection resets cwnd to `MIN_CWND` itself.
         assert_eq!(w.cwnd, 64.0);
     }
 }

@@ -1,51 +1,44 @@
 //! TCP connection configuration.
 
 use netsim::time::Dur;
+use trim_core::MIN_CWND;
+
+/// Data packet wire size in bytes: the paper's 1460, the default
+/// [`TcpConfig::mss_bytes`].
+pub const MSS_BYTES: u32 = 1460;
+
+/// Upper bound on the backed-off retransmission timeout, and so on any
+/// configured [`TcpConfig::min_rto`].
+pub const MAX_RTO: Dur = Dur::from_secs(60);
 
 /// Parameters of a simulated TCP connection.
 ///
-/// Defaults match the paper's NS2 setup: 1460-byte packets, minimum
-/// congestion window of 2, an initial retransmission timeout of 200 ms, and
-/// ACK-per-packet receivers.
+/// Defaults match the paper's NS2 setup: 1460-byte packets, an initial
+/// window of 2 and an initial retransmission timeout of 200 ms. What the
+/// paper never varies is a constant beside the code that reads it: the
+/// window floor [`trim_core::MIN_CWND`] (also the restart window after a
+/// timeout), the RTO ceiling [`MAX_RTO`], and the receiver's one 40-byte
+/// ACK per data packet.
 #[derive(Clone, Copy, Debug)]
 pub struct TcpConfig {
     /// Data packet wire size in bytes (the paper sets 1460).
     pub mss_bytes: u32,
-    /// ACK wire size in bytes.
-    pub ack_bytes: u32,
     /// Initial congestion window in packets.
     pub init_cwnd: f64,
-    /// Floor for the congestion window in packets.
-    pub min_cwnd: f64,
-    /// Congestion window used when restarting after a retransmission
-    /// timeout.
-    pub restart_cwnd: f64,
     /// Ceiling for the congestion window in packets.
     pub max_cwnd: f64,
-    /// Initial slow-start threshold in packets.
-    pub init_ssthresh: f64,
     /// Retransmission timeout before any RTT sample, and also the RTO
     /// floor (the paper varies this per experiment: 200 ms, 20 ms, 1 ms).
     pub min_rto: Dur,
-    /// Upper bound on the backed-off RTO.
-    pub max_rto: Dur,
-    /// Duplicate-ACK threshold for fast retransmit.
-    pub dupack_threshold: u32,
 }
 
 impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
-            mss_bytes: 1460,
-            ack_bytes: 40,
+            mss_bytes: MSS_BYTES,
             init_cwnd: 2.0,
-            min_cwnd: 2.0,
-            restart_cwnd: 2.0,
             max_cwnd: 1e9,
-            init_ssthresh: 1e9,
             min_rto: Dur::from_millis(200),
-            max_rto: Dur::from_secs(60),
-            dupack_threshold: 3,
         }
     }
 }
@@ -71,29 +64,20 @@ impl TcpConfig {
         if self.mss_bytes == 0 {
             return Err("mss_bytes must be positive".into());
         }
-        if self.ack_bytes == 0 {
-            return Err("ack_bytes must be positive".into());
-        }
-        if !(self.min_cwnd >= 1.0) {
-            return Err(format!("min_cwnd must be >= 1, got {}", self.min_cwnd));
-        }
-        if !(self.init_cwnd >= self.min_cwnd && self.restart_cwnd >= 1.0) {
-            return Err("initial/restart windows must respect the floor".into());
+        if !(self.init_cwnd >= MIN_CWND) {
+            return Err(format!(
+                "init_cwnd must be >= {MIN_CWND}, got {}",
+                self.init_cwnd
+            ));
         }
         if !(self.max_cwnd >= self.init_cwnd) {
             return Err("max_cwnd below init_cwnd".into());
         }
-        if !(self.init_ssthresh >= 1.0) {
+        if self.min_rto == Dur::ZERO || self.min_rto > MAX_RTO {
             return Err(format!(
-                "init_ssthresh must be >= 1, got {}",
-                self.init_ssthresh
+                "min_rto must be in (0, {MAX_RTO}], got {}",
+                self.min_rto
             ));
-        }
-        if self.min_rto == Dur::ZERO || self.max_rto < self.min_rto {
-            return Err("RTO bounds invalid".into());
-        }
-        if self.dupack_threshold == 0 {
-            return Err("dupack_threshold must be positive".into());
         }
         Ok(())
     }
@@ -110,21 +94,25 @@ mod tests {
 
     #[test]
     fn rejects_bad_fields() {
-        let mut c = TcpConfig {
-            mss_bytes: 0,
-            ..TcpConfig::default()
-        };
-        assert!(c.validate().is_err());
-        c.mss_bytes = 1460;
-        c.min_cwnd = 0.0;
-        assert!(c.validate().is_err());
-        c.min_cwnd = 2.0;
-        c.max_rto = Dur::from_millis(1);
-        assert!(c.validate().is_err());
-
-        // NaN windows fail every comparison, so each must be rejected
-        // explicitly; an unbounded ceiling or threshold stays legal.
-        let nan = [
+        let bad = [
+            TcpConfig {
+                mss_bytes: 0,
+                ..TcpConfig::default()
+            },
+            TcpConfig {
+                init_cwnd: MIN_CWND - 0.5,
+                ..TcpConfig::default()
+            },
+            TcpConfig {
+                min_rto: Dur::ZERO,
+                ..TcpConfig::default()
+            },
+            TcpConfig {
+                min_rto: MAX_RTO + Dur::from_nanos(1),
+                ..TcpConfig::default()
+            },
+            // NaN windows fail every comparison, so each must be rejected
+            // explicitly.
             TcpConfig {
                 init_cwnd: f64::NAN,
                 ..TcpConfig::default()
@@ -133,24 +121,17 @@ mod tests {
                 max_cwnd: f64::NAN,
                 ..TcpConfig::default()
             },
-            TcpConfig {
-                restart_cwnd: f64::NAN,
-                ..TcpConfig::default()
-            },
-            TcpConfig {
-                init_ssthresh: f64::NAN,
-                ..TcpConfig::default()
-            },
         ];
-        for c in nan {
+        for c in bad {
             assert!(c.validate().is_err(), "{c:?}");
         }
-        let unbounded = TcpConfig {
+        // An unbounded ceiling and an RTO floor at the ceiling stay legal.
+        let edge = TcpConfig {
             max_cwnd: f64::INFINITY,
-            init_ssthresh: f64::INFINITY,
+            min_rto: MAX_RTO,
             ..TcpConfig::default()
         };
-        unbounded.validate().unwrap();
+        edge.validate().unwrap();
     }
 
     #[test]

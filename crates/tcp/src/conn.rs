@@ -11,7 +11,7 @@
 //! A sender's whole state is one [`Conn`], held inline in its
 //! [`FlowSlab`](crate::slab::FlowSlab) slot. Every ACK touches the
 //! window, the RTO estimator and the sequence cursors, but also the
-//! config, the stats, the controller, the probe state and the train
+//! MSS, the stats, the controller, the probe state and the train
 //! queue, so there is no rarely-touched half to split off. The state
 //! machine is `impl Conn`; the public methods are the read-only view
 //! behind [`TcpHost::connection`](crate::TcpHost::connection).
@@ -21,11 +21,18 @@ use std::collections::VecDeque;
 use netsim::monitor::interest;
 use netsim::prelude::*;
 use netsim::time::{Dur, SimTime};
+use trim_core::MIN_CWND;
 
 use crate::cc::{AckInfo, CcAlgo, PreSendAction, WindowState};
-use crate::config::TcpConfig;
+use crate::config::{TcpConfig, MAX_RTO};
 use crate::rto::RtoEstimator;
 use crate::segment::Segment;
+
+/// Initial slow-start threshold in packets: effectively unbounded, so a
+/// new connection slow-starts until its first loss.
+const INIT_SSTHRESH: f64 = 1e9;
+/// Duplicate ACKs that trigger fast retransmit.
+const DUPACK_THRESHOLD: u32 = 3;
 
 /// Timer-token kind for retransmission timeouts (dispatched by `TcpHost`).
 pub(crate) const KIND_RTO: u64 = 0;
@@ -101,7 +108,7 @@ struct ProbePending {
 
 /// One sending connection: the per-event working set (window, RTO
 /// estimator, sequence cursors, recovery flags) and everything around it
-/// (config, controller, train queue, stats), held inline per
+/// (MSS, controller, train queue, stats), held inline per
 /// flow in the [`FlowSlab`](crate::slab::FlowSlab).
 #[derive(Debug)]
 pub struct Conn {
@@ -130,7 +137,8 @@ pub struct Conn {
 
     flow: FlowId,
     dst: NodeId,
-    cfg: TcpConfig,
+    /// Data packet wire size, the one setting read after construction.
+    mss_bytes: u32,
     cc: Box<dyn CcAlgo>,
     /// Dense slab id within the owning host, used to build timer tokens.
     /// Assigned by `FlowSlab::insert`.
@@ -160,8 +168,8 @@ pub(crate) fn new_conn(flow: FlowId, dst: NodeId, cfg: TcpConfig, cc: Box<dyn Cc
     cfg.validate()
         .unwrap_or_else(|e| panic!("invalid TcpConfig: {e}"));
     Conn {
-        win: WindowState::new(cfg.init_cwnd, cfg.init_ssthresh, cfg.min_cwnd, cfg.max_cwnd),
-        rto_est: RtoEstimator::new(cfg.min_rto, cfg.max_rto),
+        win: WindowState::new(cfg.init_cwnd, INIT_SSTHRESH, MIN_CWND, cfg.max_cwnd),
+        rto_est: RtoEstimator::new(cfg.min_rto, MAX_RTO),
         next_seq: 0,
         high_ack: 0,
         max_seq_sent: 0,
@@ -173,7 +181,7 @@ pub(crate) fn new_conn(flow: FlowId, dst: NodeId, cfg: TcpConfig, cc: Box<dyn Cc
         rto_timer: None,
         flow,
         dst,
-        cfg,
+        mss_bytes: cfg.mss_bytes,
         cc,
         local_idx: 0,
         probe: None,
@@ -303,7 +311,7 @@ impl Conn {
     /// Panics if `bytes` is zero.
     pub(crate) fn enqueue_train(&mut self, ctx: &mut Ctx<'_, Segment>, bytes: u64) -> u64 {
         assert!(bytes > 0, "empty train");
-        let pkts = bytes.div_ceil(self.cfg.mss_bytes as u64);
+        let pkts = bytes.div_ceil(self.mss_bytes as u64);
         let start_seq = self.total_pkts;
         self.total_pkts += pkts;
         let id = self.next_train_id;
@@ -371,7 +379,7 @@ impl Conn {
     fn send_segment(&mut self, ctx: &mut Ctx<'_, Segment>, seq: u64, is_probe: bool, is_rtx: bool) {
         let now = ctx.now();
         let seg = Segment::data(seq, is_probe, is_rtx, now, self.cc.uses_ecn());
-        let pkt = Packet::new(ctx.node(), self.dst, self.flow, self.cfg.mss_bytes, seg);
+        let pkt = Packet::new(ctx.node(), self.dst, self.flow, self.mss_bytes, seg);
         ctx.send(pkt);
         self.cc.note_sent(now);
         self.stats.pkts_sent += 1;
@@ -408,10 +416,7 @@ impl Conn {
 
     /// The backed-off retransmission timeout.
     fn rto(&self) -> Dur {
-        self.rto_est
-            .rto()
-            .mul_f64(self.backoff as f64)
-            .min(self.cfg.max_rto)
+        self.rto_est.rto().mul_f64(self.backoff as f64).min(MAX_RTO)
     }
 
     fn arm_rto(&mut self, ctx: &mut Ctx<'_, Segment>) {
@@ -509,7 +514,7 @@ impl Conn {
                     // Window inflation keeps the pipe full.
                     self.win.cwnd += 1.0;
                     self.win.clamp_cwnd();
-                } else if self.dup_acks == self.cfg.dupack_threshold {
+                } else if self.dup_acks == DUPACK_THRESHOLD {
                     self.enter_fast_recovery(ctx, now);
                 } else {
                     // Still feed the controller: TRIM needs every RTT
@@ -546,7 +551,7 @@ impl Conn {
         let flight = self.flight();
         self.cc.on_fast_retransmit(&mut self.win, flight, now);
         // Standard inflation by the duplicate threshold.
-        self.win.cwnd += self.cfg.dupack_threshold as f64;
+        self.win.cwnd += DUPACK_THRESHOLD as f64;
         self.win.clamp_cwnd();
         self.transmit_rtx(ctx, self.high_ack);
         self.rearm_rto(ctx);
@@ -569,7 +574,7 @@ impl Conn {
         self.stats.timeouts += 1;
         let flight = self.flight();
         self.cc.on_timeout(&mut self.win, flight, now);
-        self.win.cwnd = self.cfg.restart_cwnd;
+        self.win.cwnd = MIN_CWND;
         self.win.suspended = false;
         self.win.clamp_cwnd();
         if let Some(p) = self.probe.take() {

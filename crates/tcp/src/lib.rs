@@ -40,7 +40,7 @@ pub mod segment;
 pub mod slab;
 
 pub use cc::{AckInfo, CcAlgo, CcKind, PreSendAction, WindowState};
-pub use config::TcpConfig;
+pub use config::{TcpConfig, MAX_RTO, MSS_BYTES};
 pub use conn::{Conn, ConnStats, TrainRecord};
 pub use host::TcpHost;
 pub use receiver::{Receiver, ReceiverStats};

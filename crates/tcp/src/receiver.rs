@@ -11,6 +11,9 @@ use netsim::prelude::*;
 use crate::config::TcpConfig;
 use crate::segment::{SegKind, Segment};
 
+/// ACK wire size in bytes.
+const ACK_BYTES: u32 = 40;
+
 /// Delivery counters for one receiving flow.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ReceiverStats {
@@ -28,7 +31,6 @@ pub struct ReceiverStats {
 #[derive(Debug)]
 pub struct Receiver {
     flow: FlowId,
-    ack_bytes: u32,
     rcv_next: u64,
     out_of_order: BTreeSet<u64>,
     stats: ReceiverStats,
@@ -37,11 +39,10 @@ pub struct Receiver {
 
 impl Receiver {
     /// Creates a receiver for `flow` with the connection's configuration
-    /// (ACK size, MSS for goodput scaling).
+    /// (its MSS scales goodput).
     pub fn new(flow: FlowId, cfg: TcpConfig) -> Self {
         Receiver {
             flow,
-            ack_bytes: cfg.ack_bytes,
             rcv_next: 0,
             out_of_order: BTreeSet::new(),
             stats: ReceiverStats::default(),
@@ -102,7 +103,7 @@ impl Receiver {
             self.out_of_order.insert(seq);
         }
         let ack = Segment::ack(self.rcv_next, ts, is_probe, is_rtx, pkt.payload.is_ce());
-        let reply = Packet::new(ctx.node(), pkt.src, self.flow, self.ack_bytes, ack);
+        let reply = Packet::new(ctx.node(), pkt.src, self.flow, ACK_BYTES, ack);
         ctx.send(reply);
         self.stats.acks_sent += 1;
     }

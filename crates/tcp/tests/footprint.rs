@@ -8,6 +8,7 @@
 use std::mem::size_of;
 
 use netsim::channel::Channel;
+use trim_tcp::cc::TrimCc;
 use trim_tcp::{Conn, Receiver, Segment, TcpHost};
 
 #[test]
@@ -16,8 +17,14 @@ fn channel_of_segment_is_240_bytes() {
 }
 
 #[test]
-fn conn_is_400_bytes() {
-    assert_eq!(size_of::<Conn>(), 400);
+fn conn_is_336_bytes() {
+    assert_eq!(size_of::<Conn>(), 336);
+}
+
+/// A TRIM connection's controller, boxed beside its `Conn`.
+#[test]
+fn trim_cc_is_192_bytes() {
+    assert_eq!(size_of::<TrimCc>(), 192);
 }
 
 #[test]

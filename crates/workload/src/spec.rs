@@ -18,13 +18,9 @@
 use netsim::time::{Dur, SimTime};
 use netsim::topology::LinkSpec;
 use netsim::{Bandwidth, CoDelConfig, QueueConfig, QueueDiscipline, RedConfig};
-use trim_tcp::{CcKind, TcpConfig};
+use trim_tcp::{CcKind, TcpConfig, MAX_RTO, MSS_BYTES};
 
 use crate::scenario::{Report, Scenario, ScenarioBuilder, TrainSpec};
-
-/// Segment size assumed by spec byte accounting ([`TcpConfig`]'s
-/// default MSS; specs do not vary it).
-pub const SPEC_MSS_BYTES: u64 = 1460;
 
 // Ceilings on what a spec may ask for. A spec file can come from outside
 // the generators, so `ScenarioSpec::validate` bounds every magnitude:
@@ -287,7 +283,7 @@ impl ScenarioSpec {
             return Err("horizon_ms must be >= 1".into());
         }
         // No timeout floor or RTT threshold above the longest timeout.
-        let max_rto_ns = TcpConfig::default().max_rto.as_nanos();
+        let max_rto_ns = MAX_RTO.as_nanos();
         at_most("senders", self.senders, SPEC_MAX_SENDERS)?;
         at_most("link_mbps", self.link_mbps, SPEC_MAX_LINK_MBPS)?;
         at_most("delay_us", self.delay_us, SPEC_MAX_DELAY_US)?;
@@ -431,7 +427,8 @@ impl ScenarioSpec {
     /// load if every response gets issued; a horizon cutting the session
     /// mid-think leaves later responses unissued.
     pub fn offered_padded_bytes(&self, sender: usize) -> u64 {
-        let pad = |b: u64| b.div_ceil(SPEC_MSS_BYTES) * SPEC_MSS_BYTES;
+        let mss = u64::from(MSS_BYTES);
+        let pad = |b: u64| b.div_ceil(mss) * mss;
         let trains: u64 = self
             .trains
             .iter()
@@ -479,11 +476,9 @@ impl ScenarioSpec {
     pub fn run(&self) -> Result<SpecOutcome, String> {
         self.validate()?;
         let mut sc = self.build();
-        if !sc.sim_mut().monitors_enabled() {
-            trim_check::attach_standard(sc.sim_mut());
-        }
+        trim_check::attach_standard(sc.sim_mut());
         if self.stability {
-            for m in trim_check::stability_monitors(trim_check::StabilityConfig::default()) {
+            for m in trim_check::stability_monitors() {
                 sc.sim_mut().attach_monitor(m);
             }
         }
@@ -1103,8 +1098,8 @@ mod tests {
             link_mbps: SPEC_MAX_LINK_MBPS,
             delay_us: SPEC_MAX_DELAY_US,
             buffer_pkts: SPEC_MAX_BUFFER_PKTS,
-            cc: SpecCc::TrimOverrideNs(TcpConfig::default().max_rto.as_nanos()),
-            min_rto_us: TcpConfig::default().max_rto.as_nanos() / 1_000,
+            cc: SpecCc::TrimOverrideNs(MAX_RTO.as_nanos()),
+            min_rto_us: MAX_RTO.as_nanos() / 1_000,
             horizon_ms: SPEC_MAX_HORIZON_MS,
             aqm: SpecAqm::Codel {
                 target_us: 50,

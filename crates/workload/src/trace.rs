@@ -11,7 +11,9 @@ use netsim::monitor::MonitorEvent;
 use netsim::time::{Dur, SimTime};
 use rand::Rng;
 
-use crate::distributions::{pt_interval, pt_size_bytes, EmpiricalCdf};
+use trim_tcp::MSS_BYTES;
+
+use crate::distributions::{pt_interval, pt_size_bytes};
 
 /// One packet observation in a trace.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -91,32 +93,9 @@ pub fn train_intervals(trains: &[Train]) -> Vec<Dur> {
         .collect()
 }
 
-/// Configuration for synthetic trace generation.
-#[derive(Clone, Debug)]
-pub struct TraceConfig {
-    /// Packet train sizes in bytes; defaults to Fig. 2(a).
-    pub size_dist: EmpiricalCdf,
-    /// Inter-train gaps in nanoseconds; defaults to Fig. 2(b).
-    pub gap_dist: EmpiricalCdf,
-    /// Wire size of each packet.
-    pub mss_bytes: u32,
-    /// Spacing of packets inside a train (roughly one serialization time).
-    pub intra_train_spacing: Dur,
-    /// Number of trains to generate.
-    pub trains: usize,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig {
-            size_dist: pt_size_bytes(),
-            gap_dist: pt_interval(),
-            mss_bytes: 1460,
-            intra_train_spacing: Dur::from_micros(12), // ~1460B at 1 Gbps
-            trains: 100,
-        }
-    }
-}
+/// Spacing of packets inside a synthesized train: about one
+/// serialization time of a 1460-byte packet at 1 Gbps.
+const INTRA_TRAIN_SPACING: Dur = Dur::from_micros(12);
 
 /// Converts a simulator packet-event trace (the events a
 /// [`netsim::PacketTrace`] recorded) into the packet timeline this
@@ -141,22 +120,24 @@ pub fn packets_from_events(
         .collect()
 }
 
-/// Generates a packet timeline with the paper's ON/OFF structure: trains
-/// of Fig. 2(a)-sized bursts separated by Fig. 2(b) gaps.
-pub fn synthesize_trace<R: Rng + ?Sized>(rng: &mut R, cfg: &TraceConfig) -> Vec<TracePacket> {
+/// Generates a packet timeline of `trains` trains with the paper's ON/OFF
+/// structure: Fig. 2(a)-sized bursts of MSS-sized packets separated by
+/// Fig. 2(b) gaps.
+pub fn synthesize_trace<R: Rng + ?Sized>(rng: &mut R, trains: usize) -> Vec<TracePacket> {
+    let (size_dist, gap_dist) = (pt_size_bytes(), pt_interval());
     let mut pkts = Vec::new();
     let mut now = SimTime::ZERO;
-    for _ in 0..cfg.trains {
-        let bytes = cfg.size_dist.sample(rng).round() as u64;
-        let n = bytes.div_ceil(cfg.mss_bytes as u64).max(1);
+    for _ in 0..trains {
+        let bytes = size_dist.sample(rng).round() as u64;
+        let n = bytes.div_ceil(u64::from(MSS_BYTES)).max(1);
         for _ in 0..n {
             pkts.push(TracePacket {
                 at: now,
-                bytes: cfg.mss_bytes,
+                bytes: MSS_BYTES,
             });
-            now += cfg.intra_train_spacing;
+            now += INTRA_TRAIN_SPACING;
         }
-        let gap_ns = cfg.gap_dist.sample(rng).round() as u64;
+        let gap_ns = gap_dist.sample(rng).round() as u64;
         now += Dur::from_nanos(gap_ns);
     }
     pkts
@@ -227,11 +208,7 @@ mod tests {
     #[test]
     fn synthesis_round_trips_through_extraction() {
         let mut rng = StdRng::seed_from_u64(11);
-        let cfg = TraceConfig {
-            trains: 200,
-            ..TraceConfig::default()
-        };
-        let pkts = synthesize_trace(&mut rng, &cfg);
+        let pkts = synthesize_trace(&mut rng, 200);
         // The extraction threshold sits between the intra-train spacing
         // and the minimum gap, so synthesis and extraction agree.
         let trains = extract_trains(&pkts, Dur::from_micros(50));

@@ -16,7 +16,7 @@ use std::sync::mpsc::{self, Sender};
 
 use netsim::monitor::{interest, AuditStats, InvariantMonitor, MonitorEvent, Violation};
 use netsim::{Dur, SimTime, Simulator, ThroughputRecorder};
-use trim_check::{RedStability, StabilityConfig};
+use trim_check::{RedStability, MIN_AMPLITUDE};
 use trim_core::fluid::RedFluid;
 use trim_tcp::Segment;
 use trim_workload::scenario::{ScenarioBuilder, TrainSpec};
@@ -114,7 +114,7 @@ fn overadmit_incast(unfiltered: Option<&Sender<u32>>) -> Vec<Violation> {
 fn spec_monitors(spec: &ScenarioSpec) -> Vec<Box<dyn InvariantMonitor>> {
     let mut monitors = trim_check::standard_monitors();
     if spec.stability {
-        monitors.extend(trim_check::stability_monitors(StabilityConfig::default()));
+        monitors.extend(trim_check::stability_monitors());
     }
     if let SpecAqm::Red {
         min_th,
@@ -136,7 +136,7 @@ fn spec_monitors(spec: &ScenarioSpec) -> Vec<Box<dyn InvariantMonitor>> {
             spec.base_rtt_ns(),
             spec.senders as f64,
             &red,
-            StabilityConfig::default(),
+            MIN_AMPLITUDE,
         )));
     }
     monitors
@@ -241,7 +241,7 @@ fn interest_masks_are_unobservable() {
     // ...and only as broad as the event kinds the runs emit.
     let emitted = emitted.try_iter().fold(0, |acc, bit| acc | bit);
     let mut monitors = trim_check::standard_monitors();
-    monitors.extend(trim_check::stability_monitors(StabilityConfig::default()));
+    monitors.extend(trim_check::stability_monitors());
     // The built-in monitors read every kind but goodput, which only the
     // throughput recorder of `netsim::trace` reads.
     let goodput = ThroughputRecorder::new(Dur::from_millis(1), []).interests();

@@ -43,14 +43,16 @@ fn same_inputs_reproduce_identical_runs_across_topologies() {
     }
 }
 
-/// Monitoring is strictly observe-only: attaching the full standard
-/// monitor set (on top of whatever the build profile already attached)
+/// Monitoring is strictly observe-only: attaching a full standard
+/// monitor set on top of whatever the build profile already attached
 /// leaves every measurable output bit-identical.
 #[test]
 fn attached_monitors_never_perturb_the_simulation() {
     let baseline = run_digest(incast(8, true), 5.0);
     let mut sc = incast(8, true);
-    trim_check::attach_standard(sc.sim_mut());
+    for m in trim_check::standard_monitors() {
+        sc.sim_mut().attach_monitor(m);
+    }
     assert!(sc.sim_mut().monitors_enabled());
     let monitored = run_digest(sc, 5.0);
     assert_eq!(baseline, monitored, "monitors perturbed the event stream");
@@ -140,8 +142,10 @@ fn attached_monitors_never_perturb_aqm_simulations() {
     for queue in [red, codel] {
         let baseline = run_digest_unchecked(aqm_incast(8, queue), 5.0);
         let mut sc = aqm_incast(8, queue);
-        trim_check::attach_standard(sc.sim_mut());
-        for m in trim_check::stability_monitors(trim_check::StabilityConfig::default()) {
+        for m in trim_check::standard_monitors() {
+            sc.sim_mut().attach_monitor(m);
+        }
+        for m in trim_check::stability_monitors() {
             sc.sim_mut().attach_monitor(m);
         }
         assert!(sc.sim_mut().monitors_enabled());
@@ -177,7 +181,7 @@ fn red_with_thresholds_above_buffer_reproduces_drop_tail() {
 #[test]
 fn stability_oracles_stay_silent_on_healthy_runs() {
     let mut sc = incast(8, true);
-    for m in trim_check::stability_monitors(trim_check::StabilityConfig::default()) {
+    for m in trim_check::stability_monitors() {
         sc.sim_mut().attach_monitor(m);
     }
     sc.sim_mut().run_until(SimTime::from_secs(5));

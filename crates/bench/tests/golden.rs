@@ -1,6 +1,6 @@
 //! Golden-trace regression: canonical campaigns re-run
 //! deterministically, independent of worker count, and reproduce the
-//! committed CSVs under `results/` within the documented tolerance.
+//! committed CSVs under `results/` byte for byte.
 //!
 //! Five campaigns cover the artifact families: `trace` (simulation
 //! driven — exercises the event engine end to end, so any ordering or
@@ -18,7 +18,6 @@
 
 use std::path::{Path, PathBuf};
 
-use trim_check::golden::{compare_csv_files, Tolerance};
 use trim_experiments::{registry, Effort};
 use trim_harness::{engine, ExecConfig};
 
@@ -32,6 +31,32 @@ fn run_campaign_into(id: &str, dir: &Path, jobs: usize) -> Vec<String> {
     };
     let outcome = engine::execute((spec.campaign)(Effort::Quick), &cfg).expect("campaign runs");
     outcome.reduced.iter().map(|(n, _)| n.clone()).collect()
+}
+
+/// Panics unless `actual` holds exactly the bytes of `expected`, naming
+/// the first line that differs.
+fn assert_same_bytes(expected: &Path, actual: &Path, what: &str) {
+    let read = |p: &Path| std::fs::read(p).unwrap_or_else(|e| panic!("{}: {e}", p.display()));
+    let (want, got) = (read(expected), read(actual));
+    if want == got {
+        return;
+    }
+    // Splitting at every newline keeps all bytes, so unequal files
+    // differ in some piece.
+    let want: Vec<&[u8]> = want.split(|&b| b == b'\n').collect();
+    let got: Vec<&[u8]> = got.split(|&b| b == b'\n').collect();
+    let i = (0..)
+        .find(|&i| want.get(i) != got.get(i))
+        .expect("unequal files differ in a line");
+    let show = |line: Option<&&[u8]>| line.map(|l| String::from_utf8_lossy(l).into_owned());
+    panic!(
+        "{what}: line {} differs\n  {}: {:?}\n  {}: {:?}",
+        i + 1,
+        expected.display(),
+        show(want.get(i)),
+        actual.display(),
+        show(got.get(i))
+    );
 }
 
 fn assert_campaign_reproduces_goldens(id: &str) {
@@ -51,13 +76,11 @@ fn assert_campaign_reproduces_goldens(id: &str) {
     for name in &names {
         let f1 = serial.join(format!("{name}.csv"));
         let f8 = parallel.join(format!("{name}.csv"));
-        // Worker count must not leak into artifacts at all: byte-equal.
-        let m = compare_csv_files(&f1, &f8, Tolerance::EXACT).expect("both re-runs wrote CSVs");
-        assert!(m.is_empty(), "{id}/{name}: jobs=1 vs jobs=8 differ: {m:?}");
+        // Worker count must not leak into artifacts at all.
+        assert_same_bytes(&f1, &f8, &format!("{id}/{name}: jobs=1 vs jobs=8"));
         // And the re-run must reproduce the committed golden.
         let g = golden_root.join(format!("{name}.csv"));
-        let m = compare_csv_files(&g, &f1, Tolerance::GOLDEN).expect("committed golden exists");
-        assert!(m.is_empty(), "{name} drifted from committed golden: {m:?}");
+        assert_same_bytes(&g, &f1, &format!("{name} vs its committed golden"));
     }
     let _ = std::fs::remove_dir_all(&scratch);
 }

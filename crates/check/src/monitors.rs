@@ -1,15 +1,15 @@
 //! The built-in invariant monitors.
 //!
 //! Each monitor derives its own view of the world from the
-//! [`MonitorEvent`] stream and records a [`Violation`] — never panics —
-//! when an invariant breaks, so a single run surfaces every problem at
-//! once. See the crate docs for the attach policy.
+//! [`MonitorEvent`] stream and flags what breaks into the [`Findings`]
+//! the engine hands it — never panics — so a single run surfaces every
+//! problem at once. See the crate docs for the attach policy.
 
 use std::collections::VecDeque;
 
 use netsim::hash::FastHashMap;
 use netsim::monitor::{
-    interest, AuditStats, InvariantMonitor, MonitorEvent, ProbeTransition, Violation,
+    interest, AuditStats, Findings, InvariantMonitor, MonitorEvent, ProbeTransition,
 };
 use netsim::{ChannelId, Dur, FlowId, SimTime};
 
@@ -42,22 +42,12 @@ pub struct PacketConservation {
     injected: u64,
     delivered: u64,
     dropped: u64,
-    violations: Vec<Violation>,
 }
 
 impl PacketConservation {
     /// Creates the monitor.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn violate(&mut self, at: SimTime, flow: Option<FlowId>, detail: String) {
-        self.violations.push(Violation {
-            at,
-            monitor: "packet-conservation",
-            flow,
-            detail,
-        });
     }
 }
 
@@ -70,7 +60,7 @@ impl InvariantMonitor for PacketConservation {
         interest::INJECTED | interest::DELIVERED | interest::DROPPED
     }
 
-    fn observe(&mut self, at: SimTime, ev: &MonitorEvent) {
+    fn observe(&mut self, _at: SimTime, ev: &MonitorEvent, out: &mut Findings<'_>) {
         let (flow, accounted) = match ev {
             MonitorEvent::Injected { flow, .. } => {
                 self.injected += 1;
@@ -88,22 +78,20 @@ impl InvariantMonitor for PacketConservation {
         };
         if accounted && self.delivered + self.dropped > self.injected {
             let (i, d, x) = (self.injected, self.delivered, self.dropped);
-            self.violate(
-                at,
+            out.flag(
                 Some(flow),
                 format!("delivered {d} + dropped {x} exceeds injected {i}"),
             );
         }
     }
 
-    fn finalize(&mut self, at: SimTime, audit: &AuditStats) {
+    fn finalize(&mut self, _at: SimTime, audit: &AuditStats, out: &mut Findings<'_>) {
         if self.injected != audit.injected
             || self.delivered != audit.delivered
             || self.dropped != audit.dropped
         {
             let (i, d, x) = (self.injected, self.delivered, self.dropped);
-            self.violate(
-                at,
+            out.flag(
                 None,
                 format!(
                     "event stream tallies (injected {i}, delivered {d}, dropped {x}) \
@@ -112,8 +100,7 @@ impl InvariantMonitor for PacketConservation {
             );
         }
         if audit.injected != audit.delivered + audit.dropped + audit.in_flight() {
-            self.violate(
-                at,
+            out.flag(
                 None,
                 format!(
                     "injected {} != delivered {} + dropped {} + in-flight {}",
@@ -129,8 +116,7 @@ impl InvariantMonitor for PacketConservation {
         // leaked (or double-freed) slab slot. In particular a drained
         // run (pending_arrivals == 0) must leave the arena empty.
         if audit.arena_live != audit.pending_arrivals {
-            self.violate(
-                at,
+            out.flag(
                 None,
                 format!(
                     "packet arena holds {} packet(s) but {} arrival(s) are pending \
@@ -139,10 +125,6 @@ impl InvariantMonitor for PacketConservation {
                 ),
             );
         }
-    }
-
-    fn violations(&self) -> &[Violation] {
-        &self.violations
     }
 }
 
@@ -156,7 +138,6 @@ impl InvariantMonitor for PacketConservation {
 pub struct QueueBound {
     /// Packet caps learned from `Enqueued` events, per channel.
     caps: FastHashMap<ChannelId, usize>,
-    violations: Vec<Violation>,
 }
 
 impl QueueBound {
@@ -175,7 +156,7 @@ impl InvariantMonitor for QueueBound {
         interest::ENQUEUED | interest::AQM_EARLY_DROP
     }
 
-    fn observe(&mut self, at: SimTime, ev: &MonitorEvent) {
+    fn observe(&mut self, _at: SimTime, ev: &MonitorEvent, out: &mut Findings<'_>) {
         match ev {
             MonitorEvent::Enqueued {
                 channel,
@@ -188,12 +169,10 @@ impl InvariantMonitor for QueueBound {
                     self.caps.insert(*channel, *cap);
                 }
                 if len_after > cap {
-                    self.violations.push(Violation {
-                        at,
-                        monitor: "queue-bound",
-                        flow: Some(*flow),
-                        detail: format!("{channel} occupancy {len_after} exceeds cap {cap}"),
-                    });
+                    out.flag(
+                        Some(*flow),
+                        format!("{channel} occupancy {len_after} exceeds cap {cap}"),
+                    );
                 }
             }
             MonitorEvent::AqmEarlyDrop {
@@ -203,36 +182,28 @@ impl InvariantMonitor for QueueBound {
                 ..
             } => {
                 if !avg_queue.is_finite() || *avg_queue < 0.0 {
-                    self.violations.push(Violation {
-                        at,
-                        monitor: "queue-bound",
-                        flow: Some(*flow),
-                        detail: format!(
+                    out.flag(
+                        Some(*flow),
+                        format!(
                             "{channel} AQM average-queue estimate {avg_queue} is not a \
                              finite non-negative value — the EWMA estimator is corrupt"
                         ),
-                    });
+                    );
                 } else if let Some(cap) = self.caps.get(channel) {
                     if *avg_queue > *cap as f64 {
-                        self.violations.push(Violation {
-                            at,
-                            monitor: "queue-bound",
-                            flow: Some(*flow),
-                            detail: format!(
+                        out.flag(
+                            Some(*flow),
+                            format!(
                                 "{channel} AQM average-queue estimate {avg_queue} exceeds \
                                  the physical cap {cap} — an EWMA of a bounded occupancy \
                                  cannot pass the bound"
                             ),
-                        });
+                        );
                     }
                 }
             }
             _ => {}
         }
-    }
-
-    fn violations(&self) -> &[Violation] {
-        &self.violations
     }
 }
 
@@ -242,7 +213,6 @@ impl InvariantMonitor for QueueBound {
 #[derive(Debug, Default)]
 pub struct FifoOrder {
     queues: FastHashMap<ChannelId, VecDeque<(u64, FlowId)>>,
-    violations: Vec<Violation>,
 }
 
 impl FifoOrder {
@@ -263,7 +233,7 @@ impl InvariantMonitor for FifoOrder {
         interest::ENQUEUED | interest::DEQUEUED | interest::SOJOURN_DROP
     }
 
-    fn observe(&mut self, at: SimTime, ev: &MonitorEvent) {
+    fn observe(&mut self, _at: SimTime, ev: &MonitorEvent, out: &mut Findings<'_>) {
         match ev {
             MonitorEvent::Enqueued {
                 channel, flow, uid, ..
@@ -277,21 +247,17 @@ impl InvariantMonitor for FifoOrder {
                 channel, flow, uid, ..
             } => match self.queues.entry(*channel).or_default().pop_front() {
                 Some((head_uid, _)) if head_uid == *uid => {}
-                Some((head_uid, head_flow)) => self.violations.push(Violation {
-                    at,
-                    monitor: "fifo-order",
-                    flow: Some(*flow),
-                    detail: format!(
+                Some((head_uid, head_flow)) => out.flag(
+                    Some(*flow),
+                    format!(
                         "{channel} dequeued pkt#{uid} but head of queue \
                              is pkt#{head_uid} ({head_flow})"
                     ),
-                }),
-                None => self.violations.push(Violation {
-                    at,
-                    monitor: "fifo-order",
-                    flow: Some(*flow),
-                    detail: format!("{channel} dequeued pkt#{uid} from an empty queue"),
-                }),
+                ),
+                None => out.flag(
+                    Some(*flow),
+                    format!("{channel} dequeued pkt#{uid} from an empty queue"),
+                ),
             },
             // A CoDel sojourn drop removes the *head* of the queue
             // without a matching `Dequeued`: consume it here so later
@@ -300,28 +266,20 @@ impl InvariantMonitor for FifoOrder {
                 channel, flow, uid, ..
             } => match self.queues.entry(*channel).or_default().pop_front() {
                 Some((head_uid, _)) if head_uid == *uid => {}
-                Some((head_uid, head_flow)) => self.violations.push(Violation {
-                    at,
-                    monitor: "fifo-order",
-                    flow: Some(*flow),
-                    detail: format!(
+                Some((head_uid, head_flow)) => out.flag(
+                    Some(*flow),
+                    format!(
                         "{channel} sojourn-dropped pkt#{uid} but head of queue \
                          is pkt#{head_uid} ({head_flow})"
                     ),
-                }),
-                None => self.violations.push(Violation {
-                    at,
-                    monitor: "fifo-order",
-                    flow: Some(*flow),
-                    detail: format!("{channel} sojourn-dropped pkt#{uid} from an empty queue"),
-                }),
+                ),
+                None => out.flag(
+                    Some(*flow),
+                    format!("{channel} sojourn-dropped pkt#{uid} from an empty queue"),
+                ),
             },
             _ => {}
         }
-    }
-
-    fn violations(&self) -> &[Violation] {
-        &self.violations
     }
 }
 
@@ -334,7 +292,6 @@ impl InvariantMonitor for FifoOrder {
 #[derive(Debug, Default)]
 pub struct MonotonicTime {
     last: Option<SimTime>,
-    violations: Vec<Violation>,
 }
 
 impl MonotonicTime {
@@ -353,28 +310,22 @@ impl InvariantMonitor for MonotonicTime {
         interest::CLOCK
     }
 
-    fn observe(&mut self, at: SimTime, ev: &MonitorEvent) {
+    fn observe(&mut self, _at: SimTime, ev: &MonitorEvent, out: &mut Findings<'_>) {
         if let MonitorEvent::Clock { to } = ev {
             if let Some(last) = self.last {
                 if *to < last {
-                    self.violations.push(Violation {
-                        at,
-                        monitor: "monotonic-time",
-                        flow: None,
-                        detail: format!(
+                    out.flag(
+                        None,
+                        format!(
                             "clock stepped backwards: {}ns after {}ns",
                             to.as_nanos(),
                             last.as_nanos()
                         ),
-                    });
+                    );
                 }
             }
             self.last = Some(*to);
         }
-    }
-
-    fn violations(&self) -> &[Violation] {
-        &self.violations
     }
 }
 
@@ -382,14 +333,12 @@ impl InvariantMonitor for MonotonicTime {
 /// connection's configured `[min_cwnd, max_cwnd]` segment range (the
 /// paper's `[2, cwnd_max]`) and is a finite number.
 #[derive(Debug, Default)]
-pub struct CwndRange {
-    violations: Vec<Violation>,
-}
+pub struct CwndRange;
 
 impl CwndRange {
     /// Creates the monitor.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 }
 
@@ -402,7 +351,7 @@ impl InvariantMonitor for CwndRange {
         interest::CWND_UPDATE
     }
 
-    fn observe(&mut self, at: SimTime, ev: &MonitorEvent) {
+    fn observe(&mut self, _at: SimTime, ev: &MonitorEvent, out: &mut Findings<'_>) {
         if let MonitorEvent::CwndUpdate {
             flow,
             cwnd,
@@ -411,18 +360,12 @@ impl InvariantMonitor for CwndRange {
         } = ev
         {
             if !cwnd.is_finite() || *cwnd < min_cwnd - CWND_EPS || *cwnd > max_cwnd + CWND_EPS {
-                self.violations.push(Violation {
-                    at,
-                    monitor: "cwnd-range",
-                    flow: Some(*flow),
-                    detail: format!("cwnd {cwnd} outside [{min_cwnd}, {max_cwnd}]"),
-                });
+                out.flag(
+                    Some(*flow),
+                    format!("cwnd {cwnd} outside [{min_cwnd}, {max_cwnd}]"),
+                );
             }
         }
-    }
-
-    fn violations(&self) -> &[Violation] {
-        &self.violations
     }
 }
 
@@ -439,7 +382,6 @@ enum ProbePhase {
 #[derive(Debug, Default)]
 pub struct ProbeLegality {
     phases: FastHashMap<FlowId, ProbePhase>,
-    violations: Vec<Violation>,
 }
 
 impl ProbeLegality {
@@ -458,7 +400,7 @@ impl InvariantMonitor for ProbeLegality {
         interest::PROBE_TRANSITION
     }
 
-    fn observe(&mut self, at: SimTime, ev: &MonitorEvent) {
+    fn observe(&mut self, _at: SimTime, ev: &MonitorEvent, out: &mut Findings<'_>) {
         let MonitorEvent::ProbeTransition { flow, transition } = ev else {
             return;
         };
@@ -476,18 +418,9 @@ impl InvariantMonitor for ProbeLegality {
             Some(next) => *phase = next,
             None => {
                 let detail = format!("illegal transition {transition} in phase {phase:?}");
-                self.violations.push(Violation {
-                    at,
-                    monitor: "probe-legality",
-                    flow: Some(*flow),
-                    detail,
-                });
+                out.flag(Some(*flow), detail);
             }
         }
-    }
-
-    fn violations(&self) -> &[Violation] {
-        &self.violations
     }
 }
 
@@ -502,14 +435,12 @@ impl InvariantMonitor for ProbeLegality {
 /// exempt: Algorithm-1 probe resolution *restores* an inherited window
 /// from the suspended floor, which is not a congestion reduction.
 #[derive(Debug, Default)]
-pub struct AckReductionBound {
-    violations: Vec<Violation>,
-}
+pub struct AckReductionBound;
 
 impl AckReductionBound {
     /// Creates the monitor.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 }
 
@@ -522,7 +453,7 @@ impl InvariantMonitor for AckReductionBound {
         interest::ACK_WINDOW
     }
 
-    fn observe(&mut self, at: SimTime, ev: &MonitorEvent) {
+    fn observe(&mut self, _at: SimTime, ev: &MonitorEvent, out: &mut Findings<'_>) {
         if let MonitorEvent::AckWindow {
             flow,
             before,
@@ -531,22 +462,16 @@ impl InvariantMonitor for AckReductionBound {
         } = ev
         {
             if !after.is_finite() || *after < before / 2.0 - CWND_EPS {
-                self.violations.push(Violation {
-                    at,
-                    monitor: "ack-reduction-bound",
-                    flow: Some(*flow),
-                    detail: format!(
+                out.flag(
+                    Some(*flow),
+                    format!(
                         "one ACK cut cwnd {before} -> {after}, below the \
                          legacy-TCP halving floor {}",
                         before / 2.0
                     ),
-                });
+                );
             }
         }
-    }
-
-    fn violations(&self) -> &[Violation] {
-        &self.violations
     }
 }
 
@@ -563,7 +488,6 @@ impl InvariantMonitor for AckReductionBound {
 #[derive(Debug, Default)]
 pub struct ProbeWindow {
     awaiting: FastHashMap<FlowId, bool>,
-    violations: Vec<Violation>,
 }
 
 impl ProbeWindow {
@@ -582,7 +506,7 @@ impl InvariantMonitor for ProbeWindow {
         interest::PROBE_TRANSITION | interest::CWND_UPDATE
     }
 
-    fn observe(&mut self, at: SimTime, ev: &MonitorEvent) {
+    fn observe(&mut self, _at: SimTime, ev: &MonitorEvent, out: &mut Findings<'_>) {
         match ev {
             MonitorEvent::ProbeTransition {
                 flow,
@@ -598,22 +522,16 @@ impl InvariantMonitor for ProbeWindow {
             } if self.awaiting.remove(flow) == Some(true)
                 && (*cwnd - min_cwnd).abs() > CWND_EPS =>
             {
-                self.violations.push(Violation {
-                    at,
-                    monitor: "probe-window",
-                    flow: Some(*flow),
-                    detail: format!(
+                out.flag(
+                    Some(*flow),
+                    format!(
                         "probe started with cwnd {cwnd}, expected the \
                          window floor {min_cwnd}"
                     ),
-                });
+                );
             }
             _ => {}
         }
-    }
-
-    fn violations(&self) -> &[Violation] {
-        &self.violations
     }
 }
 
@@ -636,22 +554,12 @@ struct SessionState {
 #[derive(Debug, Default)]
 pub struct SessionConservation {
     sessions: FastHashMap<FlowId, SessionState>,
-    violations: Vec<Violation>,
 }
 
 impl SessionConservation {
     /// Creates the monitor.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn violate(&mut self, at: SimTime, flow: FlowId, detail: String) {
-        self.violations.push(Violation {
-            at,
-            monitor: "session-conservation",
-            flow: Some(flow),
-            detail,
-        });
     }
 }
 
@@ -671,14 +579,14 @@ impl InvariantMonitor for SessionConservation {
         clippy::expect_used,
         reason = "each `expect` follows the check that its session is present"
     )]
-    fn observe(&mut self, at: SimTime, ev: &MonitorEvent) {
+    fn observe(&mut self, _at: SimTime, ev: &MonitorEvent, out: &mut Findings<'_>) {
         match *ev {
             MonitorEvent::SessionStarted {
                 flow,
                 planned_requests,
             } => {
                 if self.sessions.contains_key(&flow) {
-                    self.violate(at, flow, "session started twice".into());
+                    out.flag(Some(flow), "session started twice".into());
                     return;
                 }
                 self.sessions.insert(
@@ -691,23 +599,21 @@ impl InvariantMonitor for SessionConservation {
             }
             MonitorEvent::RequestIssued { flow, index, bytes } => {
                 let Some(s) = self.sessions.get(&flow).copied() else {
-                    self.violate(at, flow, format!("request #{index} on unstarted session"));
+                    out.flag(Some(flow), format!("request #{index} on unstarted session"));
                     return;
                 };
                 if s.ended {
-                    self.violate(at, flow, format!("request #{index} after session end"));
+                    out.flag(Some(flow), format!("request #{index} after session end"));
                     return;
                 }
                 if index != s.issued {
-                    self.violate(
-                        at,
-                        flow,
+                    out.flag(
+                        Some(flow),
                         format!("request #{index} out of order, expected #{}", s.issued),
                     );
                 } else if s.issued >= s.planned {
-                    self.violate(
-                        at,
-                        flow,
+                    out.flag(
+                        Some(flow),
                         format!(
                             "request #{index} exceeds the session's {} planned request(s)",
                             s.planned
@@ -719,13 +625,15 @@ impl InvariantMonitor for SessionConservation {
             }
             MonitorEvent::ResponseCompleted { flow, index } => {
                 let Some(s) = self.sessions.get(&flow).copied() else {
-                    self.violate(at, flow, format!("response #{index} on unstarted session"));
+                    out.flag(
+                        Some(flow),
+                        format!("response #{index} on unstarted session"),
+                    );
                     return;
                 };
                 if s.completed >= s.issued {
-                    self.violate(
-                        at,
-                        flow,
+                    out.flag(
+                        Some(flow),
                         format!(
                             "response #{index} without an outstanding request \
                              (issued {}, completed {})",
@@ -735,9 +643,8 @@ impl InvariantMonitor for SessionConservation {
                     return;
                 }
                 if index != s.completed {
-                    self.violate(
-                        at,
-                        flow,
+                    out.flag(
+                        Some(flow),
                         format!("response #{index} out of order, expected #{}", s.completed),
                     );
                 }
@@ -752,17 +659,16 @@ impl InvariantMonitor for SessionConservation {
                 completed,
             } => {
                 let Some(s) = self.sessions.get(&flow).copied() else {
-                    self.violate(at, flow, "unstarted session ended".into());
+                    out.flag(Some(flow), "unstarted session ended".into());
                     return;
                 };
                 if s.ended {
-                    self.violate(at, flow, "session ended twice".into());
+                    out.flag(Some(flow), "session ended twice".into());
                     return;
                 }
                 if s.issued != issued || s.completed != completed {
-                    self.violate(
-                        at,
-                        flow,
+                    out.flag(
+                        Some(flow),
                         format!(
                             "session-end tallies (issued {issued}, completed {completed}) \
                              disagree with the event stream (issued {}, completed {})",
@@ -771,9 +677,8 @@ impl InvariantMonitor for SessionConservation {
                     );
                 }
                 if s.issued != s.completed {
-                    self.violate(
-                        at,
-                        flow,
+                    out.flag(
+                        Some(flow),
                         format!(
                             "session ended with {} request(s) still in flight \
                              (issued {}, completed {})",
@@ -787,10 +692,6 @@ impl InvariantMonitor for SessionConservation {
             }
             _ => {}
         }
-    }
-
-    fn violations(&self) -> &[Violation] {
-        &self.violations
     }
 }
 
@@ -868,7 +769,6 @@ struct CycleState {
 pub struct CwndLimitCycle {
     min_amplitude: f64,
     flows: FastHashMap<FlowId, CycleState>,
-    violations: Vec<Violation>,
 }
 
 impl CwndLimitCycle {
@@ -878,34 +778,27 @@ impl CwndLimitCycle {
         CwndLimitCycle {
             min_amplitude,
             flows: FastHashMap::default(),
-            violations: Vec::new(),
         }
     }
-}
 
-impl InvariantMonitor for CwndLimitCycle {
-    fn name(&self) -> &'static str {
-        "cwnd-limit-cycle"
+    /// Whether any flow has fired.
+    fn fired(&self) -> bool {
+        self.flows.values().any(|s| s.fired)
     }
 
-    fn interests(&self) -> u32 {
-        interest::CWND_UPDATE
-    }
-
-    fn observe(&mut self, at: SimTime, ev: &MonitorEvent) {
-        let MonitorEvent::CwndUpdate { flow, cwnd, .. } = ev else {
-            return;
-        };
+    /// Takes `flow`'s window report `cwnd` at `at`; returns what the
+    /// detector saw when this report makes the flow fire.
+    fn step(&mut self, at: SimTime, flow: FlowId, cwnd: f64) -> Option<String> {
         let min_amplitude = self.min_amplitude;
-        let s = self.flows.entry(*flow).or_default();
+        let s = self.flows.entry(flow).or_default();
         let Some(prev) = s.prev else {
-            s.prev = Some(*cwnd);
-            s.last_ext = *cwnd;
-            return;
+            s.prev = Some(cwnd);
+            s.last_ext = cwnd;
+            return None;
         };
-        let d: i8 = if *cwnd > prev {
+        let d: i8 = if cwnd > prev {
             1
-        } else if *cwnd < prev {
+        } else if cwnd < prev {
             -1
         } else {
             0
@@ -923,7 +816,7 @@ impl InvariantMonitor for CwndLimitCycle {
             }
             s.dir = d;
         }
-        s.prev = Some(*cwnd);
+        s.prev = Some(cwnd);
         // Prune reversals that slid out of the window, then test.
         let cutoff = at.saturating_since(SimTime::ZERO);
         let window_start = if cutoff > STABILITY_WINDOW {
@@ -939,30 +832,40 @@ impl InvariantMonitor for CwndLimitCycle {
             s.turns.pop_front();
         }
         let needed = 2 * MIN_CYCLES;
-        if !s.fired && s.turns.len() >= needed {
-            s.fired = true;
-            let span = at.saturating_since(s.turns.front().map(|&(t0, _)| t0).unwrap_or(at));
-            let mean_amp = s.turns.iter().map(|&(_, a)| a).sum::<f64>() / s.turns.len() as f64;
-            let cycles = s.turns.len() as f64 / 2.0;
-            let period_us = span.as_nanos() as f64 / cycles / 1_000.0;
-            self.violations.push(Violation {
-                at,
-                monitor: "cwnd-limit-cycle",
-                flow: Some(*flow),
-                detail: format!(
-                    "sustained cwnd oscillation: {} reversals in {}us \
-                     (mean amplitude {:.1} segments, period ~{:.0}us)",
-                    s.turns.len(),
-                    span.as_nanos() / 1_000,
-                    mean_amp,
-                    period_us
-                ),
-            });
+        if s.fired || s.turns.len() < needed {
+            return None;
         }
+        s.fired = true;
+        let span = at.saturating_since(s.turns.front().map(|&(t0, _)| t0).unwrap_or(at));
+        let mean_amp = s.turns.iter().map(|&(_, a)| a).sum::<f64>() / s.turns.len() as f64;
+        let cycles = s.turns.len() as f64 / 2.0;
+        let period_us = span.as_nanos() as f64 / cycles / 1_000.0;
+        Some(format!(
+            "sustained cwnd oscillation: {} reversals in {}us \
+             (mean amplitude {:.1} segments, period ~{:.0}us)",
+            s.turns.len(),
+            span.as_nanos() / 1_000,
+            mean_amp,
+            period_us
+        ))
+    }
+}
+
+impl InvariantMonitor for CwndLimitCycle {
+    fn name(&self) -> &'static str {
+        "cwnd-limit-cycle"
     }
 
-    fn violations(&self) -> &[Violation] {
-        &self.violations
+    fn interests(&self) -> u32 {
+        interest::CWND_UPDATE
+    }
+
+    fn observe(&mut self, at: SimTime, ev: &MonitorEvent, out: &mut Findings<'_>) {
+        if let MonitorEvent::CwndUpdate { flow, cwnd, .. } = *ev {
+            if let Some(detail) = self.step(at, flow, cwnd) {
+                out.flag(Some(flow), detail);
+            }
+        }
     }
 }
 
@@ -1006,7 +909,6 @@ pub struct StandingQueue {
     /// Per-channel occupancy accounting, in channel-id order of first
     /// appearance (kept in a `Vec` so finalize iterates deterministically).
     channels: Vec<(ChannelId, ChannelOccupancy)>,
-    violations: Vec<Violation>,
     fired: bool,
 }
 
@@ -1035,7 +937,7 @@ impl InvariantMonitor for StandingQueue {
         interest::ENQUEUED | interest::DEQUEUED | interest::SOJOURN_DROP
     }
 
-    fn observe(&mut self, at: SimTime, ev: &MonitorEvent) {
+    fn observe(&mut self, at: SimTime, ev: &MonitorEvent, _: &mut Findings<'_>) {
         match ev {
             MonitorEvent::Enqueued {
                 channel,
@@ -1058,7 +960,7 @@ impl InvariantMonitor for StandingQueue {
         }
     }
 
-    fn finalize(&mut self, at: SimTime, _audit: &AuditStats) {
+    fn finalize(&mut self, _at: SimTime, _audit: &AuditStats, out: &mut Findings<'_>) {
         if self.fired {
             return;
         }
@@ -1071,24 +973,18 @@ impl InvariantMonitor for StandingQueue {
             let dwell = s.above_ns as f64 / s.total_ns as f64;
             if dwell >= QUEUE_DWELL {
                 self.fired = true;
-                self.violations.push(Violation {
-                    at,
-                    monitor: "standing-queue",
-                    flow: None,
-                    detail: format!(
+                out.flag(
+                    None,
+                    format!(
                         "{ch} occupancy above {:.0}% of the {cap}-packet buffer \
                          for {:.0}% of the observed {}us",
                         QUEUE_FLOOR * 100.0,
                         dwell * 100.0,
                         s.total_ns / 1_000
                     ),
-                });
+                );
             }
         }
-    }
-
-    fn violations(&self) -> &[Violation] {
-        &self.violations
     }
 }
 
@@ -1100,12 +996,12 @@ impl InvariantMonitor for StandingQueue {
 /// says "unstable" must. Fires one violation on disagreement.
 ///
 /// Construct with the scenario's bottleneck parameters; internally it
-/// runs a [`CwndLimitCycle`] as the measurement instrument.
+/// runs a [`CwndLimitCycle`] as the measurement instrument, and reads
+/// whether it fired, not what it found.
 #[derive(Debug)]
 pub struct RedStability {
     verdict: trim_core::fluid::RedStabilityVerdict,
     cycle: CwndLimitCycle,
-    violations: Vec<Violation>,
     fired: bool,
 }
 
@@ -1124,7 +1020,6 @@ impl RedStability {
         RedStability {
             verdict: trim_core::fluid::red_stability(capacity_pps, base_rtt_ns, n_flows, red),
             cycle: CwndLimitCycle::new(min_amplitude),
-            violations: Vec::new(),
             fired: false,
         }
     }
@@ -1137,7 +1032,7 @@ impl RedStability {
     /// Whether the packet-level measurement saw a sustained limit cycle
     /// so far.
     pub fn measured_unstable(&self) -> bool {
-        !self.cycle.violations().is_empty()
+        self.cycle.fired()
     }
 }
 
@@ -1150,11 +1045,15 @@ impl InvariantMonitor for RedStability {
         self.cycle.interests()
     }
 
-    fn observe(&mut self, at: SimTime, ev: &MonitorEvent) {
-        self.cycle.observe(at, ev);
+    /// Feeds the inner detector, whose own findings are not this
+    /// monitor's: only a disagreement with the verdict is flagged.
+    fn observe(&mut self, at: SimTime, ev: &MonitorEvent, _: &mut Findings<'_>) {
+        if let MonitorEvent::CwndUpdate { flow, cwnd, .. } = *ev {
+            self.cycle.step(at, flow, cwnd);
+        }
     }
 
-    fn finalize(&mut self, at: SimTime, _audit: &AuditStats) {
+    fn finalize(&mut self, _at: SimTime, _audit: &AuditStats, out: &mut Findings<'_>) {
         if self.fired {
             return;
         }
@@ -1163,11 +1062,9 @@ impl InvariantMonitor for RedStability {
         let predicted = !self.verdict.stable;
         if measured != predicted {
             let v = &self.verdict;
-            self.violations.push(Violation {
-                at,
-                monitor: "red-stability",
-                flow: None,
-                detail: format!(
+            out.flag(
+                None,
+                format!(
                     "measured {} but the mean-field predicate says {} \
                      (W* = {:.2}, q* = {:.1}, p* = {:.4}, margin = {:.3})",
                     if measured {
@@ -1181,12 +1078,8 @@ impl InvariantMonitor for RedStability {
                     v.p_star,
                     v.margin
                 ),
-            });
+            );
         }
-    }
-
-    fn violations(&self) -> &[Violation] {
-        &self.violations
     }
 }
 
@@ -1194,6 +1087,29 @@ impl InvariantMonitor for RedStability {
 mod tests {
     use super::*;
     use netsim::prelude::*;
+
+    /// A monitor driven by hand, keeping what it flags as the engine
+    /// would.
+    struct Judged<M>(M, Vec<Violation>);
+
+    impl<M: InvariantMonitor> Judged<M> {
+        fn new(m: M) -> Self {
+            Judged(m, Vec::new())
+        }
+        fn observe(&mut self, at: SimTime, ev: &MonitorEvent) {
+            let name = self.0.name();
+            let mut out = Findings::new(name, at, &mut self.1);
+            self.0.observe(at, ev, &mut out);
+        }
+        fn finalize(&mut self, at: SimTime, audit: &AuditStats) {
+            let name = self.0.name();
+            let mut out = Findings::new(name, at, &mut self.1);
+            self.0.finalize(at, audit, &mut out);
+        }
+        fn violations(&self) -> &[Violation] {
+            &self.1
+        }
+    }
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
@@ -1218,7 +1134,7 @@ mod tests {
     #[test]
     fn conservation_flags_excess_delivery() {
         let (node, _) = ids();
-        let mut m = PacketConservation::new();
+        let mut m = Judged::new(PacketConservation::new());
         m.observe(
             t(1),
             &MonitorEvent::Injected {
@@ -1255,7 +1171,7 @@ mod tests {
 
     #[test]
     fn conservation_finalize_cross_checks_the_engine() {
-        let mut m = PacketConservation::new();
+        let mut m = Judged::new(PacketConservation::new());
         let bad = AuditStats {
             injected: 5,
             delivered: 2,
@@ -1284,7 +1200,7 @@ mod tests {
         };
         // Align the event tallies with the engine counters so only the
         // arena check can fire.
-        let mut m = PacketConservation::new();
+        let mut m = Judged::new(PacketConservation::new());
         for uid in 1..=4u64 {
             m.observe(
                 t(1),
@@ -1313,7 +1229,7 @@ mod tests {
     #[test]
     fn queue_bound_flags_over_capacity() {
         let (_, ch) = ids();
-        let mut m = QueueBound::new();
+        let mut m = Judged::new(QueueBound::new());
         m.observe(
             t(5),
             &MonitorEvent::Enqueued {
@@ -1333,7 +1249,7 @@ mod tests {
     #[test]
     fn queue_bound_flags_impossible_aqm_average() {
         let (_, ch) = ids();
-        let mut m = QueueBound::new();
+        let mut m = Judged::new(QueueBound::new());
         // Learn the cap from a legal enqueue, then report an AQM drop
         // whose EWMA claims more packets than the queue can even hold.
         m.observe(
@@ -1359,7 +1275,7 @@ mod tests {
         assert_eq!(m.violations().len(), 1);
         assert!(m.violations()[0].detail.contains("exceeds"));
         // A non-finite estimate is flagged even before any cap is known.
-        let mut m2 = QueueBound::new();
+        let mut m2 = Judged::new(QueueBound::new());
         m2.observe(
             t(3),
             &MonitorEvent::AqmEarlyDrop {
@@ -1377,7 +1293,7 @@ mod tests {
     #[test]
     fn queue_bound_accepts_sane_aqm_average() {
         let (_, ch) = ids();
-        let mut m = QueueBound::new();
+        let mut m = Judged::new(QueueBound::new());
         m.observe(
             t(1),
             &MonitorEvent::Enqueued {
@@ -1404,7 +1320,7 @@ mod tests {
     #[test]
     fn fifo_flags_out_of_order_dequeue() {
         let (_, ch) = ids();
-        let mut m = FifoOrder::new();
+        let mut m = Judged::new(FifoOrder::new());
         for uid in [1u64, 2] {
             m.observe(
                 t(1),
@@ -1432,7 +1348,7 @@ mod tests {
 
     #[test]
     fn monotonic_time_flags_backwards_clock() {
-        let mut m = MonotonicTime::new();
+        let mut m = Judged::new(MonotonicTime::new());
         m.observe(t(5), &MonitorEvent::Clock { to: t(10) });
         m.observe(t(10), &MonitorEvent::Clock { to: t(10) }); // equal: fine
         m.observe(t(10), &MonitorEvent::Clock { to: t(9) });
@@ -1441,7 +1357,7 @@ mod tests {
 
     #[test]
     fn cwnd_range_flags_out_of_band_windows() {
-        let mut m = CwndRange::new();
+        let mut m = Judged::new(CwndRange::new());
         let ev = |cwnd: f64| MonitorEvent::CwndUpdate {
             flow: FlowId(1),
             cwnd,
@@ -1460,7 +1376,7 @@ mod tests {
 
     #[test]
     fn probe_machine_accepts_the_legal_lifecycles() {
-        let mut m = ProbeLegality::new();
+        let mut m = Judged::new(ProbeLegality::new());
         let ev = |tr| MonitorEvent::ProbeTransition {
             flow: FlowId(1),
             transition: tr,
@@ -1486,7 +1402,7 @@ mod tests {
 
     #[test]
     fn ack_reduction_bound_allows_halving_but_not_deeper_cuts() {
-        let mut m = AckReductionBound::new();
+        let mut m = Judged::new(AckReductionBound::new());
         let ev = |before: f64, after: f64, probe_echo: bool| MonitorEvent::AckWindow {
             flow: FlowId(1),
             before,
@@ -1506,7 +1422,7 @@ mod tests {
 
     #[test]
     fn probe_window_requires_the_floor_at_probe_start() {
-        let mut m = ProbeWindow::new();
+        let mut m = Judged::new(ProbeWindow::new());
         let start = MonitorEvent::ProbeTransition {
             flow: FlowId(1),
             transition: ProbeTransition::Start,
@@ -1534,7 +1450,7 @@ mod tests {
 
     #[test]
     fn session_conservation_accepts_a_clean_lifecycle() {
-        let mut m = SessionConservation::new();
+        let mut m = Judged::new(SessionConservation::new());
         let f = FlowId(1);
         m.observe(
             t(1),
@@ -1572,7 +1488,7 @@ mod tests {
     fn session_conservation_accounts_open_sessions_at_horizon() {
         // A session with a request still in flight at the horizon is
         // legal as long as it never claims to have ended.
-        let mut m = SessionConservation::new();
+        let mut m = Judged::new(SessionConservation::new());
         let f = FlowId(2);
         m.observe(
             t(1),
@@ -1605,7 +1521,7 @@ mod tests {
 
     #[test]
     fn session_conservation_flags_broken_lifecycles() {
-        let mut m = SessionConservation::new();
+        let mut m = Judged::new(SessionConservation::new());
         // Request on a session that never started.
         m.observe(
             t(1),
@@ -1660,7 +1576,7 @@ mod tests {
 
     #[test]
     fn probe_machine_flags_illegal_transitions() {
-        let mut m = ProbeLegality::new();
+        let mut m = Judged::new(ProbeLegality::new());
         let ev = |flow, tr| MonitorEvent::ProbeTransition {
             flow: FlowId(flow),
             transition: tr,
@@ -1696,7 +1612,7 @@ mod tests {
     /// plus amplitude/period diagnostics.
     #[test]
     fn limit_cycle_fires_on_square_wave() {
-        let mut m = CwndLimitCycle::new(MIN_AMPLITUDE);
+        let mut m = Judged::new(CwndLimitCycle::new(MIN_AMPLITUDE));
         for i in 0..30u64 {
             let w = if i % 2 == 0 { 4.0 } else { 40.0 };
             m.observe(t_ms(2 * i), &cwnd_ev(7, w));
@@ -1715,7 +1631,7 @@ mod tests {
     /// stay silent: there are no reversals at all.
     #[test]
     fn limit_cycle_silent_on_converged_trace() {
-        let mut m = CwndLimitCycle::new(MIN_AMPLITUDE);
+        let mut m = Judged::new(CwndLimitCycle::new(MIN_AMPLITUDE));
         for (i, w) in [2.0, 4.0, 8.0, 16.0, 24.0].into_iter().enumerate() {
             m.observe(t_ms(i as u64), &cwnd_ev(1, w));
         }
@@ -1730,7 +1646,7 @@ mod tests {
     /// clear the amplitude floor.
     #[test]
     fn limit_cycle_silent_on_noisy_but_stable_trace() {
-        let mut m = CwndLimitCycle::new(MIN_AMPLITUDE);
+        let mut m = Judged::new(CwndLimitCycle::new(MIN_AMPLITUDE));
         for i in 0..500u64 {
             let w = 20.0 + if i % 2 == 0 { 0.0 } else { 1.0 };
             m.observe(t_ms(i), &cwnd_ev(1, w));
@@ -1743,7 +1659,7 @@ mod tests {
     /// required count inside the window.
     #[test]
     fn limit_cycle_needs_sustained_reversals() {
-        let mut m = CwndLimitCycle::new(MIN_AMPLITUDE);
+        let mut m = Judged::new(CwndLimitCycle::new(MIN_AMPLITUDE));
         // Three big reversals (6 turns < 8 needed), then convergence.
         let trace = [10.0, 40.0, 10.0, 40.0, 10.0, 40.0, 25.0, 25.0, 25.0];
         for (i, w) in trace.into_iter().enumerate() {
@@ -1758,7 +1674,7 @@ mod tests {
     /// The detector fires once per flow, and separately per flow.
     #[test]
     fn limit_cycle_fires_once_per_flow() {
-        let mut m = CwndLimitCycle::new(MIN_AMPLITUDE);
+        let mut m = Judged::new(CwndLimitCycle::new(MIN_AMPLITUDE));
         for i in 0..60u64 {
             let w = if i % 2 == 0 { 4.0 } else { 40.0 };
             m.observe(t_ms(2 * i), &cwnd_ev(1, w));
@@ -1785,7 +1701,7 @@ mod tests {
     #[test]
     fn standing_queue_fires_on_pinned_occupancy() {
         let (_, ch) = ids();
-        let mut m = StandingQueue::new();
+        let mut m = Judged::new(StandingQueue::new());
         // Occupancy 13..15 of 16 for 500 ms.
         for i in 0..500u64 {
             let len = 13 + (i % 3) as usize;
@@ -1807,7 +1723,7 @@ mod tests {
     #[test]
     fn standing_queue_silent_when_queue_drains() {
         let (_, ch) = ids();
-        let mut m = StandingQueue::new();
+        let mut m = Judged::new(StandingQueue::new());
         // Occupancy swings 1..16: above the 8-packet floor only half
         // the time.
         for i in 0..500u64 {
@@ -1829,7 +1745,7 @@ mod tests {
     #[test]
     fn standing_queue_ignores_short_spans() {
         let (_, ch) = ids();
-        let mut m = StandingQueue::new();
+        let mut m = Judged::new(StandingQueue::new());
         // Pinned, but only observed for 50 ms < the 200 ms window.
         for i in 0..50u64 {
             m.observe(t_ms(i), &enq_ev(ch, 15, 16));
@@ -1872,41 +1788,41 @@ mod tests {
             pending_arrivals: 0,
             arena_live: 0,
         };
-        let square = |m: &mut RedStability| {
+        let square = |m: &mut Judged<RedStability>| {
             for i in 0..30u64 {
                 let w = if i % 2 == 0 { 4.0 } else { 40.0 };
                 m.observe(t_ms(2 * i), &cwnd_ev(1, w));
             }
         };
-        let flat = |m: &mut RedStability| {
+        let flat = |m: &mut Judged<RedStability>| {
             for i in 0..300u64 {
                 m.observe(t_ms(i), &cwnd_ev(1, 20.0));
             }
         };
 
         // Unstable predicate + oscillating measurement: agreement.
-        let mut m = RedStability::new(C, 1_000_000, 4.0, &steep, MIN_AMPLITUDE);
-        assert!(!m.verdict().stable);
+        let mut m = Judged::new(RedStability::new(C, 1_000_000, 4.0, &steep, MIN_AMPLITUDE));
+        assert!(!m.0.verdict().stable);
         square(&mut m);
         m.finalize(t_ms(600), &audit);
         assert!(m.violations().is_empty(), "{:?}", m.violations());
 
         // Stable predicate + converged measurement: agreement.
-        let mut m = RedStability::new(C, 100_000, 8.0, &gentle, MIN_AMPLITUDE);
-        assert!(m.verdict().stable);
+        let mut m = Judged::new(RedStability::new(C, 100_000, 8.0, &gentle, MIN_AMPLITUDE));
+        assert!(m.0.verdict().stable);
         flat(&mut m);
         m.finalize(t_ms(600), &audit);
         assert!(m.violations().is_empty(), "{:?}", m.violations());
 
         // Stable predicate + oscillating measurement: disagreement.
-        let mut m = RedStability::new(C, 100_000, 8.0, &gentle, MIN_AMPLITUDE);
+        let mut m = Judged::new(RedStability::new(C, 100_000, 8.0, &gentle, MIN_AMPLITUDE));
         square(&mut m);
         m.finalize(t_ms(600), &audit);
         assert_eq!(m.violations().len(), 1);
         assert!(m.violations()[0].detail.contains("limit cycle"));
 
         // Unstable predicate + converged measurement: disagreement.
-        let mut m = RedStability::new(C, 1_000_000, 4.0, &steep, MIN_AMPLITUDE);
+        let mut m = Judged::new(RedStability::new(C, 1_000_000, 4.0, &steep, MIN_AMPLITUDE));
         flat(&mut m);
         m.finalize(t_ms(600), &audit);
         assert_eq!(m.violations().len(), 1);

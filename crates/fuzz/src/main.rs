@@ -113,10 +113,6 @@ fn parse_args() -> Result<Options, String> {
 }
 
 fn main() -> ExitCode {
-    // Replay and fuzzing must observe the same invariants in release
-    // builds as in debug: force the monitor suite on for scenarios built
-    // through ScenarioBuilder as well (ScenarioSpec::run forces its own).
-    std::env::set_var("TRIM_CHECK_MONITORS", "1");
     let opts = match parse_args() {
         Ok(o) => o,
         Err(e) => {

@@ -1,4 +1,4 @@
-//! Strict command-line parsing for `trim-bench` and `trim-check`.
+//! Strict command-line parsing for `trim-bench`.
 //!
 //! Unlike the old `Effort::from_args` (which scanned for `--full` and
 //! silently ignored everything else, so a typo like `--ful` ran the

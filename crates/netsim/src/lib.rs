@@ -80,7 +80,9 @@ pub use agent::{Agent, SinkAgent};
 pub use arena::{PacketArena, PacketRef};
 pub use eventq::EventQueue;
 pub use hash::{mix64, FastHashMap, FastHashSet};
-pub use monitor::{AuditStats, InvariantMonitor, MonitorEvent, ProbeTransition, Violation};
+pub use monitor::{
+    AuditStats, Findings, InvariantMonitor, MonitorEvent, ProbeTransition, Violation,
+};
 pub use packet::{ChannelId, FlowId, NodeId, Packet, Payload, TagPayload};
 pub use queue::{CoDelConfig, QueueConfig, QueueDiscipline, QueueStats, RedConfig};
 pub use sim::{Ctx, Simulator, TimerId};
@@ -92,7 +94,7 @@ pub use units::{Bandwidth, QueueCapacity};
 pub mod prelude {
     pub use crate::agent::{Agent, SinkAgent};
     pub use crate::monitor::{
-        AuditStats, InvariantMonitor, MonitorEvent, ProbeTransition, Violation,
+        AuditStats, Findings, InvariantMonitor, MonitorEvent, ProbeTransition, Violation,
     };
     pub use crate::packet::{ChannelId, FlowId, NodeId, Packet, Payload, TagPayload};
     pub use crate::queue::{CoDelConfig, QueueConfig, QueueDiscipline, QueueStats, RedConfig};

@@ -3,9 +3,11 @@
 //! An [`InvariantMonitor`] observes a stream of [`MonitorEvent`]s emitted
 //! by the engine (and by protocol agents through
 //! [`Ctx::emit_monitor_with`](crate::sim::Ctx::emit_monitor_with)) and
-//! records [`Violation`]s without ever influencing the simulation:
-//! monitoring is strictly read-only, so a monitored run produces
-//! byte-identical results to an unmonitored one.
+//! flags what it finds into the [`Findings`] the engine hands it, which
+//! stamp each [`Violation`] with the monitor's name and the simulation
+//! time. Monitoring never influences the simulation: it is strictly
+//! read-only, so a monitored run produces byte-identical results to an
+//! unmonitored one.
 //!
 //! Cost: an event whose kind is in no attached monitor's
 //! [`InvariantMonitor::interests`] mask costs its emission site one
@@ -370,16 +372,45 @@ impl AuditStats {
     }
 }
 
+/// Where a monitor reports what it finds. The engine hands one to each
+/// [`InvariantMonitor::observe`] and [`InvariantMonitor::finalize`] call
+/// and keeps every flag, stamped with the monitor's name and the time of
+/// the call, beside that monitor; see
+/// [`Simulator::violations`](crate::sim::Simulator::violations).
+#[derive(Debug)]
+pub struct Findings<'a> {
+    monitor: &'static str,
+    at: SimTime,
+    found: &'a mut Vec<Violation>,
+}
+
+impl<'a> Findings<'a> {
+    /// A sink that appends `monitor`'s flags, stamped `at`, to `found`.
+    pub fn new(monitor: &'static str, at: SimTime, found: &'a mut Vec<Violation>) -> Self {
+        Findings { monitor, at, found }
+    }
+
+    /// Records a violation involving `flow`, when one is to blame.
+    pub fn flag(&mut self, flow: Option<FlowId>, detail: String) {
+        self.found.push(Violation {
+            at: self.at,
+            monitor: self.monitor,
+            flow,
+            detail,
+        });
+    }
+}
+
 /// A runtime invariant checker attached to a
 /// [`Simulator`](crate::sim::Simulator).
 ///
 /// Monitors are strictly observers: `observe` receives a shared
 /// reference to each event and has no channel back into the engine, so
 /// attaching any number of monitors cannot change simulation results.
-/// Record problems with an internal `Vec<Violation>` and report them
-/// from [`InvariantMonitor::violations`]; do not panic from `observe`,
-/// so a single run can surface every violation at once. A monitor that
-/// records rather than checks is read back after the run with
+/// Report problems through the [`Findings`] each call is handed; do not
+/// panic from `observe`, so a single run can surface every violation at
+/// once. A monitor that records rather than checks ignores its
+/// `Findings` and is read back after the run with
 /// [`Simulator::monitor`](crate::sim::Simulator::monitor).
 pub trait InvariantMonitor: std::any::Any {
     /// A short stable name, used in violation reports.
@@ -395,29 +426,18 @@ pub trait InvariantMonitor: std::any::Any {
     /// Called for every [`MonitorEvent`] whose kind is in
     /// [`InvariantMonitor::interests`], with the simulation time at
     /// which it occurred.
-    fn observe(&mut self, at: SimTime, ev: &MonitorEvent);
+    fn observe(&mut self, at: SimTime, ev: &MonitorEvent, out: &mut Findings<'_>);
 
     /// Called when [`Simulator::run_until`](crate::sim::Simulator::run_until)
     /// returns, with the engine's own packet accounting. May be called
     /// more than once (once per `run_until`); implementations should
     /// re-derive any end-of-run checks each time.
-    fn finalize(&mut self, _at: SimTime, _audit: &AuditStats) {}
-
-    /// The violations recorded so far; none by default, for a monitor
-    /// that records rather than checks.
-    fn violations(&self) -> &[Violation] {
-        &[]
-    }
+    fn finalize(&mut self, _at: SimTime, _audit: &AuditStats, _out: &mut Findings<'_>) {}
 }
 
 impl fmt::Debug for dyn InvariantMonitor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "InvariantMonitor({}, {} violations)",
-            self.name(),
-            self.violations().len()
-        )
+        write!(f, "InvariantMonitor({})", self.name())
     }
 }
 

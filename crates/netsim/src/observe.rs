@@ -3,9 +3,10 @@
 //! The engine reports each lifecycle point of a packet (injected,
 //! enqueued, dequeued, dropped, delivered) and each dispatched event to
 //! one [`Observer`], which keeps the lifecycle counters behind
-//! [`AuditStats`] and fans the event out to the attached
+//! [`AuditStats`], fans the event out to the attached
 //! [`InvariantMonitor`]s — the invariant checks and the recorders of
-//! [`crate::trace`] alike. Nothing here feeds back into the simulation.
+//! [`crate::trace`] alike — and keeps what each of them flags. Nothing
+//! here feeds back into the simulation.
 //!
 //! Cost: an event is built only when its kind is in the union of the
 //! attached monitors' interest masks. Detached, or when no monitor reads
@@ -13,7 +14,7 @@
 //! branch on that union; otherwise the event goes only to the monitors
 //! whose own mask holds its kind.
 
-use crate::monitor::{interest, AuditStats, InvariantMonitor, MonitorEvent, Violation};
+use crate::monitor::{interest, AuditStats, Findings, InvariantMonitor, MonitorEvent, Violation};
 use crate::packet::{ChannelId, FlowId, NodeId, Packet};
 use crate::time::SimTime;
 use crate::units::QueueCapacity;
@@ -49,6 +50,15 @@ pub(crate) enum DropCause {
     Sojourn { sojourn_ns: u64 },
 }
 
+/// An attached monitor, behind the mask and name read from it at attach
+/// time, with the violations it has flagged.
+pub(crate) struct Attached {
+    interests: u32,
+    name: &'static str,
+    pub(crate) monitor: Box<dyn InvariantMonitor>,
+    found: Vec<Violation>,
+}
+
 /// Lifecycle counters and attached monitors of one simulator. The
 /// counters are read by the engine's accessors and written only by the
 /// lifecycle methods below.
@@ -59,9 +69,8 @@ pub(crate) struct Observer {
     pub(crate) delivered_bytes: u64,
     pub(crate) dropped: u64,
     pub(crate) events_processed: u64,
-    /// Each attached monitor behind its [`InvariantMonitor::interests`]
-    /// mask, read once at attach time.
-    pub(crate) monitors: Vec<(u32, Box<dyn InvariantMonitor>)>,
+    /// The attached monitors, in attach order.
+    pub(crate) monitors: Vec<Attached>,
     /// The union of those masks: the kinds anyone reads. The one branch
     /// every emission site pays.
     reads: u32,
@@ -90,9 +99,10 @@ impl Observer {
     #[inline(never)]
     fn fan_out(&mut self, now: SimTime, ev: &MonitorEvent) {
         let bit = ev.kind_bit();
-        for (interests, m) in &mut self.monitors {
-            if *interests & bit != 0 {
-                m.observe(now, ev);
+        for a in &mut self.monitors {
+            if a.interests & bit != 0 {
+                let mut out = Findings::new(a.name, now, &mut a.found);
+                a.monitor.observe(now, ev, &mut out);
             }
         }
     }
@@ -217,22 +227,26 @@ impl Observer {
 
     /// End of a `run_until`: every monitor checks the engine's audit.
     pub(crate) fn finalize(&mut self, now: SimTime, audit: &AuditStats) {
-        for (_, m) in &mut self.monitors {
-            m.finalize(now, audit);
+        for a in &mut self.monitors {
+            let mut out = Findings::new(a.name, now, &mut a.found);
+            a.monitor.finalize(now, audit, &mut out);
         }
     }
 
     pub(crate) fn attach_monitor(&mut self, monitor: Box<dyn InvariantMonitor>) {
         let interests = monitor.interests();
         self.reads |= interests;
-        self.monitors.push((interests, monitor));
+        self.monitors.push(Attached {
+            interests,
+            name: monitor.name(),
+            monitor,
+            found: Vec::new(),
+        });
     }
 
+    /// Every flag so far: by monitor in attach order, then in flag order.
     pub(crate) fn violations(&self) -> Vec<&Violation> {
-        self.monitors
-            .iter()
-            .flat_map(|(_, m)| m.violations().iter())
-            .collect()
+        self.monitors.iter().flat_map(|a| &a.found).collect()
     }
 }
 
@@ -278,7 +292,7 @@ mod tests {
         fn name(&self) -> &'static str {
             "counting"
         }
-        fn observe(&mut self, _at: SimTime, ev: &MonitorEvent) {
+        fn observe(&mut self, _at: SimTime, ev: &MonitorEvent, _: &mut Findings<'_>) {
             let mut c = self.0.borrow_mut();
             match ev {
                 MonitorEvent::Injected { .. } => c.injected += 1,
@@ -288,9 +302,6 @@ mod tests {
                 MonitorEvent::SojournDrop { .. } => c.sojourn_drops += 1,
                 _ => {}
             }
-        }
-        fn violations(&self) -> &[Violation] {
-            &[]
         }
     }
 
@@ -305,12 +316,79 @@ mod tests {
         fn interests(&self) -> u32 {
             self.1
         }
-        fn observe(&mut self, _at: SimTime, ev: &MonitorEvent) {
+        fn observe(&mut self, _at: SimTime, ev: &MonitorEvent, _: &mut Findings<'_>) {
             self.0.borrow_mut().push(ev.clone());
         }
-        fn violations(&self) -> &[Violation] {
-            &[]
+    }
+
+    /// Flags its first `Injected` event and every `finalize`.
+    struct Flagger {
+        name: &'static str,
+        flagged_injection: bool,
+    }
+    impl InvariantMonitor for Flagger {
+        fn name(&self) -> &'static str {
+            self.name
         }
+        fn interests(&self) -> u32 {
+            interest::INJECTED
+        }
+        fn observe(&mut self, _at: SimTime, ev: &MonitorEvent, out: &mut Findings<'_>) {
+            if let MonitorEvent::Injected { flow, .. } = *ev {
+                if !self.flagged_injection {
+                    self.flagged_injection = true;
+                    out.flag(Some(flow), format!("{} saw an injection", self.name));
+                }
+            }
+        }
+        fn finalize(&mut self, _at: SimTime, _audit: &AuditStats, out: &mut Findings<'_>) {
+            out.flag(None, format!("{} finalized", self.name));
+        }
+    }
+
+    /// The engine keeps each monitor's flags beside it, stamped with the
+    /// name it had at attach time and the instant of the call, and lists
+    /// them by monitor in attach order, then in flag order: a monitor's
+    /// later flags follow its earlier ones even when another monitor
+    /// flagged in between.
+    #[test]
+    fn violations_list_flags_in_attach_then_flag_order() {
+        let (mut sim, senders, dst, _) = star(1);
+        for name in ["first", "second"] {
+            sim.attach_monitor(Box::new(Flagger {
+                name,
+                flagged_injection: false,
+            }));
+        }
+        let s = senders[0];
+        sim.inject(s, Packet::new(s, dst, FlowId(3), 1460, TagPayload(0)));
+        let mid = SimTime::from_nanos(1_000);
+        sim.run_until(mid);
+        sim.run();
+        let end = sim.now();
+        assert!(end > mid);
+        let got: Vec<_> = sim
+            .violations()
+            .into_iter()
+            .map(|v| (v.monitor, v.at, v.flow, v.detail.as_str()))
+            .collect();
+        let zero = SimTime::ZERO;
+        assert_eq!(
+            got,
+            [
+                ("first", zero, Some(FlowId(3)), "first saw an injection"),
+                ("first", mid, None, "first finalized"),
+                ("first", end, None, "first finalized"),
+                ("second", zero, Some(FlowId(3)), "second saw an injection"),
+                ("second", mid, None, "second finalized"),
+                ("second", end, None, "second finalized"),
+            ]
+        );
+        let shown = format!(
+            "{:?}",
+            sim.monitor::<Flagger>().map(|m| m as &dyn InvariantMonitor)
+        );
+        assert_eq!(shown, "Some(InvariantMonitor(first))");
     }
 
     /// A monitor declaring two kinds sees every event of those kinds and

@@ -667,7 +667,7 @@ impl<P: Payload> Simulator<P> {
     /// of [`crate::trace`] to read its series back after the run.
     pub fn monitor<T: InvariantMonitor>(&self) -> Option<&T> {
         let mut monitors = self.core.obs.monitors.iter();
-        monitors.find_map(|(_, m)| (m.as_ref() as &dyn Any).downcast_ref())
+        monitors.find_map(|a| (a.monitor.as_ref() as &dyn Any).downcast_ref())
     }
 
     /// Whether any invariant monitor is attached.
@@ -1256,13 +1256,15 @@ mod tests {
         fn name(&self) -> &'static str {
             "clock-counter"
         }
-        fn observe(&mut self, _at: SimTime, ev: &MonitorEvent) {
+        fn observe(
+            &mut self,
+            _at: SimTime,
+            ev: &MonitorEvent,
+            _: &mut crate::monitor::Findings<'_>,
+        ) {
             if matches!(ev, MonitorEvent::Clock { .. }) {
                 self.clocks.fetch_add(1, Ordering::Relaxed);
             }
-        }
-        fn violations(&self) -> &[crate::monitor::Violation] {
-            &[]
         }
     }
 
@@ -1458,7 +1460,12 @@ mod tests {
         fn name(&self) -> &'static str {
             "channel-log"
         }
-        fn observe(&mut self, _at: SimTime, ev: &MonitorEvent) {
+        fn observe(
+            &mut self,
+            _at: SimTime,
+            ev: &MonitorEvent,
+            _: &mut crate::monitor::Findings<'_>,
+        ) {
             match *ev {
                 MonitorEvent::Clock { .. } => self.dispatches += 1,
                 MonitorEvent::Enqueued { channel, uid, .. } if channel == self.ch => {
@@ -1469,9 +1476,6 @@ mod tests {
                 }
                 _ => {}
             }
-        }
-        fn violations(&self) -> &[crate::monitor::Violation] {
-            &[]
         }
     }
 

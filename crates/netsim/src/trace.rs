@@ -1,14 +1,15 @@
 //! Recorders: [`InvariantMonitor`]s that turn a run's monitor events
 //! into the time series the experiments plot, and the containers they
 //! fill. Each declares the kinds it reads, so the engine builds those
-//! events only while a recorder is attached. Attach one with
+//! events only while a recorder is attached, and none flags anything:
+//! each ignores the [`Findings`] it is handed. Attach one with
 //! [`Simulator::attach_monitor`](crate::sim::Simulator::attach_monitor)
 //! before the run and read it back with
 //! [`Simulator::monitor`](crate::sim::Simulator::monitor).
 
 use std::collections::BTreeMap;
 
-use crate::monitor::{interest, InvariantMonitor, MonitorEvent};
+use crate::monitor::{interest, Findings, InvariantMonitor, MonitorEvent};
 use crate::packet::{ChannelId, FlowId};
 use crate::time::{Dur, SimTime};
 
@@ -53,7 +54,7 @@ impl InvariantMonitor for PacketTrace {
         interest::INJECTED | interest::DELIVERED | interest::DROPPED
     }
 
-    fn observe(&mut self, at: SimTime, ev: &MonitorEvent) {
+    fn observe(&mut self, at: SimTime, ev: &MonitorEvent, _: &mut Findings<'_>) {
         if self.events.len() < self.cap {
             self.events.push((at, ev.clone()));
         } else {
@@ -103,7 +104,7 @@ impl InvariantMonitor for QueueRecorder {
         interest::ENQUEUED | interest::DEQUEUED
     }
 
-    fn observe(&mut self, at: SimTime, ev: &MonitorEvent) {
+    fn observe(&mut self, at: SimTime, ev: &MonitorEvent, _: &mut Findings<'_>) {
         if let MonitorEvent::Enqueued {
             channel, len_after, ..
         }
@@ -145,7 +146,7 @@ impl InvariantMonitor for CwndRecorder {
         interest::CWND_UPDATE
     }
 
-    fn observe(&mut self, at: SimTime, ev: &MonitorEvent) {
+    fn observe(&mut self, at: SimTime, ev: &MonitorEvent, _: &mut Findings<'_>) {
         if let MonitorEvent::CwndUpdate { flow, cwnd, .. } = *ev {
             if let Some(series) = self.0.get_mut(&flow) {
                 series.push(at, cwnd);
@@ -185,7 +186,7 @@ impl InvariantMonitor for ThroughputRecorder {
         interest::GOODPUT
     }
 
-    fn observe(&mut self, at: SimTime, ev: &MonitorEvent) {
+    fn observe(&mut self, at: SimTime, ev: &MonitorEvent, _: &mut Findings<'_>) {
         if let MonitorEvent::Goodput { flow, bytes } = *ev {
             if let Some(meter) = self.0.get_mut(&flow) {
                 meter.record(at, bytes);
@@ -334,6 +335,13 @@ mod tests {
         assert_eq!(rec.samples(ChannelId(7)), None, "not recorded");
     }
 
+    /// Hands `ev` to `rec` as the engine would; a recorder flags nothing.
+    fn feed(rec: &mut impl InvariantMonitor, at: SimTime, ev: &MonitorEvent) {
+        let mut found = Vec::new();
+        rec.observe(at, ev, &mut Findings::new(rec.name(), at, &mut found));
+        assert!(found.is_empty(), "{found:?}");
+    }
+
     fn cwnd(flow: u64, cwnd: f64) -> MonitorEvent {
         MonitorEvent::CwndUpdate {
             flow: FlowId(flow),
@@ -348,9 +356,9 @@ mod tests {
     #[test]
     fn cwnd_recorder_keeps_chosen_flows_only() {
         let mut rec = CwndRecorder::new([FlowId(0), FlowId(1)]);
-        rec.observe(SimTime::from_secs(1), &cwnd(0, 4.0));
-        rec.observe(SimTime::from_secs(2), &cwnd(2, 9.0));
-        rec.observe(SimTime::from_secs(3), &cwnd(0, 8.0));
+        feed(&mut rec, SimTime::from_secs(1), &cwnd(0, 4.0));
+        feed(&mut rec, SimTime::from_secs(2), &cwnd(2, 9.0));
+        feed(&mut rec, SimTime::from_secs(3), &cwnd(0, 8.0));
         let points = rec.series(FlowId(0)).map(Series::points);
         let want = [(SimTime::from_secs(1), 4.0), (SimTime::from_secs(3), 8.0)];
         assert_eq!(points, Some(&want[..]));
@@ -365,9 +373,9 @@ mod tests {
             flow: FlowId(flow),
             bytes,
         };
-        rec.observe(SimTime::from_nanos(10), &goodput(3, 100));
-        rec.observe(SimTime::from_nanos(20), &goodput(4, 100));
-        rec.observe(SimTime::from_nanos(1_500_000), &goodput(3, 50));
+        feed(&mut rec, SimTime::from_nanos(10), &goodput(3, 100));
+        feed(&mut rec, SimTime::from_nanos(20), &goodput(4, 100));
+        feed(&mut rec, SimTime::from_nanos(1_500_000), &goodput(3, 50));
         let meter = rec.meter(FlowId(3)).expect("metered");
         assert_eq!(meter.total_bytes(), 150);
         assert_eq!(meter.mbps_series().len(), 2);

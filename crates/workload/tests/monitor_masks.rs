@@ -14,7 +14,7 @@ use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::mpsc::{self, Sender};
 
-use netsim::monitor::{interest, AuditStats, InvariantMonitor, MonitorEvent, Violation};
+use netsim::monitor::{interest, AuditStats, Findings, InvariantMonitor, MonitorEvent, Violation};
 use netsim::{Dur, SimTime, Simulator, ThroughputRecorder};
 use trim_check::{RedStability, MIN_AMPLITUDE};
 use trim_core::fluid::RedFluid;
@@ -32,14 +32,11 @@ impl InvariantMonitor for Unfiltered {
     fn interests(&self) -> u32 {
         interest::ALL
     }
-    fn observe(&mut self, at: SimTime, ev: &MonitorEvent) {
-        self.0.observe(at, ev);
+    fn observe(&mut self, at: SimTime, ev: &MonitorEvent, out: &mut Findings<'_>) {
+        self.0.observe(at, ev, out);
     }
-    fn finalize(&mut self, at: SimTime, audit: &AuditStats) {
-        self.0.finalize(at, audit);
-    }
-    fn violations(&self) -> &[Violation] {
-        self.0.violations()
+    fn finalize(&mut self, at: SimTime, audit: &AuditStats, out: &mut Findings<'_>) {
+        self.0.finalize(at, audit, out);
     }
 }
 
@@ -56,15 +53,12 @@ impl InvariantMonitor for KindRecorder {
     fn interests(&self) -> u32 {
         interest::ALL
     }
-    fn observe(&mut self, _at: SimTime, ev: &MonitorEvent) {
+    fn observe(&mut self, _at: SimTime, ev: &MonitorEvent, _: &mut Findings<'_>) {
         let bit = ev.kind_bit();
         if self.seen & bit == 0 {
             self.seen |= bit;
             self.kinds.send(bit).expect("the test holds the receiver");
         }
-    }
-    fn violations(&self) -> &[Violation] {
-        &[]
     }
 }
 
@@ -94,7 +88,7 @@ fn violations(sim: &Simulator<Segment>) -> Vec<Violation> {
     sim.violations().into_iter().cloned().collect()
 }
 
-/// `trim-check`'s fault run: an 8-way incast whose bottleneck admits 4
+/// The over-admit fault run: an 8-way incast whose bottleneck admits 4
 /// packets past its cap.
 fn overadmit_incast(unfiltered: Option<&Sender<u32>>) -> Vec<Violation> {
     let mut sc = ScenarioBuilder::many_to_one(8).build();

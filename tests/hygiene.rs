@@ -8,8 +8,9 @@
 //! The rest need more than one file to decide and are tests here:
 //! raw unit literals, the sim crates' dependency closure, the members'
 //! opt-in to the workspace lints, the wall clock in this package (which
-//! `crates/clippy.toml` does not govern), and the agreement between the
-//! experiment registry, EXPERIMENTS.md and `results/`. The text
+//! `crates/clippy.toml` does not govern), the agreement between the
+//! experiment registry, EXPERIMENTS.md and `results/`, and the standard
+//! monitors' rows in EXPERIMENTS.md. The text
 //! scanning they share is `trim-lint` (`crates/lint`), tested on its
 //! own. DESIGN.md, "Hygiene lints", maps each rule to its check.
 
@@ -254,4 +255,24 @@ fn registry_experiments_md_and_results_agree() {
         }
     }
     assert!(problems.is_empty(), "{}", problems.join("\n"));
+}
+
+/// Every standard monitor has a row in EXPERIMENTS.md's table of the
+/// invariants the standard set checks.
+#[test]
+fn every_standard_monitor_has_an_experiments_md_row() {
+    let experiments_md = read("EXPERIMENTS.md");
+    let monitors = trim_check::standard_monitors();
+    let missing: Vec<&str> = monitors
+        .iter()
+        .map(|m| m.name())
+        .filter(|name| {
+            let row = format!("| `{name}` |");
+            !experiments_md.lines().any(|l| l.starts_with(&row))
+        })
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "EXPERIMENTS.md has no row for {missing:?}"
+    );
 }

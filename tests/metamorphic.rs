@@ -188,16 +188,19 @@ fn stability_oracles_stay_silent_on_healthy_runs() {
     sc.sim_mut().assert_no_violations();
 }
 
-/// The full monitor set is clean on a healthy run and catches a
-/// deliberately injected queue over-admission, attributing it to a
-/// simulation time and flow.
+/// The full monitor set is clean on healthy Reno and TRIM incasts and
+/// catches a deliberately injected queue over-admission, attributing it
+/// to a simulation time and flow.
 #[test]
 fn standard_monitors_pass_clean_runs_and_catch_injected_faults() {
-    // Clean run: zero violations under the full set.
-    let mut sc = incast(8, false);
-    trim_check::attach_standard(sc.sim_mut());
-    sc.sim_mut().run_until(SimTime::from_secs(5));
-    sc.sim_mut().assert_no_violations();
+    // Clean runs: every train completes with zero violations under the
+    // full set (`report` panics on any).
+    for trim in [false, true] {
+        let mut sc = incast(8, trim);
+        trim_check::attach_standard(sc.sim_mut());
+        let report = sc.run_for_secs(5.0);
+        assert_eq!(report.completed_trains(), 8, "trim={trim}");
+    }
 
     // Faulty run: the queue admits 4 packets over capacity.
     let mut sc = incast(8, false);
